@@ -8,7 +8,7 @@ covariance) from a numerical one (quadrature ran out of budget).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class EecError(Exception):
@@ -99,16 +99,6 @@ class Estimate:
         if self.error < 0:
             raise ArgumentError("estimate error must be nonnegative")
 
-    def scaled(self, factor: float) -> "Estimate":
-        return Estimate(
-            value=factor * self.value,
-            error=abs(factor) * self.error,
-            n=self.n,
-            method=self.method,
-            low_confidence=self.low_confidence,
-            notes=self.notes,
-        )
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -121,12 +111,10 @@ class Tolerances:
 
     # linear algebra
     symmetry_tol: float = 1e-12          # allowed asymmetry in residual covariances
-    psd_pivot_floor: float = -1e-10      # pivots above this count as PSD
     observed_pivot_floor: float = 1e-12  # observed block must be invertible past this
     model_psd_floor: float = -1e-8       # grid-factorization PSD verdict for models
 
     # Gaussian integrals
-    mvn_abs_tol: float = 1e-7            # absolute target for orthant/CDF values
     moment_consistency_tol: float = 1e-5 # max |route_i - route_ii| for truncated moments
     tail_rel_tol: float = 1e-8           # relative target for the exact corner-tail integral
 

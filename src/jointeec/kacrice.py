@@ -144,7 +144,7 @@ def corner_corner_term(
             cov[idx_x, pos] = cov[pos, idx_x] = et * es * r12
         pos += 1
     lower = np.concatenate([[u, u], np.zeros(n - 2)])
-    return gauss.mvn_cdf(cov, lower, rel_tol=1e-6, abs_tol=1e-13)
+    return gauss.mvn_cdf(cov, lower)
 
 
 def _edge_conditional_cov(model: model_mod.BivariateModel, t, s0: float, es: float):
@@ -586,7 +586,7 @@ def eec(
         terms = tuple(run(p) for p in pairs)
 
     total = sum(t.sign * t.value.value for t in terms)
-    err = math.sqrt(sum(t.value.error ** 2 for t in terms))
+    err = math.hypot(*(t.value.error for t in terms))  # no underflow of tiny errors
     n = sum(t.value.n for t in terms)
     low_conf = any(t.value.error > 1e-4 * abs(total) for t in terms)
     return EecResult(

@@ -4,14 +4,21 @@ These tests go through a real subprocess so argparse behavior, exit
 codes, and stream handling are exercised at the same boundary users hit.
 """
 
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import jointeec
 from jointeec.kacrice import eec
 from jointeec.model import fixture
+
+# the child process imports the same package as this one, installed or not
+SRC = os.path.dirname(os.path.dirname(jointeec.__file__))
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
 
 
 def run_cli(*args, check=False):
@@ -19,10 +26,22 @@ def run_cli(*args, check=False):
         [sys.executable, "-m", "jointeec.cli", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
     return proc
+
+
+def test_eec_does_not_import_scipy_stats():
+    # the orthant engine needs only scipy.special; scipy.stats would add
+    # about a second and tens of MB to every first call
+    code = ("import sys; from jointeec import cli; "
+            "cli.run(['eec', '--model', 'interior-point', '--u', '3']); "
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_validate_fixture_ok():

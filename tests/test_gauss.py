@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import ndtr
 
 from jointeec.common import ArgumentError, DegeneracyError, RegimeError, UnsupportedDimensionError
 from jointeec.gauss import (
@@ -133,7 +135,7 @@ def test_orthant_equicorrelated_closed_form():
     for n in (3, 4):
         cov = np.full((n, n), 0.5) + 0.5 * np.eye(n)
         est = mvn_cdf(cov, np.zeros(n))
-        assert est.value == pytest.approx(1.0 / (n + 1), abs=3e-6)
+        assert est.value == pytest.approx(1.0 / (n + 1), abs=1e-12)
 
 
 def test_orthant_dim3_pairwise_formula():
@@ -142,17 +144,17 @@ def test_orthant_dim3_pairwise_formula():
     ref = 0.125 + (math.asin(r12) + math.asin(r13) + math.asin(r23)) / (4.0 * math.pi)
     est = mvn_cdf(cov, np.zeros(3))
     assert ref == pytest.approx(0.17956619036130328, rel=1e-15)
-    assert est.value == pytest.approx(ref, abs=3e-6)
+    assert est.value == pytest.approx(ref, abs=1e-12)
 
 
 def test_tvn_reference_values():
     cov = np.array([[1.0, 0.6, -0.3], [0.6, 2.0, 0.5], [-0.3, 0.5, 1.5]])
     est = mvn_cdf(cov, [0.8, 1.0, -0.2])
-    assert est.value == pytest.approx(TVN_MIXED, rel=2e-5)
+    assert est.value == pytest.approx(TVN_MIXED, rel=1e-10, abs=0.0)
 
     cov = np.array([[1.0, 0.0, 0.52], [0.0, 1.0, -0.1], [0.52, -0.1, 1.0]])
     est = mvn_cdf(cov, [2.5, 0.0, 2.5])
-    assert est.value == pytest.approx(TVN_TAIL, rel=2e-4)
+    assert est.value == pytest.approx(TVN_TAIL, rel=1e-10, abs=0.0)
 
 
 def test_qvn_reference_values():
@@ -163,7 +165,7 @@ def test_qvn_reference_values():
         [0.2, 0.0, -0.4, 1.0],
     ])
     est = mvn_cdf(cov, [1.0, -0.5, 0.3, 2.0])
-    assert est.value == pytest.approx(QVN_MIXED, rel=2e-4)
+    assert est.value == pytest.approx(QVN_MIXED, rel=1e-10, abs=0.0)
 
     cov = np.array([
         [1.0, 0.52, 0.0, -0.26],
@@ -172,7 +174,69 @@ def test_qvn_reference_values():
         [-0.26, 0.0, -0.47, 1.0],
     ])
     est = mvn_cdf(cov, [3.0, 3.0, 0.0, 0.0])
-    assert est.value == pytest.approx(QVN_CORNERLIKE, rel=5e-4)
+    assert est.value == pytest.approx(QVN_CORNERLIKE, rel=1e-10, abs=0.0)
+
+
+def one_factor_orthant(d, rho, a):
+    # equicorrelated Z = sqrt(rho) W + sqrt(1 - rho) E: given the common
+    # factor W = z the d coordinates are independent
+    s, c = math.sqrt(rho), math.sqrt(1.0 - rho)
+
+    def f(z):
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * ndtr(-(a - s * z) / c) ** d
+
+    peak = a * s * d / (1.0 + (d - 1) * rho)
+    val, _ = integrate.quad(f, peak - 20.0, peak + 20.0, points=[peak],
+                            epsabs=0.0, epsrel=1e-13, limit=500)
+    return val
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("rho", [0.3, 0.7])
+@pytest.mark.parametrize("a", [-8.0, -5.0, 3.0, 6.0, 9.0])
+def test_orthant_equicorrelated_one_factor(d, rho, a):
+    # relative accuracy holds far into the tail, where values reach 1e-42,
+    # and for low thresholds, where the mass sits far above them; the
+    # reported error covers the actual one
+    cov = np.full((d, d), rho) + (1.0 - rho) * np.eye(d)
+    est = mvn_cdf(cov, np.full(d, a))
+    ref = one_factor_orthant(d, rho, a)
+    assert est.value == pytest.approx(ref, rel=1e-9, abs=0.0)
+    assert est.error >= abs(est.value - ref)
+
+
+def conditioned_on_one(cov, a, k):
+    # 3-D orthant by conditioning on coordinate k alone: adaptive quad over
+    # it, with the 2-D route inside, so no box and no fixed rule
+    rest = [i for i in range(3) if i != k]
+    beta = cov[rest, k]
+    resid = cov[np.ix_(rest, rest)] - np.outer(beta, beta)
+
+    def f(x):
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * mvn_cdf(resid, a[rest] - beta * x).value
+
+    edges = np.linspace(a[k], max(a[k], 0.0) + 30.0, 61)
+    return sum(integrate.quad(f, p, q, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for p, q in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("cov, lower, rel", [
+    # all thresholds far below the mass (value 1 - 2e-15)
+    (np.full((3, 3), 0.9) + 0.1 * np.eye(3), [-8.0, -8.0, -8.0], 1e-9),
+    # mixed signs, one threshold 40 sigma below everything
+    ([[1.0, 0.3, 0.9], [0.3, 1.0, 0.0], [0.9, 0.0, 1.0]], [-40.0, -8.0, 9.0], 1e-9),
+    ([[1.0, 0.5, -0.5], [0.5, 1.0, -0.9], [-0.5, -0.9, 1.0]], [-2.0, -8.0, 9.0], 1e-9),
+    ([[1.0, 0.6, -0.3], [0.6, 1.0, 0.5], [-0.3, 0.5, 1.0]], [-3.0, 1.0, 6.0], 1e-9),
+    # the lowest threshold is carried far above itself by a 0.99
+    # correlation: a 0.14-sigma peak inside the panel (measured 2.6e-7)
+    ([[1.0, 0.99, 0.0], [0.99, 1.0, 0.0], [0.0, 0.0, 1.0]], [-5.0, 9.0, 9.0], 1e-6),
+])
+def test_orthant_dim3_low_and_mixed_thresholds(cov, lower, rel):
+    cov, lower = np.array(cov), np.array(lower)
+    est = mvn_cdf(cov, lower)
+    ref = conditioned_on_one(cov, lower, int(np.argmax(lower)))
+    assert est.value == pytest.approx(ref, rel=rel, abs=0.0)
+    assert est.error >= abs(est.value - ref)
 
 
 def test_mvn_cdf_infinite_bounds():

@@ -28,7 +28,10 @@ BVN_335 = 8.1889661832192112e-5  # P{X>=3, Y>=3}, correlation 0.5
 
 EEC_DIAGONAL_U3 = 2.3976429802220159e-4
 EEC_INTERIOR_U3 = 2.0964332351250929e-4
-EEC_SEMIDEG_RESTRICTED_U3 = 9.4841397083062092e-5
+# Independent route: the nested scipy.integrate.quad corner of
+# perfbench/make_reference.corner_term(mod, 0, 0, 3, True, False) plus a
+# QUADPACK edge term at rel 1e-12 gives 9.484122990781759e-05.
+EEC_SEMIDEG_RESTRICTED_U3 = 9.48412299078176e-05
 
 
 def total_from_terms(res):
@@ -80,13 +83,21 @@ def test_corner_term_constrained_factorizes():
     # factor out as orthant mass 1/3 for correlation 1/2
     mod = fixture("diagonal")
     est = kr.corner_corner_term(mod, 0.0, 0.0, 3.0)
-    assert est.value == pytest.approx(BVN_335 / 3.0, rel=1e-5)
+    assert est.value == pytest.approx(BVN_335 / 3.0, rel=1e-10, abs=0.0)
 
 
 def test_corner_term_independent_model():
     mod = independent_model()
-    est = kr.corner_corner_term(mod, 0.0, 0.0, 2.0)
-    assert est.value == pytest.approx(norm.sf(2.0) ** 2 / 4.0, rel=1e-8)
+    for u in (2.0, 6.0, 9.0):
+        est = kr.corner_corner_term(mod, 0.0, 0.0, u)
+        assert est.value == pytest.approx(norm.sf(u) ** 2 / 4.0, rel=1e-10, abs=0.0), u
+
+
+def test_corner_term_error_is_relative_at_high_u():
+    # the orthant engine's error bar scales with the value, so it stays
+    # meaningful where the corner probability is ~1e-26
+    est = kr.corner_corner_term(fixture("corner-nondegenerate"), 1.0, 0.0, 9.0)
+    assert 0.0 < est.error <= 1e-6 * est.value
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +191,13 @@ def test_eec_threads_deterministic():
     seq = kr.eec(mod, 3.0, threads=1).total.value
     par = kr.eec(mod, 3.0, threads=2).total.value
     assert par == seq
+
+
+def test_eec_total_error_does_not_underflow():
+    # every term error is ~1e-192 here; squaring them would underflow to 0
+    res = kr.eec(fixture("diagonal"), 25.0)
+    assert res.total.error > 0.0
+    assert res.total.error >= max(t.value.error for t in res.terms)
 
 
 # ---------------------------------------------------------------------------
