@@ -21,11 +21,11 @@ Supported cross forms:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .common import ArgumentError, DegeneracyError, DEFAULT_TOL
+from .common import ArgumentError, DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +238,17 @@ def joint_cov(model: BivariateModel, specs) -> np.ndarray:
     return out
 
 
-def joint_grid_cov(model: BivariateModel, grid: np.ndarray) -> np.ndarray:
-    """Joint covariance of (X on grid, Y on grid), shape (2n, 2n)."""
-    g = np.asarray(grid, dtype=float)
-    lag = g[None, :] - g[:, None]
-    kxx = np.asarray(model.kernel_x.deriv(lag, 0))
-    kyy = np.asarray(model.kernel_y.deriv(lag, 0))
-    kxy = np.asarray(model.cross.partial(g[:, None], g[None, :], 0, 0))
-    top = np.hstack([kxx, kxy])
-    bot = np.hstack([kxy.T, kyy])
+def joint_grid_cov(model: BivariateModel, grid: np.ndarray, cols=None) -> np.ndarray:
+    """Covariances of (X on grid, Y on grid) with the values in cols, a
+    sequence of (tag, point) with tag in {"X", "Y"}; shape (2n, len(cols)).
+    cols defaults to X and then Y on the grid: the joint covariance."""
+    g = np.asarray(grid, dtype=float)[:, None]
+    if cols is None:
+        cols = [(tag, t) for tag in "XY" for t in g[:, 0]]
+    on_x = np.array([tag == "X" for tag, _ in cols])
+    at = np.array([p for _, p in cols], dtype=float)
+    top = np.where(on_x, model.kernel_x.deriv(at - g, 0), model.cross.partial(g, at, 0, 0))
+    bot = np.where(on_x, model.cross.partial(at, g, 0, 0), model.kernel_y.deriv(at - g, 0))
     return np.vstack([top, bot])
 
 

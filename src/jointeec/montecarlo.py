@@ -2,10 +2,16 @@
 probabilities (plain and importance-sampled), and the empirical expected
 Euler characteristic via the product of per-path component counts.
 
-Paths are drawn from one dense Cholesky factorization of the stacked
-2*gridN covariance.  Replicate i uses its own Philox substream keyed by
-(seed, i), so batches are bit-reproducible regardless of how replicates
-are scheduled.
+Paths are F z: z is standard normal in R^k and F (2n x k) factors the
+covariance of (X, Y) on the n-point grid, by pivoted Cholesky stopped
+once no residual variance exceeds _PIVOT_TOL (Harbrecht, Peters &
+Schneider 2012).  Only the diagonal and k columns of the covariance are
+evaluated; the fixtures give k = 16 at every grid size.
+
+Replicates come in blocks of _BLOCK; block b draws from the Philox
+stream keyed by (seed, b) and is reduced before the next is drawn, so
+memory stays bounded and a run of r replicates is bit-identical to the
+first r replicates of any longer run with the same seed.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ __all__ = [
 ]
 
 _GRID_MIN, _GRID_MAX = 64, 4096
+_PIVOT_TOL = 1e-12  # largest residual variance left; a dense Cholesky needs a ridge this size
+_BLOCK = 1024  # replicates per Philox key and per chunk of paths in memory
+_TILT_TOL = 1e-8  # largest |F w - m| / |m| accepted for the importance-sampling tilt
 
 
 @dataclass(frozen=True)
@@ -41,75 +50,80 @@ class PathBatch:
     x_paths: np.ndarray  # (reps, gridN)
     y_paths: np.ndarray
     seed: int
-    factorization_cond: float
+    factorization_cond: float  # (first pivot / last kept pivot)^2
+    rank: int
 
 
-def _joint_covariance(model: model_mod.BivariateModel, grid: np.ndarray) -> np.ndarray:
+def _pivoted_cholesky(model: model_mod.BivariateModel, grid: np.ndarray):
+    """F (2n x k) with F F^T equal to the joint grid covariance up to a
+    residual whose diagonal is at most _PIVOT_TOL, and its conditioning
+    (first pivot / last kept pivot)^2.  Both kernels are correlation
+    functions, so the diagonal starts at 1."""
     n = grid.size
-    tau = grid[:, None] - grid[None, :]
-    cov = np.empty((2 * n, 2 * n))
-    cov[:n, :n] = model_mod.kernel_eval(model.kernel_x, tau, 0)
-    cov[n:, n:] = model_mod.kernel_eval(model.kernel_y, tau, 0)
-    cross = model_mod.cross_eval(model, grid[:, None], grid[None, :], 0, 0)
-    cross = np.broadcast_to(np.asarray(cross, dtype=float), (n, n))
-    cov[:n, n:] = cross
-    cov[n:, :n] = cross.T
-    return cov
+    resid = np.ones(2 * n)
+    factor = np.empty((2 * n, 32))
+    pivots = []
+    while True:
+        p = int(np.argmax(resid))
+        if resid[p] <= _PIVOT_TOL:
+            return factor[:, : len(pivots)], pivots[0] / pivots[-1]
+        pivot, k = float(resid[p]), len(pivots)
+        if k == factor.shape[1]:
+            factor = np.hstack([factor, np.empty_like(factor)])
+        col = model_mod.joint_grid_cov(model, grid, [("XY"[p // n], grid[p % n])])[:, 0]
+        factor[:, k] = (col - factor[:, :k] @ factor[p, :k]) / math.sqrt(pivot)
+        resid -= factor[:, k] ** 2
+        pivots.append(pivot)
+        q = int(np.argmin(resid))
+        if resid[q] < -_PIVOT_TOL:
+            raise DegeneracyError(f"joint grid covariance is indefinite: residual variance "
+                                  f"{resid[q]:.3e} at index {q} after {k + 1} pivots", q)
 
 
-def _factorize(cov: np.ndarray):
-    """Cholesky with escalating jitter; mixtures of finitely many
-    frequencies make the grid covariance rank deficient, which a small
-    ridge repairs without visibly distorting the paths."""
-    base = float(np.mean(np.diag(cov)))
-    jitter = 0.0
-    for k in range(8):
-        try:
-            low = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-            d = np.diag(low)
-            return low, float((d.max() / d.min()) ** 2)
-        except np.linalg.LinAlgError:
-            jitter = base * 10.0 ** (k - 12)
-    raise DegeneracyError(
-        f"joint covariance failed to factorize even with jitter {jitter:.1e}; "
-        "the model is numerically degenerate on this grid"
-    )
-
-
-def _substream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_paths(
-    model: model_mod.BivariateModel, grid_n: int, reps: int, seed: int
-) -> PathBatch:
+def _factor(model, grid_n: int, reps: int):
     if not _GRID_MIN <= grid_n <= _GRID_MAX:
         raise ArgumentError(f"gridN must lie in [{_GRID_MIN}, {_GRID_MAX}]")
     if reps < 1:
         raise ArgumentError("reps must be at least 1")
     grid = np.linspace(0.0, 1.0, grid_n)
-    low, cond = _factorize(_joint_covariance(model, grid))
-    z = np.empty((reps, 2 * grid_n))
-    for i in range(reps):
-        z[i] = _substream(seed, i).standard_normal(2 * grid_n)
-    paths = z @ low.T
+    return (grid, *_pivoted_cholesky(model, grid))
+
+
+def _blocks(factor: np.ndarray, reps: int, seed: int, tilt=0.0):
+    """Yield (z, (z + tilt) F^T) block by block, z standard normal from the
+    Philox stream keyed by (seed, block).  A short last block is drawn and
+    multiplied in full: a matrix product's rounding may depend on its
+    shape (a single row goes to a matrix-vector kernel)."""
+    k = factor.shape[1]
+    for b, start in enumerate(range(0, reps, _BLOCK)):
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, b], dtype=np.uint64)
+        z = np.random.Generator(np.random.Philox(key=key)).standard_normal((_BLOCK, k))
+        paths = (z + tilt) @ factor.T
+        m = min(_BLOCK, reps - start)
+        yield z[:m], paths[:m]
+
+
+def sample_paths(
+    model: model_mod.BivariateModel, grid_n: int, reps: int, seed: int
+) -> PathBatch:
+    grid, factor, cond = _factor(model, grid_n, reps)
+    paths = np.concatenate([p for _, p in _blocks(factor, reps, seed)])
     return PathBatch(
         grid=grid,
         x_paths=paths[:, :grid_n],
         y_paths=paths[:, grid_n:],
         seed=seed,
         factorization_cond=cond,
+        rank=factor.shape[1],
     )
 
 
 def count_excursion_components(path, u: float) -> int:
     """Number of maximal runs of consecutive grid values >= u."""
-    above = np.asarray(path) >= u
-    if above.size == 0:
+    path = np.asarray(path)
+    if path.size == 0:
         raise ArgumentError("path must be nonempty")
-    starts = int(above[0]) + int(np.count_nonzero(above[1:] & ~above[:-1]))
-    return starts
+    return int(_counts(path.reshape(1, -1), u)[0])
 
 
 def _counts(paths: np.ndarray, u: float) -> np.ndarray:
@@ -124,8 +138,9 @@ def estimate_eec(
 ) -> Estimate:
     """Mean of chi(X-path) * chi(Y-path): the Euler characteristic of a
     product set is the product of the factors' characteristics."""
-    batch = sample_paths(model, grid_n, reps, seed)
-    prod = _counts(batch.x_paths, u) * _counts(batch.y_paths, u)
+    _, factor, _ = _factor(model, grid_n, reps)
+    prod = np.concatenate([_counts(p[:, :grid_n], u) * _counts(p[:, grid_n:], u)
+                           for _, p in _blocks(factor, reps, seed)])
     value = float(np.mean(prod))
     stderr = float(np.std(prod, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return Estimate(value, stderr, reps, PLAIN_MC)
@@ -133,22 +148,8 @@ def estimate_eec(
 
 def _conditional_mean_path(model, grid, t_star, s_star, u):
     rho = model_mod.cross_eval(model, t_star, s_star, 0, 0)
-    pin = np.array([[1.0, rho], [rho, 1.0]])
-    cx = model_mod.kernel_eval(model.kernel_x, grid - t_star, 0)
-    cxy = np.broadcast_to(
-        np.asarray(model_mod.cross_eval(model, grid, s_star, 0, 0), dtype=float),
-        grid.shape,
-    )
-    cyx = np.broadcast_to(
-        np.asarray(model_mod.cross_eval(model, t_star, grid, 0, 0), dtype=float),
-        grid.shape,
-    )
-    cy = model_mod.kernel_eval(model.kernel_y, grid - s_star, 0)
-    cvec = np.concatenate(
-        [np.stack([cx, cxy], axis=1), np.stack([cyx, cy], axis=1)]
-    )
-    weights = np.linalg.solve(pin, np.array([u, u]))
-    return cvec @ weights
+    weights = np.linalg.solve([[1.0, rho], [rho, 1.0]], [u, u])
+    return model_mod.joint_grid_cov(model, grid, [("X", t_star), ("Y", s_star)]) @ weights
 
 
 def estimate_joint_excursion(
@@ -162,34 +163,29 @@ def estimate_joint_excursion(
     """P{max X >= u, max Y >= u} on the grid.
 
     With shift=(t*, s*) the sampling mean is tilted to the conditional
-    mean path given X(t*)=Y(s*)=u and each replicate carries the exact
+    mean path m given X(t*)=Y(s*)=u and each replicate carries the exact
     Gaussian likelihood ratio; effective sample size below 100 flags the
-    estimate as low confidence."""
-    if not _GRID_MIN <= grid_n <= _GRID_MAX:
-        raise ArgumentError(f"gridN must lie in [{_GRID_MIN}, {_GRID_MAX}]")
-    if reps < 1:
-        raise ArgumentError("reps must be at least 1")
-    grid = np.linspace(0.0, 1.0, grid_n)
-    low, _ = _factorize(_joint_covariance(model, grid))
-    z = np.empty((reps, 2 * grid_n))
-    for i in range(reps):
-        z[i] = _substream(seed, i).standard_normal(2 * grid_n)
-
-    if shift is None:
-        paths = z @ low.T
-        hit = (paths[:, :grid_n].max(axis=1) >= u) & (paths[:, grid_n:].max(axis=1) >= u)
-        p = float(np.mean(hit))
-        stderr = math.sqrt(max(p * (1.0 - p), 0.0) / reps)
-        return Estimate(p, stderr, reps, PLAIN_MC)
-
-    t_star, s_star = shift
-    m = _conditional_mean_path(model, grid, float(t_star), float(s_star), u)
-    w = np.linalg.solve(low, m)
-    paths = (z + w) @ low.T
-    hit = (paths[:, :grid_n].max(axis=1) >= u) & (paths[:, grid_n:].max(axis=1) >= u)
-    log_lr = -z @ w - 0.5 * float(w @ w)
-    contrib = np.where(hit, np.exp(log_lr), 0.0)
+    estimate as low confidence.  The tilt is the w with F w = m; the
+    ratio of the draw z + w is exp(-z.w - |w|^2/2), and 1 when w = 0."""
+    grid, factor, _ = _factor(model, grid_n, reps)
+    w = np.zeros(factor.shape[1])
+    if shift is not None:
+        m = _conditional_mean_path(model, grid, float(shift[0]), float(shift[1]), u)
+        w = np.linalg.lstsq(factor, m, rcond=None)[0]
+        resid = float(np.linalg.norm(factor @ w - m) / np.linalg.norm(m))
+        if not resid <= _TILT_TOL:
+            raise DegeneracyError(f"conditional mean path lies outside the span of the "
+                                  f"rank-{factor.shape[1]} factor: relative residual {resid:.1e}")
+    half_ww = 0.5 * float(w @ w)
+    contrib = np.concatenate([
+        np.where((p[:, :grid_n].max(axis=1) >= u) & (p[:, grid_n:].max(axis=1) >= u),
+                 np.exp(-z @ w - half_ww), 0.0)
+        for z, p in _blocks(factor, reps, seed, tilt=w)
+    ])
     value = float(np.mean(contrib))
+    if shift is None:
+        stderr = math.sqrt(max(value * (1.0 - value), 0.0) / reps)
+        return Estimate(value, stderr, reps, PLAIN_MC)
     stderr = float(np.std(contrib, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     total = float(np.sum(contrib))
     sq = float(np.sum(contrib * contrib))

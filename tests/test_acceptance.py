@@ -416,3 +416,27 @@ def test_criterion_10_tilted_estimator_unbiased():
                                                shift=(0.5, 0.5))
             combined = math.hypot(plain.error, tilt.error)
             assert abs(plain.value - tilt.value) < 3.0 * combined, seed
+
+
+# ---------------------------------------------------------------------------
+# the largest grid neither blows up nor crawls
+
+
+def test_grid_4096_bounded_time_and_memory():
+    # Dense sampling at gridN = 4096 and 20000 reps holds normals, paths,
+    # covariance and factor of about 3.7 GB and runs for minutes.  The
+    # rank-16 factor and paths formed one block of replicates at a time
+    # keep both estimators to about a second each and 140 MB of arrays.
+    import tracemalloc
+    mod = fixture("interior-point")
+    tracemalloc.start()
+    try:
+        with elapsed_under(15.0):
+            exc = mc.estimate_joint_excursion(mod, 4.5, 4096, 20000, 3, shift=(0.5, 0.5))
+            chi = mc.estimate_eec(mod, 4.5, 4096, 20000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300e6
+    assert exc.value > 0.0 and not exc.low_confidence
+    assert math.isfinite(chi.value) and chi.error >= 0.0

@@ -1,16 +1,46 @@
 """Path sampling, excursion counting, and the two estimators."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from jointeec.common import ArgumentError
+from jointeec.common import ArgumentError, DegeneracyError
 from jointeec.model import (
     BivariateModel,
+    CosineMixture,
+    CrossCorrelation,
     ShiftMixture,
     SquaredExponential,
     fixture,
+    independent_model,
+    joint_grid_cov,
 )
 from jointeec import montecarlo as mc
+
+FIXTURES = (
+    "diagonal",
+    "interior-point",
+    "corner-nondegenerate",
+    "corner-semidegenerate",
+    "corner-degenerate",
+    "edge-point",
+    "edge-point-degenerate",
+)
+
+
+def _rough_model():
+    k = SquaredExponential(0.12)
+    return BivariateModel(k, k, ShiftMixture(0.5, 0.0, k), label="rough")
+
+
+def _cosine_model():
+    k = CosineMixture((0.3, 0.7), (2.0, 9.0))
+    return BivariateModel(k, k, ShiftMixture(0.6, 0.2, k), label="cosine")
+
+
+FACTOR_MODELS = [fixture(name) for name in FIXTURES] + [
+    independent_model(), _rough_model(), _cosine_model()]
 
 
 def test_sample_paths_deterministic():
@@ -23,6 +53,7 @@ def test_sample_paths_deterministic():
     assert not np.array_equal(a.x_paths, c.x_paths)
     assert a.factorization_cond > 0.0
     assert np.isfinite(a.factorization_cond)
+    assert 0 < a.rank < 2 * 128
 
 
 def test_sample_paths_marginal_statistics():
@@ -84,8 +115,7 @@ def test_grid_refinement_monotone_under_common_noise():
     # grid is a hit on the finer one when the same joint draw is reused.
     # a short length scale keeps the paths rough enough that refinement
     # actually finds new exceedances
-    k = SquaredExponential(0.12)
-    mod = BivariateModel(k, k, ShiftMixture(0.5, 0.0, k), label="rough")
+    mod = _rough_model()
     u = 2.0
     for seed in (11, 42):
         batch = mc.sample_paths(mod, 513, 30000, seed)
@@ -151,3 +181,77 @@ def test_importance_sampling_flags_poor_shift():
     est = mc.estimate_joint_excursion(mod, 3.0, 512, 5000, 7, shift=(0.0, 0.0))
     assert est.low_confidence
     assert any("effective sample size" in n for n in est.notes)
+
+
+@pytest.mark.parametrize("grid_n", [128, 512])
+@pytest.mark.parametrize("mod", FACTOR_MODELS, ids=lambda m: m.label)
+def test_factor_reproduces_grid_covariance(mod, grid_n):
+    # the factor is built from the diagonal and k pivot columns only; the
+    # full covariance it must reproduce comes from the one grid builder
+    grid = np.linspace(0.0, 1.0, grid_n)
+    factor, cond = mc._pivoted_cholesky(mod, grid)
+    assert np.max(np.abs(factor @ factor.T - joint_grid_cov(mod, grid))) <= 1e-10
+    assert cond >= 1.0
+    if mod.kernel_x == mod.kernel_y == SquaredExponential(1.0):
+        # unit length scale: numerical rank far below the 2n grid values
+        assert factor.shape[1] < 2 * grid_n
+
+
+def test_streams_are_keyed_by_replicate_block():
+    # replicate i draws from the stream of its block whatever the run
+    # length, so a short run is the head of a longer one: 1000 reps fit in
+    # one chunk, 1500 and 5000 cross chunk boundaries, 3000 ends inside a
+    # block that 5000 fills, and a single rep is a single row
+    mod = fixture("interior-point")
+    long = mc.sample_paths(mod, 128, 5000, 21)
+    for reps in (3000, 1500, 1000, 1):
+        short = mc.sample_paths(mod, 128, reps, 21)
+        assert np.array_equal(short.x_paths, long.x_paths[:reps])
+        assert np.array_equal(short.y_paths, long.y_paths[:reps])
+
+
+def test_chunked_estimators_match_whole_batch():
+    # the estimators reduce one chunk of paths at a time; across a chunk
+    # boundary their per-replicate values must be those of the whole batch
+    mod = fixture("interior-point")
+    reps = mc._BLOCK + 476
+    batch = mc.sample_paths(mod, 128, reps, 4)
+    cx, cy = mc._counts(batch.x_paths, 1.5), mc._counts(batch.y_paths, 1.5)
+    assert np.count_nonzero(cx * cy) > 0
+    assert mc.estimate_eec(mod, 1.5, 128, reps, 4).value == np.mean(cx * cy)
+    hit = (batch.x_paths.max(axis=1) >= 2.0) & (batch.y_paths.max(axis=1) >= 2.0)
+    assert np.count_nonzero(hit) > 0
+    assert mc.estimate_joint_excursion(mod, 2.0, 128, reps, 4).value == np.mean(hit)
+
+
+@dataclass(frozen=True)
+class _NearOne(CrossCorrelation):
+    """r(t, s) = 0.99 everywhere: X(0) and X(1) would both need
+    correlation 0.99 with Y(0), which forces corr(X(0), X(1)) >= 2 * 0.99^2
+    - 1 = 0.96, while SE(1) marginals give exp(-1/2) = 0.61."""
+
+    def partial(self, t, s, a, b):
+        shape = np.broadcast(np.asarray(t), np.asarray(s)).shape
+        return np.full(shape, 0.99 if a == b == 0 else 0.0)
+
+
+def test_indefinite_model_raises_degeneracy():
+    sq = SquaredExponential(1.0)
+    mod = BivariateModel(sq, sq, _NearOne(), label="near-one")
+    with pytest.raises(DegeneracyError):
+        mc.sample_paths(mod, 128, 10, 1)
+    with pytest.raises(DegeneracyError):
+        mc.estimate_eec(mod, 2.0, 128, 10, 1)
+
+
+def test_tilt_outside_factor_span_raises(monkeypatch):
+    # a mean path that alternates in sign from one grid point to the next
+    # has no counterpart among the smooth paths F z; the tilt must refuse
+    # it rather than sample from a measure the weights do not describe
+    def sawtooth(model, grid, t_star, s_star, u):
+        return u * (-1.0) ** np.arange(2 * grid.size)
+
+    monkeypatch.setattr(mc, "_conditional_mean_path", sawtooth)
+    with pytest.raises(DegeneracyError, match="relative residual"):
+        mc.estimate_joint_excursion(fixture("interior-point"), 3.0, 128, 100, 1,
+                                    shift=(0.5, 0.5))
