@@ -19,7 +19,7 @@ roles of t and s already exchanged, so the formulas apply verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .common import (
     DEFAULT_TOL,
     ArgumentError,
     DegeneracyError,
-    Estimate,
     RegimeError,
 )
 from . import gauss
@@ -41,10 +40,7 @@ __all__ = [
     "classify",
     "sigma_conditional",
     "h_function",
-    "laplace_1d",
-    "laplace_2d",
     "closed_form",
-    "approximate",
     "CASE_TAGS",
 ]
 
@@ -356,37 +352,6 @@ def h_function(model: model_mod.BivariateModel, t: float, s: float) -> float:
     return 0.5 * float(x.sum())
 
 
-def laplace_1d(
-    h_value: float,
-    h_second: float,
-    amplitude: float,
-    u: float,
-    boundary: bool = False,
-) -> float:
-    """Leading order of int g(t) exp(-u^2 h(t)) dt at an interior minimizer.
-
-    With boundary=True the minimizer sits at an endpoint and only half
-    the Gaussian peak is integrated.
-    """
-    if not h_second > 0.0:
-        raise RegimeError("exponent curvature must be positive, got %.3e" % h_second)
-    half = 0.5 if boundary else 1.0
-    return half * amplitude * math.sqrt(2.0 * math.pi / (u * u * h_second)) * math.exp(
-        -u * u * h_value
-    )
-
-
-def laplace_2d(h_value: float, h_hessian, amplitude: float, u: float) -> float:
-    """Leading order of the 2D analogue; caller supplies orthant factors."""
-    hess = np.asarray(h_hessian, dtype=float)
-    det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
-    if not (hess[0, 0] > 0.0 and det > 0.0):
-        raise RegimeError("exponent Hessian is not positive definite")
-    return amplitude * (2.0 * math.pi / (u * u)) / math.sqrt(det) * math.exp(
-        -u * u * h_value
-    )
-
-
 def _require(value: float, name: str) -> float:
     if not value > 0.0:
         raise RegimeError("%s must be positive, got %.6g" % (name, value))
@@ -486,12 +451,3 @@ def closed_form(
 
     return AsymptoticTerm(coefficient=factor * base, power=2, rate=1.0 + big_r)
 
-
-def approximate(model: model_mod.BivariateModel, u: float):
-    """Closed form when a regime matches, numeric face-pair sum otherwise."""
-    classification = classify(model)
-    if classification.tag != "GeneralFallback":
-        return closed_form(model, classification, u)
-    from . import kacrice
-
-    return kacrice.eec(model, u).total

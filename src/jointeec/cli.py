@@ -16,8 +16,7 @@ violated agreement band in ``compare``.
 ``simulate`` and ``compare`` reuse the given seed for every u value,
 so all rows of one table share a path ensemble and their sampling
 errors are positively correlated; ratios across rows are smoother than
-independent runs would give.  The EEC_THREADS environment variable
-caps the worker count of the numeric sum (default 1).
+independent runs would give.
 """
 
 from __future__ import annotations

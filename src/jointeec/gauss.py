@@ -103,15 +103,18 @@ def condition(cov, observed_idx, tol: Tolerances = DEFAULT_TOL) -> ConditionalLa
 # ---------------------------------------------------------------------------
 # survival CDFs
 
-def _bvn_survival(h: float, k: float, rho: float) -> tuple[float, float]:
-    """P{Z1 >= h, Z2 >= k} for standard bivariate normal, correlation rho.
+def _bvn_survival(h: float, k: float, rho: float) -> tuple[float, float, int]:
+    """P{Z1 >= h, Z2 >= k} for standard bivariate normal, correlation rho,
+    with its error and the number of integrand evaluations.
 
     Tail-splitting identity: the independent product plus an integral of
     the bivariate density along the correlation path rho = sin(theta).
+    The error is relative to the value, so it stays meaningful in the far
+    tail; a rule that misses its tolerance raises AccuracyError.
     """
     base = float(ndtr(-h)) * float(ndtr(-k))
     if rho == 0.0:
-        return base, 1e-16
+        return base, 1e-14 * base, 1
     asr = math.asin(max(-1.0, min(1.0, rho)))
     hk2 = 2.0 * h * k
     hh_kk = h * h + k * k
@@ -120,11 +123,13 @@ def _bvn_survival(h: float, k: float, rho: float) -> tuple[float, float]:
         sn = np.sin(theta)
         return np.exp(-(hh_kk - hk2 * sn) / (2.0 * (1.0 - sn * sn)))
 
-    res = quadrature.integrate_1d(f, 0.0, asr, rel_tol=1e-11, abs_tol=1e-17,
+    res = quadrature.integrate_1d(f, 0.0, asr, rel_tol=1e-11, abs_tol=0.0,
                                   max_evals=60_000)
     value = base + res.value / (2.0 * math.pi)
-    err = res.error / (2.0 * math.pi) + 2e-16
-    return value, err
+    if not res.converged:
+        raise AccuracyError("bivariate normal survival integral did not converge",
+                            best_value=value, achieved_error=res.error / (2.0 * math.pi))
+    return value, res.error / (2.0 * math.pi) + 1e-14 * abs(value), res.n_evals
 
 
 @functools.lru_cache(maxsize=None)
@@ -270,12 +275,12 @@ def mvn_cdf(cov, lower) -> Estimate:
     corr = cov / np.outer(sd, sd)
     a = lower / sd
     if n == 1:
-        return Estimate(float(ndtr(-a[0])), 1e-16, 1, QUADRATURE)
+        value = float(ndtr(-a[0]))
+        return Estimate(value, 1e-14 * value, 1, QUADRATURE)
     # PSD gate with named pivots, before any engine runs
     _cholesky_named(corr, tuple(range(n)), 1e-12)
     if n == 2:
-        value, err = _bvn_survival(a[0], a[1], corr[0, 1])
-        return Estimate(value, err, 2, QUADRATURE)
+        return Estimate(*_bvn_survival(a[0], a[1], corr[0, 1]), QUADRATURE)
     value, gap, evals = _orthant_conditioned(corr, a)
     return Estimate(value, gap + 1e-14 * value, evals, QUADRATURE)
 

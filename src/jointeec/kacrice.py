@@ -26,8 +26,6 @@ super-exponential order in u.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,49 +387,6 @@ def _spot_check_interior(model, u, value_at_probe, probe=(0.5, 0.5)):
 # ---------------------------------------------------------------------------
 # face-pair integrals
 
-def _ridge_integral(model, u, rel_tol, max_evals):
-    """Interior x interior integral for a diagonal-ridge model: rotate to
-    w = t-s, z = t+s and nest adaptive rules, anisotropically in w."""
-    evals = 0
-    inner_errs: list[float] = []
-
-    def outer_f(warr):
-        nonlocal evals
-        out = np.empty_like(warr)
-        for i, w in enumerate(warr):
-            z0, z1 = abs(w), 2.0 - abs(w)
-            if z1 - z0 <= 0.0:
-                out[i] = 0.0
-                continue
-            res = quadrature.integrate_1d(
-                lambda z: interior_interior_integrand(
-                    model, (z + w) / 2.0, (z - w) / 2.0, u
-                ),
-                z0,
-                z1,
-                rel_tol=rel_tol * 0.1,
-                abs_tol=0.0,
-                max_evals=100_000,
-            )
-            evals += res.n_evals
-            inner_errs.append(res.error)
-            out[i] = res.value
-        return out
-
-    halves = []
-    for lo, hi in ((-1.0, 0.0), (0.0, 1.0)):
-        res = quadrature.integrate_1d(
-            outer_f, lo, hi, rel_tol=rel_tol, abs_tol=0.0, max_evals=4000
-        )
-        halves.append(res)
-    value = 0.5 * (halves[0].value + halves[1].value)
-    err = 0.5 * (halves[0].error + halves[1].error)
-    if inner_errs:
-        err += float(np.mean(inner_errs))  # inner rules run 10x tighter
-    converged = halves[0].converged and halves[1].converged and evals <= max_evals
-    return value, err, evals, converged
-
-
 def face_pair_integral(
     model: model_mod.BivariateModel,
     face_x: str,
@@ -439,16 +394,14 @@ def face_pair_integral(
     u: float,
     constrain_x: bool = True,
     constrain_y: bool = True,
-    ridge: bool = False,
     rel_tol: float | None = None,
-    max_evals: int | None = None,
-    spot_check: bool = True,
 ) -> FacePairTerm:
-    """One term of the face-pair sum, with its sign (-1)^(k+l)."""
+    """One term of the face-pair sum, with its sign (-1)^(k+l).
+
+    Every integrated term must converge and is spot-checked at one node
+    against the dual-route moment evaluator."""
     if rel_tol is None:
         rel_tol = DEFAULT_TOL.quad_rel_tol
-    if max_evals is None:
-        max_evals = DEFAULT_TOL.quad_max_evals
     k = int(face_x == "Interior") + int(face_y == "Interior")
     sign = (-1) ** k
 
@@ -470,7 +423,7 @@ def face_pair_integral(
             1.0,
             rel_tol=rel_tol,
             abs_tol=0.0,
-            max_evals=max_evals,
+            max_evals=DEFAULT_TOL.quad_max_evals,
         )
         if not res.converged:
             raise AccuracyError(
@@ -478,34 +431,28 @@ def face_pair_integral(
                 best_value=res.value,
                 achieved_error=res.error,
             )
-        if spot_check:
-            probe = edge_point_integrand(work, 0.5, s0, u, constrain)
-            _spot_check_edge(work, s0, u, constrain, probe)
+        probe = edge_point_integrand(work, 0.5, s0, u, constrain)
+        _spot_check_edge(work, s0, u, constrain, probe)
         est = Estimate(res.value, res.error, res.n_evals, QUADRATURE)
         return FacePairTerm(face_x, face_y, sign, est)
 
-    if ridge:
-        value, err, evals, converged = _ridge_integral(model, u, rel_tol, max_evals)
-    else:
-        res = quadrature.integrate_nd(
-            lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u),
-            np.zeros(2),
-            np.ones(2),
-            rel_tol=rel_tol,
-            abs_tol=0.0,
-            max_evals=max_evals,
-        )
-        value, err, evals, converged = res.value, res.error, res.n_evals, res.converged
-    if not converged:
+    res = quadrature.integrate_nd(
+        lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u),
+        np.zeros(2),
+        np.ones(2),
+        rel_tol=rel_tol,
+        abs_tol=0.0,
+        max_evals=DEFAULT_TOL.quad_max_evals,
+    )
+    if not res.converged:
         raise AccuracyError(
             "interior x interior quadrature did not converge",
-            best_value=value,
-            achieved_error=err,
+            best_value=res.value,
+            achieved_error=res.error,
         )
-    if spot_check:
-        probe = interior_interior_integrand(model, 0.5, 0.5, u)
-        _spot_check_interior(model, u, probe)
-    est = Estimate(value, err, evals, QUADRATURE)
+    probe = interior_interior_integrand(model, 0.5, 0.5, u)
+    _spot_check_interior(model, u, probe)
+    est = Estimate(res.value, res.error, res.n_evals, QUADRATURE)
     return FacePairTerm(face_x, face_y, sign, est)
 
 
@@ -545,45 +492,32 @@ def eec(
     u: float,
     restricted: bool = False,
     rel_tol: float | None = None,
-    max_evals: int | None = None,
-    threads: int | None = None,
 ) -> EecResult:
-    """Sum the face-pair terms; exposes the per-term breakdown.
+    """Sum the face-pair terms in a fixed order; exposes the per-term
+    breakdown.
 
-    threads=None reads EEC_THREADS from the environment (default 1);
-    term results are assembled in a fixed order either way."""
-    classification = asymptotics.classify(model)
-    ridge = classification.tag == "DiagonalLine"
+    The full sum integrates all nine pairs whatever the shape of r; only
+    the restricted sum classifies the model, to find its maximizer."""
     if restricted:
-        pairs, x_flat, y_flat = _restricted_pairs(
+        classification = asymptotics.classify(model)
+        pairs, constrain_x, constrain_y = _restricted_pairs(
             model, classification, DEFAULT_TOL.gradient_tol
         )
-        constrain_x, constrain_y = x_flat, y_flat
     else:
-        pairs = list(_PAIR_ORDER)
+        pairs = _PAIR_ORDER
         constrain_x = constrain_y = True
-
-    def run(pair):
-        fx, fy = pair
-        return face_pair_integral(
+    terms = tuple(
+        face_pair_integral(
             model,
             fx,
             fy,
             u,
             constrain_x=constrain_x,
             constrain_y=constrain_y,
-            ridge=ridge,
             rel_tol=rel_tol,
-            max_evals=max_evals,
         )
-
-    if threads is None:
-        threads = int(os.environ.get("EEC_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            terms = tuple(pool.map(run, pairs))
-    else:
-        terms = tuple(run(p) for p in pairs)
+        for fx, fy in pairs
+    )
 
     total = sum(t.sign * t.value.value for t in terms)
     err = math.hypot(*(t.value.error for t in terms))  # no underflow of tiny errors

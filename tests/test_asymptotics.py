@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from jointeec.common import ArgumentError, Estimate, RegimeError
+from jointeec.common import ArgumentError
 from jointeec.gauss import condition
 from jointeec.model import fixture, joint_cov, transpose
 from jointeec import asymptotics as asy
@@ -187,30 +187,6 @@ def test_h_hessian_corner_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# Laplace helpers
-
-
-def test_laplace_1d_closed_form():
-    val = asy.laplace_1d(0.7, 2.0, 1.3, 5.0)
-    ref = 1.3 * math.sqrt(2.0 * math.pi / (25.0 * 2.0)) * math.exp(-25.0 * 0.7)
-    assert val == pytest.approx(ref, rel=1e-14)
-    assert asy.laplace_1d(0.7, 2.0, 1.3, 5.0, boundary=True) == pytest.approx(
-        0.5 * ref, rel=1e-14)
-    with pytest.raises(RegimeError):
-        asy.laplace_1d(0.7, -1.0, 1.3, 5.0)
-
-
-def test_laplace_2d_closed_form():
-    hess = np.array([[2.0, 0.3], [0.3, 1.5]])
-    val = asy.laplace_2d(0.6, hess, 0.9, 4.0)
-    det = 2.0 * 1.5 - 0.09
-    ref = 0.9 * (2.0 * math.pi / 16.0) / math.sqrt(det) * math.exp(-16.0 * 0.6)
-    assert val == pytest.approx(ref, rel=1e-14)
-    with pytest.raises(RegimeError):
-        asy.laplace_2d(0.6, np.array([[1.0, 2.0], [2.0, 1.0]]), 0.9, 4.0)
-
-
-# ---------------------------------------------------------------------------
 # closed-form terms
 
 COEFFS = {
@@ -260,17 +236,3 @@ def test_asymptotic_term_validation():
     with pytest.raises(ArgumentError):
         asy.AsymptoticTerm(1.0, 2, 2.5)
 
-
-def test_approximate_dispatch():
-    term = asy.approximate(fixture("interior-point"), 4.0)
-    assert isinstance(term, asy.AsymptoticTerm)
-    assert term.evaluate(4.0) > 0.0
-
-
-def test_approximate_general_fallback_is_numeric():
-    from jointeec.model import BivariateModel, ShiftMixture, SquaredExponential
-    k = SquaredExponential(1.0)
-    mod = BivariateModel(k, k, ShiftMixture(0.5, 0.5, k), label="shifted-ridge")
-    est = asy.approximate(mod, 3.0)
-    assert isinstance(est, Estimate)
-    assert est.value > 0.0

@@ -128,6 +128,7 @@ def test_bvn_survival_reference_values(h, k, rho, ref):
     cov = np.array([[1.0, rho], [rho, 1.0]])
     est = mvn_cdf(cov, [h, k])
     assert est.value == pytest.approx(ref, rel=1e-9)
+    assert est.n > 2  # the adaptive rule's count: at least one 15-node panel
 
 
 def test_orthant_equicorrelated_closed_form():

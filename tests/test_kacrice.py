@@ -6,7 +6,6 @@ a product closed form for independent marginals.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from jointeec.model import (
     independent_model,
     transpose,
 )
+from jointeec import asymptotics as asy
 from jointeec import kacrice as kr
 
 BVN_335 = 8.1889661832192112e-5  # P{X>=3, Y>=3}, correlation 0.5
@@ -186,11 +186,46 @@ def test_eec_transpose_symmetric():
     assert b == pytest.approx(a, rel=1e-12)
 
 
-def test_eec_threads_deterministic():
-    mod = fixture("diagonal")
-    seq = kr.eec(mod, 3.0, threads=1).total.value
-    par = kr.eec(mod, 3.0, threads=2).total.value
-    assert par == seq
+def test_full_sum_never_classifies(monkeypatch):
+    # the face-pair sum does not depend on where r peaks; only the
+    # restricted sum needs the maximizer
+    def refuse(model):
+        raise AssertionError("classify called")
+
+    monkeypatch.setattr(asy, "classify", refuse)
+    assert kr.eec(fixture("diagonal"), 3.0).total.value > 0.0
+    assert kr.eec(independent_model(), 3.0).total.value > 0.0
+    with pytest.raises(AssertionError, match="classify called"):
+        kr.eec(fixture("interior-point"), 3.0, restricted=True)
+
+
+# perfbench/reference.json: the ridge integrated in rotated coordinates by
+# nested scipy quad at rel 1e-11, corners by nested quad with no part of gauss
+DIAGONAL_FULL_REFERENCE = {
+    3.0: 2.3976447738843564e-4,
+    6.0: 1.7596424946087936e-12,
+    9.0: 1.0560597268162591e-25,
+}
+
+
+@pytest.mark.parametrize("u", sorted(DIAGONAL_FULL_REFERENCE))
+def test_diagonal_ridge_through_the_cubature(u):
+    ref = DIAGONAL_FULL_REFERENCE[u]
+    total = kr.eec(fixture("diagonal"), u).total
+    assert total.value == pytest.approx(ref, rel=1e-8, abs=0.0)
+    assert total.error >= abs(total.value - ref)
+
+
+def test_narrow_ridge_interior_term():
+    # r = 0.5 exp(-(t-s)^2 / 0.02): the ridge is ten times narrower than the
+    # fixture's; value from nested adaptive rules in w = t-s, z = t+s
+    from test_acceptance import elapsed_under
+
+    k = SquaredExponential(0.1)
+    mod = BivariateModel(k, k, ShiftMixture(0.5, 0.0, k))
+    with elapsed_under(30.0):
+        term = kr.face_pair_integral(mod, "Interior", "Interior", 6.0)
+    assert term.value.value == pytest.approx(1.3583102782213068e-11, rel=1e-8, abs=0.0)
 
 
 def test_eec_total_error_does_not_underflow():
@@ -221,6 +256,15 @@ def test_restricted_pin():
     assert res.total.value == pytest.approx(EEC_SEMIDEG_RESTRICTED_U3, rel=1e-6)
 
 
+@pytest.mark.parametrize("u", [6.0, 9.0])
+def test_restricted_corner_error_is_relative(u):
+    # the only term is a 2-D orthant of ~1e-13 (u=6) and ~1e-26 (u=9); an
+    # absolute floor in its error bar would swamp it
+    total = kr.eec(fixture("corner-nondegenerate"), u, restricted=True).total
+    assert 0.0 < total.error <= 1e-6 * total.value
+    assert not total.low_confidence
+
+
 def test_restricted_rejects_ridge():
     with pytest.raises(RegimeError):
         kr.eec(fixture("diagonal"), 3.0, restricted=True)
@@ -241,8 +285,6 @@ def test_restricted_dominates_at_high_level():
 
 # ---------------------------------------------------------------------------
 # agreement with the closed forms where the expansion converges fast
-
-from jointeec import asymptotics as asy
 
 
 def ratio(name, u, restricted=False):
