@@ -141,9 +141,11 @@ def _gl(n: int):
 
 def _bvn_survival_batch(h, k, rho) -> np.ndarray:
     """Vectorized P{Z1 >= h, Z2 >= k}: same identity as the scalar
-    version but with a fixed 64-node rule, which is exact to roughly
-    1e-15 for |rho| <= 0.95.  More extreme correlations (a boundary
-    layer forms in the integrand) fall back to the adaptive path."""
+    version but with a fixed 64-node rule for |rho| <= 0.95.  Its error
+    grows into the far tail: against a 60-digit reference it is 7e-13
+    relative at h = k = 13, rho = 0.3, and 4e-13 and 2e-12 at h = k = 20
+    with rho = 0.7 and 0.3.  More extreme correlations (a boundary layer
+    forms in the integrand) fall back to the adaptive path."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
     k = np.atleast_1d(np.asarray(k, dtype=float))
     rho = np.clip(np.atleast_1d(np.asarray(rho, dtype=float)), -1.0, 1.0)
@@ -243,13 +245,12 @@ def _orthant_conditioned(corr: np.ndarray, a: np.ndarray) -> tuple[float, float,
     return value, abs(value - coarse), n_fine + n_coarse
 
 
-def mvn_cdf(cov, lower) -> Estimate:
-    """P{xi_i >= lower_i for all i} for centered xi ~ N(0, cov), dim <= 4.
-
-    Dims 3-4 condition on all but two coordinates (see
-    _orthant_conditioned) and hold for any thresholds; the value is the
-    32-node rule, the error the gap to the 16-node rule plus a rounding
-    floor."""
+def _orthant_region(cov, lower):
+    """The gates every orthant passes before any engine runs: shape,
+    dimension, positive diagonal and (from dimension 2) a Cholesky PSD
+    check with named pivots.  Returns the correlation matrix and the
+    standardized thresholds of the constrained coordinates, or the finished
+    Estimate of a region that is empty (a +inf bound) or unconstrained."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     n = cov.shape[0]
@@ -273,12 +274,26 @@ def mvn_cdf(cov, lower) -> Estimate:
         raise DegeneracyError(
             f"covariance diagonal not positive at index {bad}", pivot_index=bad)
     corr = cov / np.outer(sd, sd)
-    a = lower / sd
+    if n > 1:
+        _cholesky_named(corr, tuple(range(n)), 1e-12)
+    return corr, lower / sd
+
+
+def mvn_cdf(cov, lower) -> Estimate:
+    """P{xi_i >= lower_i for all i} for centered xi ~ N(0, cov), dim <= 4.
+
+    Dims 3-4 condition on all but two coordinates (see
+    _orthant_conditioned) and hold for any thresholds; the value is the
+    32-node rule, the error the gap to the 16-node rule plus a rounding
+    floor."""
+    region = _orthant_region(cov, lower)
+    if isinstance(region, Estimate):
+        return region
+    corr, a = region
+    n = len(a)
     if n == 1:
         value = float(ndtr(-a[0]))
         return Estimate(value, 1e-14 * value, 1, QUADRATURE)
-    # PSD gate with named pivots, before any engine runs
-    _cholesky_named(corr, tuple(range(n)), 1e-12)
     if n == 2:
         return Estimate(*_bvn_survival(a[0], a[1], corr[0, 1]), QUADRATURE)
     value, gap, evals = _orthant_conditioned(corr, a)
@@ -289,12 +304,17 @@ def mvn_cdf(cov, lower) -> Estimate:
 # truncated moments, two independent routes
 
 def _density_eval(cov: np.ndarray):
-    low = _cholesky_named(cov, tuple(range(cov.shape[0])), 1e-300)
-    norm = (2.0 * math.pi) ** (cov.shape[0] / 2.0) * float(np.prod(np.diag(low)))
+    """The N(0, cov) density on (m, n) point batches.  The Cholesky factor
+    L and its inverse are formed once, so a batch costs one product:
+    x' cov^-1 x = |L^-1 x|^2."""
+    n = cov.shape[0]
+    low = _cholesky_named(cov, tuple(range(n)), 1e-300)
+    norm = (2.0 * math.pi) ** (n / 2.0) * float(np.prod(np.diag(low)))
+    inv_low_t = np.linalg.solve(low, np.eye(n)).T
 
     def pdf(x: np.ndarray) -> np.ndarray:
-        sol = np.linalg.solve(low, x.T)
-        q = np.sum(sol * sol, axis=0)
+        sol = x @ inv_low_t
+        q = np.sum(sol * sol, axis=1)
         return np.exp(-0.5 * q) / norm
 
     return pdf
@@ -346,11 +366,16 @@ def _route_quadrature(cov: np.ndarray, lower: np.ndarray, monomial,
 def _face_factors(cov: np.ndarray, lower: np.ndarray, tol: Tolerances):
     """Density-weighted face integrals F_j: the marginal density of
     coordinate j at its bound times the conditional survival CDF of the
-    remaining region.  Returns (F values, error bound, evaluation count)."""
+    remaining region.  Returns (F values, error bound, evaluation count,
+    faces), where faces holds (j, density, conditional law of the rest,
+    its conditional mean, its shifted thresholds, their survival) for each
+    finite bound, so a caller conditions on each coordinate once; in
+    dimension 1 the last four are None."""
     n = cov.shape[0]
     f_vals = np.zeros(n)
     f_errs = np.zeros(n)
     evals = 0
+    faces = []
     for j in range(n):
         if not np.isfinite(lower[j]):
             continue
@@ -358,6 +383,7 @@ def _face_factors(cov: np.ndarray, lower: np.ndarray, tol: Tolerances):
         dens = float(_phi(lower[j] / sdj)) / sdj
         if n == 1:
             f_vals[j] = dens
+            faces.append((j, dens, None, None, None, None))
             continue
         law = condition(cov, (j,), tol)
         mu = law.mean_map[:, 0] * lower[j]
@@ -366,7 +392,8 @@ def _face_factors(cov: np.ndarray, lower: np.ndarray, tol: Tolerances):
         f_vals[j] = dens * sub.value
         f_errs[j] = dens * sub.error
         evals += sub.n
-    return f_vals, f_errs, evals
+        faces.append((j, dens, law, mu, rest, sub))
+    return f_vals, f_errs, evals, faces
 
 
 def truncated_moments(cov, lower, monomials,
@@ -375,9 +402,12 @@ def truncated_moments(cov, lower, monomials,
 
     Route one reduces to lower-dimensional CDFs (moment identities for
     the truncated Gaussian); route two integrates the truncated density
-    directly.  Both run every time; disagreement beyond
-    tol.moment_consistency_tol raises.  Shared pieces (the region CDF,
-    the face factors, the conditional laws) are computed once.
+    directly.  Route two runs for every monomial; disagreement beyond
+    tol.moment_consistency_tol raises.  Route one computes each shared
+    piece once, and only when a monomial reads it: the region's orthant
+    probability for degrees 0 and 2 (first moments never read it, but the
+    region still passes mvn_cdf's shape, diagonal and PSD gates), and the
+    conditional law given each bounded coordinate for degrees 1 and 2.
     """
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
@@ -389,37 +419,32 @@ def truncated_moments(cov, lower, monomials,
         if len(m) != n or any(p < 0 for p in m) or sum(m) > 2:
             raise ArgumentError(f"bad monomial {m} for dimension {n}")
 
-    prob = mvn_cdf(cov, lower)
-    evals = prob.n
     degrees = [sum(m) for m in monomials]
-    need_first = any(d >= 1 for d in degrees)
-    need_second = any(d == 2 for d in degrees)
+    prob = None
+    evals = 0
+    if any(d != 1 for d in degrees):
+        prob = mvn_cdf(cov, lower)
+        evals = prob.n
+    else:
+        _orthant_region(cov, lower)
 
-    first = first_err = None
-    if need_first or need_second:
-        f_vals, f_errs, ev = _face_factors(cov, lower, tol)
+    first = first_err = faces = None
+    if any(d >= 1 for d in degrees):
+        f_vals, f_errs, ev, faces = _face_factors(cov, lower, tol)
         evals += ev
         first = cov @ f_vals
         first_err = np.abs(cov) @ f_errs
 
     second = second_err = None
-    if need_second:
+    if 2 in degrees:
         hmat = np.zeros((n, n))
         herr = np.zeros((n, n))
-        for j in range(n):
-            if not np.isfinite(lower[j]):
-                continue
-            sdj = math.sqrt(cov[j, j])
-            dens = float(_phi(lower[j] / sdj)) / sdj
-            if n == 1:
+        for j, dens, law, mu, rest, sub_p in faces:
+            if law is None:
                 hmat[0, 0] = dens * lower[0]
                 continue
-            law = condition(cov, (j,), tol)
-            mu = law.mean_map[:, 0] * lower[j]
-            rest = np.array([lower[i] for i in law.unobserved_idx]) - mu
-            sub_p = mvn_cdf(law.residual_cov, rest)
-            sub_f, sub_fe, ev = _face_factors(law.residual_cov, rest, tol)
-            evals += sub_p.n + ev
+            sub_f, sub_fe, ev, _ = _face_factors(law.residual_cov, rest, tol)
+            evals += ev
             centered = law.residual_cov @ sub_f
             centered_err = np.abs(law.residual_cov) @ sub_fe
             for pos, k in enumerate(law.unobserved_idx):

@@ -11,10 +11,13 @@ For N=1 the determinant factors inside the integrals are the scalars
 X''(t) and Y''(s), so every integrand reduces to a Gaussian first or
 second truncated moment.  Those are evaluated in closed form through
 face-factor identities (E{xi 1_A} = Sigma G with G the density-weighted
-conditional survivals), vectorized over quadrature nodes; each
-integrated term is additionally spot-checked at one node against the
-dual-route moment evaluator in gauss, which recomputes the same quantity
-by an independent cubature.
+conditional survivals), vectorized over quadrature nodes, with every
+conditional covariance written out entrywise.  Each integrated term is
+additionally spot-checked at one node against the dual-route moment
+evaluator in gauss, which recomputes the same quantity by an independent
+cubature.  The probe is the rule's own centre node, t = 0.5 for the
+Gauss-Kronrod rule and (0.5, 0.5) for the cubature, and the value checked
+is the one the rule computed there in its first batch.
 
 Face restriction: with ``restricted=True`` only the faces whose closure
 contains the unique maximizer (t*, s*) and whose free directions have a
@@ -145,61 +148,68 @@ def corner_corner_term(
     return gauss.mvn_cdf(cov, lower)
 
 
-def _edge_conditional_cov(model: model_mod.BivariateModel, t, s0: float, es: float):
+def _dense(c, node: int = 0) -> np.ndarray:
+    """The covariance held entrywise in c ({(i, j): scalar or array over
+    nodes}, i <= j) at one node, as a dense symmetric matrix."""
+    d = 1 + max(j for _, j in c)
+    out = np.empty((d, d))
+    for (i, j), v in c.items():
+        out[i, j] = out[j, i] = v if np.ndim(v) == 0 else v[node]
+    return out
+
+
+def _edge_conditional(model: model_mod.BivariateModel, t, s0: float, es: float):
     """Covariance of (X(t), Y(s0), es*Y'(s0), X''(t)) given X'(t)=0,
-    vectorized over t.  Conditional means vanish."""
+    entrywise over t ({(i, j): array}, i <= j).  Conditional means vanish.
+    X'(t) is uncorrelated with X(t) and X''(t), so only Y(s0) and es*Y'(s0),
+    with covariances r1 and es*r12 to it, lose variance to it."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    m = t.size
     lam1, lam2 = model.lambda1, model.lambda2
-    mu4 = model_mod.kernel_eval(model.kernel_x, 0.0, 4)
-    r = np.broadcast_to(model_mod.cross_eval(model, t, s0, 0, 0), (m,))
-    r1 = np.broadcast_to(model_mod.cross_eval(model, t, s0, 1, 0), (m,))
-    r2 = np.broadcast_to(model_mod.cross_eval(model, t, s0, 0, 1), (m,))
-    r11 = np.broadcast_to(model_mod.cross_eval(model, t, s0, 2, 0), (m,))
-    r12 = np.broadcast_to(model_mod.cross_eval(model, t, s0, 1, 1), (m,))
-    r112 = np.broadcast_to(model_mod.cross_eval(model, t, s0, 2, 1), (m,))
 
-    c = np.zeros((m, 4, 4))
-    c[:, 0, 0] = 1.0
-    c[:, 1, 1] = 1.0 - r1 * r1 / lam1
-    c[:, 2, 2] = lam2 - r12 * r12 / lam1
-    c[:, 3, 3] = mu4
-    c[:, 0, 1] = c[:, 1, 0] = r
-    c[:, 0, 2] = c[:, 2, 0] = es * r2
-    c[:, 0, 3] = c[:, 3, 0] = -lam1
-    c[:, 1, 2] = c[:, 2, 1] = -es * r1 * r12 / lam1
-    c[:, 1, 3] = c[:, 3, 1] = r11
-    c[:, 2, 3] = c[:, 3, 2] = es * r112
-    return c
+    def ce(a, b):
+        return np.broadcast_to(model_mod.cross_eval(model, t, s0, a, b), t.shape)
+
+    r, r1, r2 = ce(0, 0), ce(1, 0), ce(0, 1)
+    r11, r12, r112 = ce(2, 0), ce(1, 1), ce(2, 1)
+    return {
+        (0, 0): 1.0, (0, 1): r, (0, 2): es * r2, (0, 3): -lam1,
+        (1, 1): 1.0 - r1 * r1 / lam1, (1, 2): -es * r1 * r12 / lam1, (1, 3): r11,
+        (2, 2): lam2 - r12 * r12 / lam1, (2, 3): es * r112,
+        (3, 3): model_mod.kernel_eval(model.kernel_x, 0.0, 4),
+    }
 
 
-def _face_g(cov, lower):
+def _face_g(c, lower):
     """Tallis face factors G_j = phi_j(l_j) * P{rest >= l_rest | xi_j = l_j}
-    for a batch of small covariance blocks; dims 2 and 3 only."""
-    m, d, _ = cov.shape
-    g = np.zeros((m, d))
+    for d = 2 or 3 coordinates with covariance c (entrywise, as from
+    _edge_conditional) and scalar bounds lower, over a batch of nodes.  In
+    dimension 3 the three conditional pairs share one bivariate call."""
+    d = len(lower)
+
+    def cov(i, j):
+        return c[min(i, j), max(i, j)]
+
+    dens, tails = [], []
     for j in range(d):
         rest = [i for i in range(d) if i != j]
-        vjj = cov[:, j, j]
+        vjj = cov(j, j)
         sdj = np.sqrt(vjj)
-        lj = np.broadcast_to(lower[:, j], (m,))
-        dens = _phi(lj / sdj) / sdj
-        mu = cov[:, rest, j] / vjj[:, None] * lj[:, None]
-        cc = cov[np.ix_(range(m), rest, rest)] - (
-            cov[:, rest, j][:, :, None] * cov[:, rest, j][:, None, :]
-        ) / vjj[:, None, None]
-        z = lower[:, rest] - mu
+        dens.append(_phi(lower[j] / sdj) / sdj)
+        # the rest given xi_j = l_j: mean cov(i, j) / vjj * l_j
+        z = [lower[i] - cov(i, j) / vjj * lower[j] for i in rest]
+        sd = [np.sqrt(np.maximum(cov(i, i) - cov(i, j) ** 2 / vjj, 1e-300)) for i in rest]
         if d == 2:
-            sd = np.sqrt(np.maximum(cc[:, 0, 0], 1e-300))
-            g[:, j] = dens * ndtr(-z[:, 0] / sd)
+            tails.append(ndtr(-z[0] / sd[0]))
         else:
-            sd0 = np.sqrt(np.maximum(cc[:, 0, 0], 1e-300))
-            sd1 = np.sqrt(np.maximum(cc[:, 1, 1], 1e-300))
-            rho = np.clip(cc[:, 0, 1] / (sd0 * sd1), -1.0, 1.0)
-            g[:, j] = dens * gauss._bvn_survival_batch(
-                z[:, 0] / sd0, z[:, 1] / sd1, rho
-            )
-    return g
+            cc = cov(rest[0], rest[1]) - cov(rest[0], j) * cov(rest[1], j) / vjj
+            tails.append((z[0] / sd[0], z[1] / sd[1],
+                          np.clip(cc / (sd[0] * sd[1]), -1.0, 1.0)))
+    if d == 3:
+        shape = np.broadcast(*c.values()).shape
+        h, k, rho = (np.concatenate([np.broadcast_to(a[i], shape) for a in tails])
+                     for i in range(3))
+        tails = np.split(gauss._bvn_survival_batch(h, k, rho), 3)
+    return [dj * tj for dj, tj in zip(dens, tails)]
 
 
 def edge_point_integrand(
@@ -218,76 +228,65 @@ def edge_point_integrand(
         raise ArgumentError("s0 must be an endpoint")
     scalar = np.ndim(t) == 0
     es = _EPS["Left"] if s0 == 0.0 else _EPS["Right"]
-    cov4 = _edge_conditional_cov(model, t, s0, es)
-    m = cov4.shape[0]
-    if constrain_endpoint:
-        idx = [0, 1, 2]
-        lower = np.broadcast_to(np.array([u, u, 0.0]), (m, 3))
-    else:
-        idx = [0, 1]
-        lower = np.broadcast_to(np.array([u, u]), (m, 2))
-    block = cov4[np.ix_(range(m), idx, idx)]
-    cov_target = cov4[:, idx, 3]
-    g = _face_g(block, lower)
-    expect = np.einsum("mj,mj->m", cov_target, g)
+    c = _edge_conditional(model, t, s0, es)
+    lower = (u, u, 0.0) if constrain_endpoint else (u, u)
+    g = _face_g(c, lower)
+    # Tallis: E{X'' 1_A} = sum_j Cov(X'', xi_j) G_j
+    expect = sum(c[j, 3] * g[j] for j in range(len(lower)))
     out = expect / math.sqrt(2.0 * math.pi * model.lambda1)
     return float(out[0]) if scalar else out
 
 
 def _interior_conditional(model: model_mod.BivariateModel, t, s):
-    """Covariance of (X, Y, X'', Y'') given X'(t)=Y'(s)=0 plus the
-    density of (X', Y') at zero, vectorized over nodes."""
+    """Covariance of (X(t), Y(s), X''(t), Y''(s)) given X'(t)=Y'(s)=0,
+    entrywise over nodes ({(i, j): array}, i <= j), plus the density of
+    (X', Y') at zero.
+
+    Conditioning subtracts b_i' L^-1 b_j, where L = [[lam1, r12], [r12,
+    lam2]] is the covariance of (X'(t), Y'(s)) and b_i holds coordinate i's
+    covariances with them: (0, r2), (r1, 0), (0, r112), (r122, 0)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     t, s = np.broadcast_arrays(t, s)
-    m = t.size
     lam1, lam2 = model.lambda1, model.lambda2
-    mu4x = model_mod.kernel_eval(model.kernel_x, 0.0, 4)
-    mu4y = model_mod.kernel_eval(model.kernel_y, 0.0, 4)
 
     def ce(a, b):
-        return np.broadcast_to(model_mod.cross_eval(model, t, s, a, b), (m,))
+        return np.broadcast_to(model_mod.cross_eval(model, t, s, a, b), t.shape)
 
     r, r1, r2 = ce(0, 0), ce(1, 0), ce(0, 1)
     r11, r22, r12 = ce(2, 0), ce(0, 2), ce(1, 1)
     r112, r122, r1122 = ce(2, 1), ce(1, 2), ce(2, 2)
 
     det = lam1 * lam2 - r12 * r12
-    base = np.zeros((m, 4, 4))
-    base[:, 0, 0] = base[:, 1, 1] = 1.0
-    base[:, 2, 2] = mu4x
-    base[:, 3, 3] = mu4y
-    base[:, 0, 1] = base[:, 1, 0] = r
-    base[:, 0, 2] = base[:, 2, 0] = -lam1
-    base[:, 0, 3] = base[:, 3, 0] = r22
-    base[:, 1, 2] = base[:, 2, 1] = r11
-    base[:, 1, 3] = base[:, 3, 1] = -lam2
-    base[:, 2, 3] = base[:, 3, 2] = r1122
-
-    bmat = np.zeros((m, 4, 2))  # covariances with (X'(t), Y'(s))
-    bmat[:, 0, 1] = r2
-    bmat[:, 1, 0] = r1
-    bmat[:, 2, 1] = r112
-    bmat[:, 3, 0] = r122
-
-    linv = np.empty((m, 2, 2))
-    linv[:, 0, 0] = lam2 / det
-    linv[:, 1, 1] = lam1 / det
-    linv[:, 0, 1] = linv[:, 1, 0] = -r12 / det
-    sig = base - np.einsum("mij,mjk,mlk->mil", bmat, linv, bmat)
+    c = {
+        (0, 0): 1.0 - lam1 * r2 * r2 / det,
+        (0, 1): r + r12 * r1 * r2 / det,
+        (0, 2): -lam1 - lam1 * r2 * r112 / det,
+        (0, 3): r22 + r12 * r2 * r122 / det,
+        (1, 1): 1.0 - lam2 * r1 * r1 / det,
+        (1, 2): r11 + r12 * r1 * r112 / det,
+        (1, 3): -lam2 - lam2 * r1 * r122 / det,
+        (2, 2): model_mod.kernel_eval(model.kernel_x, 0.0, 4) - lam1 * r112 * r112 / det,
+        (2, 3): r1122 + r12 * r112 * r122 / det,
+        (3, 3): model_mod.kernel_eval(model.kernel_y, 0.0, 4) - lam2 * r122 * r122 / det,
+    }
     dens0 = 1.0 / (2.0 * math.pi * np.sqrt(det))
-    return sig, dens0
+    return c, dens0
 
 
-def _hessian_regression(sig):
-    """Affine structure of E{(X'', Y'') | X, Y} under the conditional
-    law: coefficient rows (a1, b1), (a2, b2) and the residual
+def _hessian_regression(c):
+    """Affine structure of E{(X'', Y'') | X, Y} under the conditional law
+    of _interior_conditional, through the explicit inverse of the 2 x 2
+    covariance of (X, Y): coefficients (a1, b1), (a2, b2) and the residual
     cross-covariance c12."""
-    sxy = sig[:, :2, :2]
-    cross = sig[:, 2:, :2]
-    coefs = np.linalg.solve(sxy, cross.transpose(0, 2, 1)).transpose(0, 2, 1)
-    c12 = sig[:, 2, 3] - np.einsum("mj,mj->m", coefs[:, 0, :], cross[:, 1, :])
-    return coefs, c12
+    sxx, sxy, syy = c[0, 0], c[0, 1], c[1, 1]
+    det = sxx * syy - sxy * sxy
+    a1 = (syy * c[0, 2] - sxy * c[1, 2]) / det
+    b1 = (sxx * c[1, 2] - sxy * c[0, 2]) / det
+    a2 = (syy * c[0, 3] - sxy * c[1, 3]) / det
+    b2 = (sxx * c[1, 3] - sxy * c[0, 3]) / det
+    c12 = c[2, 3] - (a1 * c[0, 3] + b1 * c[1, 3])
+    return a1, b1, a2, b2, c12
 
 
 def conditional_hessian_coefficients(
@@ -295,52 +294,47 @@ def conditional_hessian_coefficients(
 ):
     """(a1, b1, a2, b2, c12) with E{X''|X=x,Y=y,X'=Y'=0} = a1 x + b1 y,
     likewise (a2, b2) for Y'', and c12 the residual cross-covariance."""
-    sig, _ = _interior_conditional(model, t, s)
-    coefs, c12 = _hessian_regression(sig)
-    return (
-        float(coefs[0, 0, 0]),
-        float(coefs[0, 0, 1]),
-        float(coefs[0, 1, 0]),
-        float(coefs[0, 1, 1]),
-        float(c12[0]),
-    )
+    c, _ = _interior_conditional(model, t, s)
+    return tuple(float(v[0]) for v in _hessian_regression(c))
+
+
+def _tallis_pair(vjj, vjk, vkk, u):
+    """H_jj = phi_j(u) u P{xi_k >= u | xi_j = u} and
+    H_jk = phi_j(u) E{xi_k 1{xi_k >= u} | xi_j = u} for a Gaussian pair
+    with both bounds at u, where phi_j is the density of xi_j."""
+    sdj = np.sqrt(vjj)
+    dens = _phi(u / sdj) / sdj
+    mu_k = vjk / vjj * u
+    sd_k = np.sqrt(np.maximum(vkk - vjk ** 2 / vjj, 1e-300))
+    z = (u - mu_k) / sd_k
+    surv = ndtr(-z)
+    return dens * u * surv, dens * (mu_k * surv + sd_k * _phi(z))
 
 
 def interior_interior_integrand(model: model_mod.BivariateModel, t, s, u: float):
     """p_{X'(t),Y'(s)}(0,0) * E{X''Y'' 1{X>=u, Y>=u} | X'=Y'=0},
     vectorized over nodes; scalar in, scalar out."""
     scalar = np.ndim(t) == 0 and np.ndim(s) == 0
-    sig, dens0 = _interior_conditional(model, t, s)
-    coefs, c12 = _hessian_regression(sig)
-    sxy = sig[:, :2, :2]
-    m = sxy.shape[0]
+    c, dens0 = _interior_conditional(model, t, s)
+    a1, b1, a2, b2, c12 = _hessian_regression(c)
+    sxx, sxy, syy = c[0, 0], c[0, 1], c[1, 1]
 
-    sd0 = np.sqrt(sxy[:, 0, 0])
-    sd1 = np.sqrt(sxy[:, 1, 1])
-    rho = np.clip(sxy[:, 0, 1] / (sd0 * sd1), -1.0, 1.0)
+    sd0 = np.sqrt(sxx)
+    sd1 = np.sqrt(syy)
+    rho = np.clip(sxy / (sd0 * sd1), -1.0, 1.0)
     prob = gauss._bvn_survival_batch(u / sd0, u / sd1, rho)
 
-    # Tallis identities for first and second truncated moments of (X, Y)
-    hmat = np.zeros((m, 2, 2))
-    for j in range(2):
-        k = 1 - j
-        vjj = sxy[:, j, j]
-        dens = _phi(u / np.sqrt(vjj)) / np.sqrt(vjj)
-        mu_k = sxy[:, k, j] / vjj * u
-        var_k = sxy[:, k, k] - sxy[:, k, j] ** 2 / vjj
-        sd_k = np.sqrt(np.maximum(var_k, 1e-300))
-        z = (u - mu_k) / sd_k
-        surv = ndtr(-z)
-        hmat[:, j, j] = dens * u * surv
-        hmat[:, j, k] = dens * (mu_k * surv + sd_k * _phi(z))
-    second = sxy * prob[:, None, None] + np.einsum("mij,mjk->mik", sxy, hmat)
+    # Tallis: E{xi_i xi_k 1{X>=u, Y>=u}} = S_ik P + sum_j S_ij H_jk
+    h00, h01 = _tallis_pair(sxx, sxy, syy, u)
+    h11, h10 = _tallis_pair(syy, sxy, sxx, u)
+    m00 = sxx * prob + sxx * h00 + sxy * h10
+    m01 = sxy * prob + sxx * h01 + sxy * h11
+    m11 = syy * prob + sxy * h01 + syy * h11
 
-    a1, b1 = coefs[:, 0, 0], coefs[:, 0, 1]
-    a2, b2 = coefs[:, 1, 0], coefs[:, 1, 1]
     expect = (
-        a1 * a2 * second[:, 0, 0]
-        + (a1 * b2 + b1 * a2) * second[:, 0, 1]
-        + b1 * b2 * second[:, 1, 1]
+        a1 * a2 * m00
+        + (a1 * b2 + b1 * a2) * m01
+        + b1 * b2 * m11
         + c12 * prob
     )
     out = dens0 * expect
@@ -349,11 +343,37 @@ def interior_interior_integrand(model: model_mod.BivariateModel, t, s, u: float)
 
 # ---------------------------------------------------------------------------
 # spot checks: one node per integrated term is recomputed through the
-# dual-route moment evaluator (reduction vs direct cubature) in gauss
+# dual-route moment evaluator (reduction vs direct cubature) in gauss.  The
+# integrand value compared is the one the rule computed at that node in its
+# first batch, so a check makes no integrand call of its own.
 
-def _spot_check_edge(model, s0, u, constrain, value_at_probe, probe_t=0.5):
+def _keeping_first_batch(f, store):
+    """f, also appending the nodes and values of its first call to store."""
+
+    def keep(x):
+        vals = f(x)
+        if not store:
+            store.append((x, vals))
+        return vals
+
+    return keep
+
+
+def _value_at(store, probe):
+    """The value at the node equal to probe in the batch kept by
+    _keeping_first_batch.  A rule's first batch holds the centre of its
+    starting cells: t = 0.5 is the centre node of GK15 on [0, 1], and
+    (0.5, 0.5) the centre of the middle cell of integrate_nd's 3 x 3 grid."""
+    nodes, vals = store[0]
+    hit = np.all(np.reshape(nodes, (len(vals), -1)) == probe, axis=1)
+    (i,) = np.flatnonzero(hit)
+    return float(vals[i])
+
+
+def _spot_check_edge(model, s0, u, constrain, first_batch, probe_t=0.5):
+    value_at_probe = _value_at(first_batch, probe_t)
     es = _EPS["Left"] if s0 == 0.0 else _EPS["Right"]
-    cov4 = _edge_conditional_cov(model, probe_t, s0, es)[0]
+    cov4 = _dense(_edge_conditional(model, probe_t, s0, es))
     lower = np.array([u, u, 0.0, -np.inf]) if constrain else np.array(
         [u, u, -np.inf, -np.inf]
     )
@@ -369,10 +389,11 @@ def _spot_check_edge(model, s0, u, constrain, value_at_probe, probe_t=0.5):
         )
 
 
-def _spot_check_interior(model, u, value_at_probe, probe=(0.5, 0.5)):
-    sig, dens0 = _interior_conditional(model, probe[0], probe[1])
+def _spot_check_interior(model, u, first_batch, probe=(0.5, 0.5)):
+    value_at_probe = _value_at(first_batch, probe)
+    c, dens0 = _interior_conditional(model, probe[0], probe[1])
     lower = np.array([u, u, -np.inf, -np.inf])
-    mom = gauss.truncated_moment(sig[0], lower, (0, 0, 1, 1))
+    mom = gauss.truncated_moment(_dense(c), lower, (0, 0, 1, 1))
     ref = float(dens0[0]) * mom.value
     gap = abs(ref - value_at_probe)
     if gap > DEFAULT_TOL.moment_consistency_tol:
@@ -398,8 +419,9 @@ def face_pair_integral(
 ) -> FacePairTerm:
     """One term of the face-pair sum, with its sign (-1)^(k+l).
 
-    Every integrated term must converge and is spot-checked at one node
-    against the dual-route moment evaluator."""
+    Every integrated term must converge and is spot-checked at the centre
+    node of the rule's first batch against the dual-route moment
+    evaluator."""
     if rel_tol is None:
         rel_tol = DEFAULT_TOL.quad_rel_tol
     k = int(face_x == "Interior") + int(face_y == "Interior")
@@ -411,6 +433,7 @@ def face_pair_integral(
         )
         return FacePairTerm(face_x, face_y, sign, est)
 
+    first: list = []
     if k == 1:
         if face_x == "Interior":
             work, s0, constrain = model, _POINT[face_y], constrain_y
@@ -418,7 +441,8 @@ def face_pair_integral(
             # Y varies: swap the processes and integrate the same form
             work, s0, constrain = model_mod.transpose(model), _POINT[face_x], constrain_x
         res = quadrature.integrate_1d(
-            lambda t: edge_point_integrand(work, t, s0, u, constrain),
+            _keeping_first_batch(
+                lambda t: edge_point_integrand(work, t, s0, u, constrain), first),
             0.0,
             1.0,
             rel_tol=rel_tol,
@@ -431,13 +455,13 @@ def face_pair_integral(
                 best_value=res.value,
                 achieved_error=res.error,
             )
-        probe = edge_point_integrand(work, 0.5, s0, u, constrain)
-        _spot_check_edge(work, s0, u, constrain, probe)
+        _spot_check_edge(work, s0, u, constrain, first)
         est = Estimate(res.value, res.error, res.n_evals, QUADRATURE)
         return FacePairTerm(face_x, face_y, sign, est)
 
     res = quadrature.integrate_nd(
-        lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u),
+        _keeping_first_batch(
+            lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u), first),
         np.zeros(2),
         np.ones(2),
         rel_tol=rel_tol,
@@ -450,8 +474,7 @@ def face_pair_integral(
             best_value=res.value,
             achieved_error=res.error,
         )
-    probe = interior_interior_integrand(model, 0.5, 0.5, u)
-    _spot_check_interior(model, u, probe)
+    _spot_check_interior(model, u, first)
     est = Estimate(res.value, res.error, res.n_evals, QUADRATURE)
     return FacePairTerm(face_x, face_y, sign, est)
 

@@ -266,21 +266,16 @@ def integrate_nd(f, lo, hi, rel_tol: float = 1e-6, abs_tol: float = 0.0,
     if initial_splits < 1:
         raise ValueError("initial_splits must be at least 1")
     n_rule = len(_gm_rule(d)[0])
+    # cells in np.ndindex order: the last axis varies fastest
     edges = [np.linspace(lo[i], hi[i], initial_splits + 1) for i in range(d)]
-    cells_lo, cells_hi = [], []
-    for idx in np.ndindex(*([initial_splits] * d)):
-        cells_lo.append([edges[i][idx[i]] for i in range(d)])
-        cells_hi.append([edges[i][idx[i] + 1] for i in range(d)])
-    cells_lo = np.array(cells_lo)
-    cells_hi = np.array(cells_hi)
+    cells_lo = np.stack([g.ravel() for g in np.meshgrid(*[e[:-1] for e in edges],
+                                                        indexing="ij")], axis=1)
+    cells_hi = np.stack([g.ravel() for g in np.meshgrid(*[e[1:] for e in edges],
+                                                        indexing="ij")], axis=1)
     val, err, axis = _gm_batch(f, cells_lo, cells_hi)
     n_evals = n_rule * len(cells_lo)
-    counter = 0
-    heap = []
-    for i in range(len(cells_lo)):
-        counter += 1
-        heap.append((-err[i], counter, tuple(cells_lo[i]), tuple(cells_hi[i]),
-                     val[i], err[i], int(axis[i])))
+    counter = len(cells_lo)
+    heap = _cell_entries(1, cells_lo, cells_hi, val, err, axis)
     heapq.heapify(heap)
     while True:
         total_val = math.fsum(h[4] for h in heap)
@@ -298,22 +293,28 @@ def integrate_nd(f, lo, hi, rel_tol: float = 1e-6, abs_tol: float = 0.0,
                 heapq.heappush(heap, h)
         if not refine:
             return _finish(heap, n_evals, True)
-        los, his = [], []
-        for _, _, c_lo, c_hi, _, _, ax in refine:
-            c_lo = np.array(c_lo)
-            c_hi = np.array(c_hi)
-            m_ax = 0.5 * (c_lo[ax] + c_hi[ax])
-            left_hi = c_hi.copy()
-            left_hi[ax] = m_ax
-            right_lo = c_lo.copy()
-            right_lo[ax] = m_ax
-            los.extend([c_lo, right_lo])
-            his.extend([left_hi, c_hi])
-        los = np.array(los)
-        his = np.array(his)
+        # bisect each cell on its axis; the halves go in as (lower, upper) pairs
+        c_lo = np.array([h[2] for h in refine])
+        c_hi = np.array([h[3] for h in refine])
+        rows = np.arange(len(refine))
+        ax = np.array([h[6] for h in refine])
+        m_ax = 0.5 * (c_lo[rows, ax] + c_hi[rows, ax])
+        left_hi = c_hi.copy()
+        left_hi[rows, ax] = m_ax
+        right_lo = c_lo.copy()
+        right_lo[rows, ax] = m_ax
+        los = np.stack([c_lo, right_lo], axis=1).reshape(-1, d)
+        his = np.stack([left_hi, c_hi], axis=1).reshape(-1, d)
         val, err, axis = _gm_batch(f, los, his)
         n_evals += n_rule * len(los)
-        for i in range(len(los)):
-            counter += 1
-            heapq.heappush(heap, (-err[i], counter, tuple(los[i]), tuple(his[i]),
-                                  val[i], err[i], int(axis[i])))
+        for entry in _cell_entries(counter + 1, los, his, val, err, axis):
+            heapq.heappush(heap, entry)
+        counter += len(los)
+
+
+def _cell_entries(first, lo, hi, val, err, axis):
+    """Heap entries (-error, tiebreak, lo, hi, value, error, split axis) for
+    a batch of cells, with tiebreaks counting up from first."""
+    return list(zip((-err).tolist(), range(first, first + len(lo)),
+                    map(tuple, lo.tolist()), map(tuple, hi.tolist()),
+                    val.tolist(), err.tolist(), axis.tolist()))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
 
+from jointeec import gauss
 from jointeec.common import ArgumentError, DegeneracyError, RegimeError, UnsupportedDimensionError
 from jointeec.gauss import (
     bivariate_tail_exact,
@@ -129,6 +130,22 @@ def test_bvn_survival_reference_values(h, k, rho, ref):
     est = mvn_cdf(cov, [h, k])
     assert est.value == pytest.approx(ref, rel=1e-9)
     assert est.n > 2  # the adaptive rule's count: at least one 15-node panel
+
+
+# Far-tail cases of the vectorized kernel's fixed 64-node rule, against
+# int_h^inf phi(x) Phi((rho x - k) / sqrt(1 - rho^2)) dx in 60-digit
+# arithmetic, panels 0.05 wide from h to h + 15.  The rule's measured
+# relative errors are 7e-13, 4e-13 and 2e-12.
+BVN_FAR_TAIL = (
+    (13.0, 0.3, 5.7029544282140996919e-60),
+    (20.0, 0.7, 1.0284366707501192579e-105),
+    (20.0, 0.3, 1.6430962972676949532e-137),
+)
+
+
+@pytest.mark.parametrize("h,rho,ref", BVN_FAR_TAIL)
+def test_bvn_survival_batch_far_tail(h, rho, ref):
+    assert gauss._bvn_survival_batch(h, h, rho)[0] == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 def test_orthant_equicorrelated_closed_form():
@@ -320,6 +337,40 @@ def test_truncated_moments_untruncated_reduction():
     refs = (0.0, 1.3, 0.4, 0.9)
     for est, ref in zip(ests, refs):
         assert est.value == pytest.approx(ref, abs=5e-6)
+
+
+def test_first_moments_skip_the_region_orthant(monkeypatch):
+    # a first moment is sum_j cov[i, j] F_j and never reads the region's own
+    # orthant probability; only the (d-1)-dimensional face orthants are asked
+    # for.  The values are the ones computed with that probability in place.
+    asked = []
+    orig = gauss.mvn_cdf
+
+    def spy(cov, lower):
+        asked.append(np.shape(cov))
+        return orig(cov, lower)
+
+    monkeypatch.setattr(gauss, "mvn_cdf", spy)
+    cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.5, -0.4], [0.2, -0.4, 1.2]])
+    ests = truncated_moments(cov, [0.3, -0.5, 0.8], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert [e.value for e in ests] == [
+        0.08566595655762065, 0.04281417726706376, 0.10519338008163688]
+    assert asked == [(2, 2)] * 3  # one per face, none for the region
+    asked.clear()
+    # the edge spot check's shape: a 4-d covariance with one free coordinate
+    cov4 = np.array([[1.0, 0.5, -0.3, 0.2], [0.5, 1.0, 0.1, -0.4],
+                     [-0.3, 0.1, 0.8, 0.1], [0.2, -0.4, 0.1, 1.3]])
+    est = truncated_moment(cov4, [1.0, 0.5, 0.0, -np.inf], (0, 0, 0, 1))
+    assert est.value == 0.008535888088452856
+    assert asked == [(3, 3)] * 3
+
+
+def test_first_moments_keep_the_region_gates():
+    # a duplicated coordinate makes the 3-d region singular; skipping its
+    # orthant probability must not skip mvn_cdf's PSD gate
+    cov = np.array([[1.0, 0.5, 1.0], [0.5, 1.0, 0.5], [1.0, 0.5, 1.0]])
+    with pytest.raises(DegeneracyError):
+        truncated_moments(cov, [0.3, -0.5, 0.8], [(1, 0, 0), (0, 0, 1)])
 
 
 def test_truncated_moments_rejects_bad_input():

@@ -11,14 +11,16 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from jointeec.common import RegimeError
-from jointeec.gauss import mvn_cdf
+from jointeec.common import ConsistencyError, RegimeError
+from jointeec.gauss import condition, mvn_cdf
 from jointeec.model import (
+    _FIXTURE_NAMES,
     BivariateModel,
     ShiftMixture,
     SquaredExponential,
     fixture,
     independent_model,
+    joint_cov,
     transpose,
 )
 from jointeec import asymptotics as asy
@@ -142,8 +144,89 @@ def test_conditional_hessian_coefficients_at_anchor():
     assert c12 == pytest.approx(0.0, abs=1e-13)
 
 
+def test_conditional_covariances_match_conditioning():
+    # the integrands' explicit 2 x 2 algebra against an independent
+    # construction: the joint covariance of values and derivatives,
+    # conditioned on the zero-derivative coordinates by Cholesky
+    rng = np.random.default_rng(20261018)
+    for name in _FIXTURE_NAMES:
+        for mod in (fixture(name), transpose(fixture(name))):
+            t, s = rng.random(50), rng.random(50)
+            for s0, es in ((0.0, -1.0), (1.0, 1.0)):
+                c = kr._edge_conditional(mod, t, s0, es)
+                for i in range(50):
+                    full = joint_cov(mod, [("X", t[i], 0), ("Y", s0, 0), ("Y", s0, 1),
+                                           ("X", t[i], 2), ("X", t[i], 1)])
+                    ref = condition(full, (4,)).residual_cov
+                    ref[2, :] *= es
+                    ref[:, 2] *= es
+                    np.testing.assert_allclose(kr._dense(c, i), ref, rtol=1e-12, atol=0.0,
+                                               err_msg=f"{mod.label} edge s0={s0} t={t[i]}")
+            c, dens0 = kr._interior_conditional(mod, t, s)
+            for i in range(50):
+                full = joint_cov(mod, [("X", t[i], 0), ("Y", s[i], 0), ("X", t[i], 2),
+                                       ("Y", s[i], 2), ("X", t[i], 1), ("Y", s[i], 1)])
+                ref = condition(full, (4, 5)).residual_cov
+                np.testing.assert_allclose(kr._dense(c, i), ref, rtol=1e-12, atol=0.0,
+                                           err_msg=f"{mod.label} interior ({t[i]}, {s[i]})")
+                density = 1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(full[4:, 4:])))
+                assert dens0[i] == pytest.approx(density, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # face-pair integrals and assembly
+
+INTEGRATED_PAIRS = (("Interior", "Left"), ("Right", "Interior"), ("Interior", "Interior"))
+
+
+def _wrap_integrands(monkeypatch, change):
+    """Route both integrands through change(nodes, values), where nodes is
+    an (m, k) array of the points evaluated and values an (m,) array; a
+    scalar call still returns a scalar."""
+    edge, interior = kr.edge_point_integrand, kr.interior_interior_integrand
+
+    def through(nodes, vals):
+        out = change(nodes, np.atleast_1d(vals))
+        return float(out[0]) if np.ndim(vals) == 0 else out
+
+    def edge_shim(model, t, *args):
+        return through(np.reshape(t, (-1, 1)), edge(model, t, *args))
+
+    def interior_shim(model, t, s, u):
+        return through(np.column_stack([np.ravel(t), np.ravel(s)]), interior(model, t, s, u))
+
+    monkeypatch.setattr(kr, "edge_point_integrand", edge_shim)
+    monkeypatch.setattr(kr, "interior_interior_integrand", interior_shim)
+
+
+def test_spot_checks_make_no_integrand_call(monkeypatch):
+    # the spot check reads its probe from the rule's first batch, so every
+    # integrand call is a batch of the rule, none a single probe node
+    sizes = []
+
+    def record(nodes, vals):
+        sizes.append((np.ndim(vals), np.size(vals)))
+        return vals
+
+    _wrap_integrands(monkeypatch, record)
+    for fx, fy in INTEGRATED_PAIRS:
+        sizes.clear()
+        kr.face_pair_integral(fixture("interior-point"), fx, fy, 3.0)
+        assert sizes and all(ndim == 1 and n >= 15 for ndim, n in sizes), (fx, fy)
+
+
+@pytest.mark.parametrize("fx,fy", INTEGRATED_PAIRS)
+def test_spot_check_reads_the_centre_node(monkeypatch, fx, fy):
+    # shifting the integrand at the probe node alone must trip the check:
+    # t = 0.5 is the centre node of GK15 on [0, 1], (0.5, 0.5) the centre of
+    # the middle cell of the cubature's 3 x 3 starting grid
+    def bump(nodes, vals):
+        return vals + np.where(np.all(nodes == 0.5, axis=1), 1e-3, 0.0)
+
+    _wrap_integrands(monkeypatch, bump)
+    with pytest.raises(ConsistencyError):
+        kr.face_pair_integral(fixture("interior-point"), fx, fy, 3.0)
+
 
 
 def test_face_pair_integral_pin():

@@ -100,3 +100,30 @@ def test_zero_integrand():
     res = integrate_nd(lambda x: np.zeros(x.shape[:-1]), [0.0, 0.0], [1.0, 1.0], rel_tol=1e-9)
     assert res.value == 0.0
     assert res.converged
+
+
+# Pinned by exact equality: value, error and evaluation count of the adaptive
+# cubature.  A change in the cell order, the split or the stopping rule
+# shows here in the last bit.
+def _peak_2d(x):
+    return np.exp(-0.5 * ((x[:, 0] - 0.3) ** 2 + (x[:, 1] - 0.6) ** 2) / 0.05**2)
+
+
+_COV_4D = np.array([[1.0, 0.5, 0.2, -0.1], [0.5, 1.2, 0.3, 0.1],
+                    [0.2, 0.3, 0.9, 0.25], [-0.1, 0.1, 0.25, 1.1]])
+
+
+def _gauss_4d(x):
+    inv = np.linalg.inv(_COV_4D)
+    norm = (2.0 * math.pi) ** 2 * math.sqrt(np.linalg.det(_COV_4D))
+    return np.exp(-0.5 * np.einsum("mi,ij,mj->m", x, inv, x)) / norm
+
+
+def test_integrate_nd_bits_pinned():
+    res = integrate_nd(_peak_2d, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-9)
+    assert (res.value, res.error, res.n_evals, res.converged) == (
+        0.0157079632523878, 1.5425089189244304e-11, 80971, True)
+    res = integrate_nd(_gauss_4d, [-1.0, -0.5, 0.0, -2.0], [2.0, 1.5, 1.0, 0.5],
+                       rel_tol=1e-6)
+    assert (res.value, res.error, res.n_evals, res.converged) == (
+        0.12457109944923829, 1.217909687580535e-07, 61161, True)
