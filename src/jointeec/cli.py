@@ -22,6 +22,7 @@ independent runs would give.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -309,9 +310,16 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parsing leaves it
+    unchanged, and callers that run many commands in one process would
+    otherwise rebuild it on every call."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         header, rows, code = _COMMANDS[args.command](args)
     except (ArgumentError, UnsupportedDimensionError) as exc:

@@ -1,16 +1,21 @@
 """Dense multivariate Gaussian computations in dimensions up to four.
 
-Contents: conditioning (Schur complements with named pivots), survival
-CDFs P{xi >= lower} for dims 1-4, truncated moments of degree <= 2
-computed by two independent routes and cross-checked, the exact corner
-tail double integral, and its closed asymptotic form.
+Contents: the standard normal CDF, conditioning (Schur complements with
+named pivots), survival CDFs P{xi >= lower} for dims 1-4, truncated
+moments of degree <= 2 computed by two independent routes and
+cross-checked, the exact corner tail double integral, and its closed
+asymptotic form.
 
-Dimension 1 is a closed form and dimension 2 reduces to a single smooth
-1-d integral over an arcsine substitution.  Dimensions 3-4 condition on
-the coordinates with the lowest thresholds and integrate them with a
-fixed tensor Gauss-Legendre rule against the vectorized bivariate
-kernel for the other two (the reduction of Genz 2004), so every result
-is deterministic by construction.
+The normal CDF is written as Phi(-h) = exp(-h^2 / 2) R(h) for h >= 0,
+with R the Mills ratio over sqrt(2 pi) taken from piecewise polynomials
+(tools/mills_coefficients.py), so it keeps its relative accuracy, about
+6e-16, down to Phi(-37.5).  Dimension 1 is that closed form and
+dimension 2 reduces to a single smooth 1-d integral over an arcsine
+substitution.  Dimensions 3-4 condition on the coordinates with the
+lowest thresholds and integrate them with a fixed tensor Gauss-Legendre
+rule against the vectorized bivariate kernel for the other two (the
+reduction of Genz 2004), so every result is deterministic by
+construction.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import quadrature
 from .common import (
@@ -42,6 +46,105 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 def _phi(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT2PI
+
+
+# ---------------------------------------------------------------------------
+# the normal CDF
+
+# R(h) = exp(h^2 / 2) P{Z >= h} on eight pieces of y = (h - 4) / (h + 4):
+# row i holds the coefficients of t^0 .. t^12, t = 8 y - (2 i - 7) in
+# [-1, 1], from Chebyshev interpolation in 60-digit arithmetic.  Written
+# by `python3 tools/mills_coefficients.py`.
+_MILLS = (
+    (0.40915505758632975, -0.0824417465017111, 0.007929294028844309,
+     -0.0004603222026209462, 1.3616749489486339e-05, 2.4338550012640335e-08,
+     -1.272693192906411e-08, 1.7749171703088428e-11, 1.4380681846474977e-11,
+     1.2932398128910678e-13, -1.63725111766299e-14, -5.065248866905497e-16,
+     1.0516661690649155e-17),
+    (0.2725240013809122, -0.05581317443488914, 0.005493093512681284,
+     -0.0003524148403539515, 1.3117876792465202e-05, -1.2033611944560999e-07,
+     -1.0842591741916935e-08, 2.484380893356111e-10, 1.3216295292209748e-11,
+     -2.7935321628585284e-13, -2.2314845669466943e-14, 8.501152487377709e-17,
+     3.7764351859904187e-17),
+    (0.18025608420391193, -0.037661591000451786, 0.0036813934966757563,
+     -0.0002538591131402908, 1.1346907276219623e-05, -2.2439415342376258e-07,
+     -6.143343603663128e-09, 3.997079454912912e-10, 4.601744430540152e-12,
+     -6.355782349596044e-13, -9.681016887803322e-15, 1.0427703461771447e-15,
+     3.2227187719010143e-17),
+    (0.11780163202170463, -0.02563817411293625, 0.0024114124989182482,
+     -0.00017281399146165178, 8.848792247505621e-06, -2.6380294536066426e-07,
+     -4.746635710666661e-10, 3.786705780623512e-10, -7.019332737220441e-12,
+     -5.641218950944592e-13, 1.7178675339472682e-14, 1.1181264762284317e-15,
+     -3.2320185111091785e-17),
+    (0.07492157686684571, -0.01780416477734493, 0.0015659209246818926,
+     -0.000112454966328961, 6.2784479093162854e-06, -2.418048387080093e-07,
+     3.733351109670483e-09, 2.0646298790537178e-10, -1.2954598115631364e-11,
+     -5.748075280490586e-14, 2.821145245353649e-14, -2.658327695014494e-16,
+     -6.603211164605182e-17),
+    (0.04477027073596639, -0.012707578687816823, 0.0010235410704825996,
+     -7.12097298999048e-05, 4.127829231278631e-06, -1.8536797320311975e-07,
+     5.221516195971711e-09, 1.5069346766008144e-11, -9.721515959778008e-12,
+     3.518710026520671e-13, 9.429050894653458e-15, -1.1323001976668236e-15,
+     3.791845286300198e-18),
+    (0.02294004710034658, -0.009349669893394814, 0.0006817687229779836,
+     -4.477336490097134e-05, 2.582270629205056e-06, -1.2504618087261523e-07,
+     4.595798513012848e-09, -8.637480146420098e-11, -3.0545242544063857e-12,
+     3.2601710722347955e-13, -9.096815685014572e-15, -3.907638425335891e-16,
+     4.121755291903891e-17),
+    (0.0066471925886843215, -0.007086405143897973, 0.0004661401974831555,
+     -2.8433961990370277e-05, 1.5811314890307924e-06, -7.794418170360592e-08,
+     3.229480277432821e-09, -9.813203291881855e-11, 9.537342914037217e-13,
+     1.2039980997507338e-13, -9.095132412918368e-15, 2.470095738693979e-16,
+     9.151394472925802e-18),
+)
+_MILLS_T = np.array(_MILLS).T.copy()  # (13, 8): one row per power of t
+
+
+def ndtr(x):
+    """Phi(x) = P{Z <= x} for standard normal Z, elementwise; a scalar in
+    gives a float out without the array path's fixed cost.
+
+    Q(h) = Phi(-h) = exp(-h^2 / 2) R(h) for h = |x|, with R from _MILLS.
+    exp(-h^2 / 2) is taken on the split h = hi + lo with hi = floor(64 h) /
+    64: hi^2 / 2 is exact, so the far tail loses no digits to a rounded
+    square.  Against 40-digit arithmetic the relative error of Q is below
+    6e-16 on [0, 37.5]; past h = 40 it underflows to 0."""
+    if np.ndim(x) == 0:
+        return _ndtr_scalar(float(x))
+    x = np.asarray(x, dtype=float)
+    h = np.minimum(np.abs(x), 40.0)
+    hp4 = h + 4.0
+    i = (8.0 * h / hp4).astype(np.intp)  # the piece: floor(4 (y + 1))
+    t = ((15.0 - 2.0 * i) * h - (8.0 * i + 4.0)) / hp4
+    coef = np.take(_MILLS_T, i, axis=1, mode="clip")  # clip: NaN gives no valid piece
+    p = coef[12] * t
+    for c in coef[11:0:-1]:
+        p += c
+        p *= t
+    p += coef[0]
+    hi = np.floor(h * 64.0) / 64.0
+    lo = h - hi
+    q = np.exp(-0.5 * hi * hi) * np.exp(-lo * (hi + 0.5 * lo)) * p
+    return np.where(x < 0.0, q, 1.0 - q)
+
+
+def _ndtr_scalar(x: float) -> float:
+    """ndtr for one float, step for step as the array path."""
+    if math.isnan(x):
+        return x
+    h = min(abs(x), 40.0)
+    hp4 = h + 4.0
+    i = int(8.0 * h / hp4)
+    t = ((15 - 2 * i) * h - (8 * i + 4)) / hp4
+    coef = _MILLS[i]
+    p = coef[12] * t
+    for c in coef[11:0:-1]:
+        p = (p + c) * t
+    p += coef[0]
+    hi = math.floor(h * 64.0) / 64.0
+    lo = h - hi
+    q = math.exp(-0.5 * hi * hi) * math.exp(-lo * (hi + 0.5 * lo)) * p
+    return q if x < 0.0 else 1.0 - q
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +206,38 @@ def condition(cov, observed_idx, tol: Tolerances = DEFAULT_TOL) -> ConditionalLa
 # ---------------------------------------------------------------------------
 # survival CDFs
 
+# For rho < 0 the tail-splitting identity cancels: the path integral from
+# rho = 0 is negative and, far out, nearly equal to Phi(-h) Phi(-k).  There
+# the path starts at rho = -1 instead, where the probability is 0 once
+# h + k >= 0, so every term is positive.  The integrand then carries the
+# factor exp(-(h + k)^2 / (2 cos^2 theta)), which vanishes at theta = -pi/2;
+# where (h + k) / sqrt(1 - rho^2) < 1 it is a layer narrower than the path,
+# which the fixed rule does not resolve, and the path from rho = 0 cancels
+# little there.  Against 40-digit references on 880 points (h, k from -2
+# to 9, rho from -0.99 to -0.05), switching at this ratio gives at most
+# 1.5e-13 relative wherever h + k <= 1.6, where thresholds on h + k alone
+# reach 1e-12 (at 0.5) to 4e-11 (at 0.75).
+def _from_minus_one(h, k, rho):
+    """Whether the correlation path starts at rho = -1 (elementwise)."""
+    return (rho < 0.0) & (h + k >= np.sqrt(np.maximum(1.0 - rho * rho, 0.0)))
+
+
 def _bvn_survival(h: float, k: float, rho: float) -> tuple[float, float, int]:
     """P{Z1 >= h, Z2 >= k} for standard bivariate normal, correlation rho,
     with its error and the number of integrand evaluations.
 
-    Tail-splitting identity: the independent product plus an integral of
-    the bivariate density along the correlation path rho = sin(theta).
-    The error is relative to the value, so it stays meaningful in the far
-    tail; a rule that misses its tolerance raises AccuracyError.
+    The probability at one end of the correlation path rho = sin(theta)
+    plus the integral of the bivariate density along the path.  The path
+    starts at rho = 0, where the probability is Phi(-h) Phi(-k), or, for
+    rho < 0 and h + k >= sqrt(1 - rho^2) (see _from_minus_one), at
+    rho = -1, where it is 0.  The error is relative to the value, so it
+    stays meaningful in the far tail; a rule that misses its tolerance
+    raises AccuracyError.
     """
-    base = float(ndtr(-h)) * float(ndtr(-k))
+    if _from_minus_one(h, k, rho):
+        base, start = 0.0, -0.5 * math.pi
+    else:
+        base, start = ndtr(-h) * ndtr(-k), 0.0
     if rho == 0.0:
         return base, 1e-14 * base, 1
     asr = math.asin(max(-1.0, min(1.0, rho)))
@@ -123,7 +248,7 @@ def _bvn_survival(h: float, k: float, rho: float) -> tuple[float, float, int]:
         sn = np.sin(theta)
         return np.exp(-(hh_kk - hk2 * sn) / (2.0 * (1.0 - sn * sn)))
 
-    res = quadrature.integrate_1d(f, 0.0, asr, rel_tol=1e-11, abs_tol=0.0,
+    res = quadrature.integrate_1d(f, start, asr, rel_tol=1e-11, abs_tol=0.0,
                                   max_evals=60_000)
     value = base + res.value / (2.0 * math.pi)
     if not res.converged:
@@ -140,28 +265,38 @@ def _gl(n: int):
 
 
 def _bvn_survival_batch(h, k, rho) -> np.ndarray:
-    """Vectorized P{Z1 >= h, Z2 >= k}: same identity as the scalar
-    version but with a fixed 64-node rule for |rho| <= 0.95.  Its error
-    grows into the far tail: against a 60-digit reference it is 7e-13
-    relative at h = k = 13, rho = 0.3, and 4e-13 and 2e-12 at h = k = 20
-    with rho = 0.7 and 0.3.  More extreme correlations (a boundary layer
+    """Vectorized P{Z1 >= h, Z2 >= k}: same identity and path starts as the
+    scalar version, with one normal-tail call for h and k together and a
+    fixed 64-node rule for |rho| <= 0.95.  Its error grows into the far
+    tail: against a 60-digit reference it is 7e-13 relative at h = k = 13,
+    rho = 0.3, and 4e-13 and 2e-12 at h = k = 20 with rho = 0.7 and 0.3.
+    For rho < 0 it is 1.6e-13 at h = k = 9, rho = -0.5, but 1e-8 at
+    h = k = 4.5, rho = -0.95 (a value of 8e-181) and 1e-5 at h = 2, k = 9,
+    rho = -0.95 (1.4e-270).  More extreme correlations (a boundary layer
     forms in the integrand) fall back to the adaptive path."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
     k = np.atleast_1d(np.asarray(k, dtype=float))
     rho = np.clip(np.atleast_1d(np.asarray(rho, dtype=float)), -1.0, 1.0)
     h, k, rho = np.broadcast_arrays(h, k, rho)
-    out = ndtr(-h) * ndtr(-k)
+    tails = ndtr(-np.concatenate([h.ravel(), k.ravel()]))
+    out = (tails[:h.size] * tails[h.size:]).reshape(h.shape)
+    from_minus_one = _from_minus_one(h, k, rho)
+    out[from_minus_one] = 0.0
     easy = (rho != 0.0) & (np.abs(rho) <= 0.95)
     if np.any(easy):
         x, w = _gl(64)
-        asr = np.arcsin(rho[easy])[:, None]
-        if np.all(asr == asr[0]):
-            asr = asr[:1]  # one correlation: the path nodes are shared
-        sn = np.sin(asr * x[None, :])
+        start = np.where(from_minus_one[easy], -0.5 * math.pi, 0.0)[:, None]
+        span = np.arcsin(rho[easy])[:, None] - start
+        if np.all(span == span[0]) and np.all(start == start[0]):
+            start, span = start[:1], span[:1]  # one path: the nodes are shared
+        theta = span * x[None, :]
+        if np.any(start):
+            theta += start
+        sn = np.sin(theta)
         c = 0.5 / (1.0 - sn * sn)
         he, ke = h[easy, None], k[easy, None]
         expo = np.exp((2.0 * he * ke) * (sn * c) - (he * he + ke * ke) * c)
-        out[easy] += (expo @ w) * asr[:, 0] / (2.0 * math.pi)
+        out[easy] += (expo @ w) * span[:, 0] / (2.0 * math.pi)
     hard = np.abs(rho) > 0.95
     for idx in np.nonzero(hard)[0]:
         out[idx] = _bvn_survival(float(h[idx]), float(k[idx]), float(rho[idx]))[0]
@@ -234,15 +369,19 @@ def _orthant_conditioned(corr: np.ndarray, a: np.ndarray) -> tuple[float, float,
         weights = [np.concatenate([(q - p) * w for p, q in zip(e[:-1], e[1:])])
                    for e in edges]
         x = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=1)
-        wts = functools.reduce(np.multiply.outer, weights).ravel()
-        shift = x @ beta.T
-        tail = _bvn_survival_batch((a[m] - shift[:, 0]) / sd_b[0],
-                                   (a[m + 1] - shift[:, 1]) / sd_b[1], rho)
-        return float(wts @ (pdf(x) * tail)), len(wts)
+        return x, functools.reduce(np.multiply.outer, weights).ravel()
 
-    value, n_fine = rule(32)
-    coarse, n_coarse = rule(16)
-    return value, abs(value - coarse), n_fine + n_coarse
+    # both rules' nodes go through the kernels in one batch
+    x_fine, w_fine = rule(32)
+    x_coarse, w_coarse = rule(16)
+    x = np.concatenate([x_fine, x_coarse])
+    shift = x @ beta.T
+    tail = _bvn_survival_batch((a[m] - shift[:, 0]) / sd_b[0],
+                               (a[m + 1] - shift[:, 1]) / sd_b[1], rho)
+    vals = pdf(x) * tail
+    value = float(w_fine @ vals[:len(w_fine)])
+    coarse = float(w_coarse @ vals[len(w_fine):])
+    return value, abs(value - coarse), len(x)
 
 
 def _orthant_region(cov, lower):
@@ -292,7 +431,7 @@ def mvn_cdf(cov, lower) -> Estimate:
     corr, a = region
     n = len(a)
     if n == 1:
-        value = float(ndtr(-a[0]))
+        value = ndtr(-a[0])
         return Estimate(value, 1e-14 * value, 1, QUADRATURE)
     if n == 2:
         return Estimate(*_bvn_survival(a[0], a[1], corr[0, 1]), QUADRATURE)
@@ -323,44 +462,56 @@ def _density_eval(cov: np.ndarray):
 def _route_quadrature(cov: np.ndarray, lower: np.ndarray, monomial,
                       abs_tol: float = 2e-6, max_evals: int = 400_000):
     """Direct cubature of x^monomial times the density over the region,
-    each coordinate mapped to the unit interval.  Unconstrained
-    coordinates are clipped to +-8.5 marginal standard deviations, which
-    biases moments of degree <= 2 by well under the comparison
-    tolerance; the rational map on the tails defeats the cubature's
-    error estimate, a hard clip does not."""
-    n = cov.shape[0]
-    pdf = _density_eval(cov)
-    finite = np.isfinite(lower)
-    span = 8.5 * np.sqrt(np.diag(cov))
+    in its bounded coordinates only.
+
+    Given the bounded block x_B, the free coordinates (lower bound -inf)
+    are Gaussian with mean A x_B and a covariance S that does not depend
+    on x_B, so their factor of a monomial of degree <= 2 has a closed
+    conditional mean: 1, (A x_B)_r, or (A x_B)_r (A x_B)_s + S_rs.  That
+    polynomial times x_B's own factor and density is integrated with
+    each bounded coordinate mapped to the unit interval by
+    x = l + t / (1 - t): one cubature dimension per finite bound
+    (integrate_1d for one), and for none the Gaussian moment itself."""
+    bounded = np.flatnonzero(np.isfinite(lower))
+    free = np.flatnonzero(np.isneginf(lower))
+    if len(bounded) + len(free) < len(lower):  # a +inf bound: the region is empty
+        return quadrature.QuadratureResult(0.0, 0.0, 0, True)
+    # the free factor of the monomial, as positions in `free`, repeated by power
+    pick = [pos for pos, j in enumerate(free) for _ in range(monomial[j])]
+    if not len(bounded):  # the plain Gaussian moment: 1, 0 or a covariance
+        value = (1.0 if not pick else 0.0 if len(pick) == 1
+                 else float(cov[free[pick[0]], free[pick[1]]]))
+        return quadrature.QuadratureResult(value, 0.0, 0, True)
+    m = len(bounded)
+    pdf = _density_eval(cov[np.ix_(bounded, bounded)])
+    low = lower[bounded]
+    powers = [(j, monomial[b]) for j, b in enumerate(bounded) if monomial[b]]
+    if pick:
+        law = condition(cov, bounded)
+        mean_map = law.mean_map[pick].T
+        resid = law.residual_cov[pick[0], pick[-1]]
 
     def g(tpts: np.ndarray) -> np.ndarray:
-        tpts = tpts.reshape(-1, n)
-        x = np.empty_like(tpts)
-        jac = np.ones(tpts.shape[0])
-        for j in range(n):
-            t = tpts[:, j]
-            if finite[j]:
-                om = 1.0 - t
-                x[:, j] = lower[j] + t / om
-                jac = jac / (om * om)
-            else:
-                x[:, j] = span[j] * (2.0 * t - 1.0)
-                jac = jac * 2.0 * span[j]
-        vals = pdf(x) * jac
-        for j in range(n):
-            if monomial[j]:
-                vals = vals * x[:, j] ** monomial[j]
+        tpts = tpts.reshape(-1, m)
+        om = 1.0 - tpts
+        x = low + tpts / om
+        vals = pdf(x) / np.prod(om * om, axis=1)
+        for j, p in powers:
+            vals = vals * x[:, j] ** p
+        if len(pick) == 1:
+            vals = vals * (x @ mean_map)[:, 0]
+        elif pick:
+            mean = x @ mean_map
+            vals = vals * (mean[:, 0] * mean[:, 1] + resid)
         return vals
 
-    if n == 1:
-        res = quadrature.integrate_1d(lambda t: g(t[:, None]), 0.0, 1.0,
-                                      rel_tol=1e-7, abs_tol=abs_tol,
-                                      max_evals=max_evals)
-    else:
-        res = quadrature.integrate_nd(g, np.zeros(n), np.ones(n),
-                                      rel_tol=1e-7, abs_tol=abs_tol,
-                                      max_evals=max_evals)
-    return res
+    if m == 1:
+        return quadrature.integrate_1d(lambda t: g(t[:, None]), 0.0, 1.0,
+                                       rel_tol=1e-7, abs_tol=abs_tol,
+                                       max_evals=max_evals)
+    return quadrature.integrate_nd(g, np.zeros(m), np.ones(m),
+                                   rel_tol=1e-7, abs_tol=abs_tol,
+                                   max_evals=max_evals)
 
 
 def _face_factors(cov: np.ndarray, lower: np.ndarray, tol: Tolerances):
@@ -402,7 +553,8 @@ def truncated_moments(cov, lower, monomials,
 
     Route one reduces to lower-dimensional CDFs (moment identities for
     the truncated Gaussian); route two integrates the truncated density
-    directly.  Route two runs for every monomial; disagreement beyond
+    directly, over the bounded coordinates (_route_quadrature).  Route two
+    runs for every monomial; disagreement beyond
     tol.moment_consistency_tol raises.  Route one computes each shared
     piece once, and only when a monomial reads it: the region's orthant
     probability for degrees 0 and 2 (first moments never read it, but the

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import asymptotics, gauss, quadrature
 from . import model as model_mod
@@ -199,17 +198,21 @@ def _face_g(c, lower):
         z = [lower[i] - cov(i, j) / vjj * lower[j] for i in rest]
         sd = [np.sqrt(np.maximum(cov(i, i) - cov(i, j) ** 2 / vjj, 1e-300)) for i in rest]
         if d == 2:
-            tails.append(ndtr(-z[0] / sd[0]))
+            tails.append((z[0] / sd[0],))
         else:
             cc = cov(rest[0], rest[1]) - cov(rest[0], j) * cov(rest[1], j) / vjj
             tails.append((z[0] / sd[0], z[1] / sd[1],
                           np.clip(cc / (sd[0] * sd[1]), -1.0, 1.0)))
-    if d == 3:
-        shape = np.broadcast(*c.values()).shape
-        h, k, rho = (np.concatenate([np.broadcast_to(a[i], shape) for a in tails])
-                     for i in range(3))
-        tails = np.split(gauss._bvn_survival_batch(h, k, rho), 3)
-    return [dj * tj for dj, tj in zip(dens, tails)]
+    # every face's conditional survival in one call: the normal tail in
+    # dimension 2, the bivariate kernel in dimension 3
+    shape = np.broadcast(*c.values()).shape
+    args = [np.concatenate([np.broadcast_to(a[i], shape) for a in tails])
+            for i in range(len(tails[0]))]
+    if d == 2:
+        surv = gauss.ndtr(-args[0])
+    else:
+        surv = gauss._bvn_survival_batch(*args)
+    return [dj * tj for dj, tj in zip(dens, np.split(surv, d))]
 
 
 def edge_point_integrand(
@@ -298,17 +301,22 @@ def conditional_hessian_coefficients(
     return tuple(float(v[0]) for v in _hessian_regression(c))
 
 
-def _tallis_pair(vjj, vjk, vkk, u):
+def _tallis_pairs(sxx, sxy, syy, u):
     """H_jj = phi_j(u) u P{xi_k >= u | xi_j = u} and
-    H_jk = phi_j(u) E{xi_k 1{xi_k >= u} | xi_j = u} for a Gaussian pair
-    with both bounds at u, where phi_j is the density of xi_j."""
+    H_jk = phi_j(u) E{xi_k 1{xi_k >= u} | xi_j = u} for the Gaussian pair
+    (xi_0, xi_1) with covariance [[sxx, sxy], [sxy, syy]] and both bounds
+    at u, where phi_j is the density of xi_j.  Returns H_00, H_01, H_11,
+    H_10; both conditional survivals take one normal-tail call."""
+    vjj, vkk = np.stack([sxx, syy]), np.stack([syy, sxx])
     sdj = np.sqrt(vjj)
     dens = _phi(u / sdj) / sdj
-    mu_k = vjk / vjj * u
-    sd_k = np.sqrt(np.maximum(vkk - vjk ** 2 / vjj, 1e-300))
+    mu_k = sxy / vjj * u
+    sd_k = np.sqrt(np.maximum(vkk - sxy ** 2 / vjj, 1e-300))
     z = (u - mu_k) / sd_k
-    surv = ndtr(-z)
-    return dens * u * surv, dens * (mu_k * surv + sd_k * _phi(z))
+    surv = gauss.ndtr(-z)
+    h_jj = dens * u * surv
+    h_jk = dens * (mu_k * surv + sd_k * _phi(z))
+    return h_jj[0], h_jk[0], h_jj[1], h_jk[1]
 
 
 def interior_interior_integrand(model: model_mod.BivariateModel, t, s, u: float):
@@ -325,8 +333,7 @@ def interior_interior_integrand(model: model_mod.BivariateModel, t, s, u: float)
     prob = gauss._bvn_survival_batch(u / sd0, u / sd1, rho)
 
     # Tallis: E{xi_i xi_k 1{X>=u, Y>=u}} = S_ik P + sum_j S_ij H_jk
-    h00, h01 = _tallis_pair(sxx, sxy, syy, u)
-    h11, h10 = _tallis_pair(syy, sxy, sxx, u)
+    h00, h01, h11, h10 = _tallis_pairs(sxx, sxy, syy, u)
     m00 = sxx * prob + sxx * h00 + sxy * h10
     m01 = sxy * prob + sxx * h01 + sxy * h11
     m11 = syy * prob + sxy * h01 + syy * h11

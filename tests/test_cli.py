@@ -34,14 +34,56 @@ def run_cli(*args, check=False):
 
 
 def test_eec_does_not_import_scipy_stats():
-    # the orthant engine needs only scipy.special; scipy.stats would add
-    # about a second and tens of MB to every first call
+    # the package does not use scipy at all (see the next test); scipy.stats
+    # in particular would add about a second and tens of MB to every first
+    # call
     code = ("import sys; from jointeec import cli; "
             "cli.run(['eec', '--model', 'interior-point', '--u', '3']); "
             "print('scipy.stats' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=CHILD_ENV, check=True)
     assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_first_calls_do_not_import_scipy(tmp_path):
+    # the normal tail is computed in gauss, so a first call on each route
+    # loads no part of scipy, whose import alone costs about 0.27 s
+    out = str(tmp_path / "out.csv")
+    code = ("import sys; from jointeec import cli\n"
+            "for argv in (['eec', '--model', 'interior-point', '--u', '3'],\n"
+            "             ['closed-form', '--model', 'interior-point', '--u', '3'],\n"
+            "             ['simulate', '--model', 'interior-point', '--u', '3', '--grid', '64',\n"
+            "              '--reps', '200', '--seed', '1']):\n"
+            f"    assert cli.run(argv + ['--out', {out!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_run_builds_the_parser_once(monkeypatch, capsys):
+    # run parses with one parser per process; a bad argument still exits 2
+    from jointeec import cli
+
+    built = []
+    orig = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return orig()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert cli.run(["classify", "--model", "interior-point"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["eec", "--model", "interior-point", "--u", "abc"])
+        assert exc.value.code == 2
+        assert "bad u list" in capsys.readouterr().err
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_validate_fixture_ok():

@@ -16,8 +16,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
 
-from jointeec import gauss
-from jointeec.common import ArgumentError, DegeneracyError, RegimeError, UnsupportedDimensionError
+from jointeec import gauss, quadrature
+from jointeec.common import (
+    ArgumentError,
+    ConsistencyError,
+    DegeneracyError,
+    RegimeError,
+    UnsupportedDimensionError,
+)
 from jointeec.gauss import (
     bivariate_tail_exact,
     condition,
@@ -46,6 +52,55 @@ def rand_psd(rng, n):
     cov = a @ a.T / (n + 2)
     d = np.sqrt(np.diag(cov))
     return cov / np.outer(d, d)
+
+
+# ---------------------------------------------------------------------------
+# the normal CDF
+
+# Phi(x) in 40-digit arithmetic, rounded to 17 digits
+NDTR_LITERALS = (
+    (-37.0, 5.7255712225245768e-300),
+    (-30.0, 4.9067139271481871e-198),
+    (-20.0, 2.7536241186062337e-89),
+    (-10.0, 7.6198530241605261e-24),
+    (-8.5, 9.4795348222033184e-18),
+    (-4.75, 1.0170832425687032e-6),
+    (-2.5, 0.0062096653257761352),
+    (-1.0, 0.15865525393145705),
+    (0.3, 0.61791142218895264),
+)
+
+
+@pytest.mark.parametrize("x,ref", NDTR_LITERALS)
+def test_ndtr_literals(x, ref):
+    # the far tail keeps its relative accuracy, on the array and the
+    # scalar path alike; the scalar path returns a plain float
+    assert gauss.ndtr(np.array([x]))[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
+    value = gauss.ndtr(x)
+    assert type(value) is float
+    assert value == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
+def test_ndtr_matches_scipy():
+    # scipy's ndtr takes exp of a rounded -x^2 / 2, so its own error grows
+    # like x^2 ulp: against 40-digit arithmetic it reaches 4.4e-15 relative
+    # at x = -4.76 and stays below 1e-15 only for x >= -2.  The tolerance
+    # follows that growth and is 1e-15 at x = 0.
+    x = np.linspace(-5.0, 5.0, 20_001)
+    ours = gauss.ndtr(x)
+    assert np.all(np.abs(ours / ndtr(x) - 1.0) <= 1e-15 * (1.0 + 0.5 * x * x))
+    scalar = np.array([gauss.ndtr(float(v)) for v in x[::50]])
+    assert np.all(np.abs(scalar / ours[::50] - 1.0) <= 5e-16)
+
+
+def test_ndtr_edges():
+    with np.errstate(invalid="ignore"):  # NaN has no piece of the table
+        out = gauss.ndtr(np.array([-np.inf, -45.0, 0.0, 45.0, np.inf, np.nan]))
+    assert out[:5].tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+    assert np.isnan(out[5])
+    assert gauss.ndtr(-np.inf) == 0.0 and gauss.ndtr(np.inf) == 1.0
+    assert math.isnan(gauss.ndtr(math.nan))
+    assert gauss.ndtr(np.zeros((2, 3))).shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +201,38 @@ BVN_FAR_TAIL = (
 @pytest.mark.parametrize("h,rho,ref", BVN_FAR_TAIL)
 def test_bvn_survival_batch_far_tail(h, rho, ref):
     assert gauss._bvn_survival_batch(h, h, rho)[0] == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+# Negative correlation in the far tail: the path from rho = 0 cancels
+# Phi(-h) Phi(-k) almost exactly (the parent code returned -2.0e-52 for the
+# first case), the path from rho = -1 does not.  References: the
+# x-integral of phi(x) Phi((rho x - k) / sqrt(1 - rho^2)) in 40-digit
+# arithmetic on Gauss-Legendre panels, stable to 1e-17 when the panels
+# are halved.
+BVN_NEGATIVE_TAIL = (
+    (9.0, 9.0, -0.5, 2.4752747088499815e-74),
+    (6.0, 4.0, -0.3, 4.5090024240770300e-19),
+)
+
+
+@pytest.mark.parametrize("h,k,rho,ref", BVN_NEGATIVE_TAIL)
+def test_bvn_negative_correlation_far_tail(h, k, rho, ref):
+    cov = np.array([[1.0, rho], [rho, 1.0]])
+    est = mvn_cdf(cov, [h, k])  # the adaptive kernel
+    assert est.value == pytest.approx(ref, rel=1e-11, abs=0.0)
+    assert est.error < 1e-11 * ref
+    assert gauss._bvn_survival_batch(h, k, rho)[0] == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+def test_bvn_survival_nonnegative():
+    # both kernels, across the switch between the two path starts
+    vals = np.array([-3.0, -1.0, -0.3, 0.0, 0.2, 0.5, 0.9, 1.5, 3.0, 6.0, 9.0, 13.0])
+    rhos = np.array([-0.999, -0.97, -0.9, -0.5, -0.1, 0.1, 0.5, 0.9, 0.97])
+    h, k, rho = (a.ravel() for a in np.meshgrid(vals, vals, rhos, indexing="ij"))
+    batch = gauss._bvn_survival_batch(h, k, rho)
+    assert np.all(batch >= 0.0)
+    for i in range(0, len(h), 7):
+        assert gauss._bvn_survival(h[i], k[i], rho[i])[0] >= 0.0
 
 
 def test_orthant_equicorrelated_closed_form():
@@ -361,8 +448,70 @@ def test_first_moments_skip_the_region_orthant(monkeypatch):
     cov4 = np.array([[1.0, 0.5, -0.3, 0.2], [0.5, 1.0, 0.1, -0.4],
                      [-0.3, 0.1, 0.8, 0.1], [0.2, -0.4, 0.1, 1.3]])
     est = truncated_moment(cov4, [1.0, 0.5, 0.0, -np.inf], (0, 0, 0, 1))
-    assert est.value == 0.008535888088452856
+    assert est.value == 0.008535888088452862
     assert asked == [(3, 3)] * 3
+    # the value pinned with scipy's normal tail, 3 ulp away, is reproduced
+    # bit for bit when that tail is put back
+    monkeypatch.setattr(gauss, "ndtr", ndtr)
+    est = truncated_moment(cov4, [1.0, 0.5, 0.0, -np.inf], (0, 0, 0, 1))
+    assert est.value == 0.008535888088452856
+
+
+@pytest.mark.parametrize("lower, monomial, nd_dims, calls_1d", [
+    ([1.0, 0.5, 0.0, -np.inf], (0, 0, 0, 1), [3], 0),  # the edge probe's shape
+    ([3.0, 3.0, -np.inf, -np.inf], (0, 0, 1, 1), [2], 0),  # the interior probe's
+    ([1.0, -np.inf, -np.inf, -np.inf], (0, 1, 0, 1), [], 1),
+    ([-np.inf] * 4, (0, 1, 1, 0), [], 0),  # the Gaussian moment, no cubature
+])
+def test_direct_route_integrates_the_bounded_coordinates(monkeypatch, lower, monomial,
+                                                         nd_dims, calls_1d):
+    # the direct route integrates the free coordinates in closed form, so
+    # its cubature has one dimension per finite bound
+    cov4 = np.array([[1.0, 0.5, -0.3, 0.2], [0.5, 1.0, 0.1, -0.4],
+                     [-0.3, 0.1, 0.8, 0.1], [0.2, -0.4, 0.1, 1.3]])
+    lower = np.array(lower)
+    dims, n_1d = [], []
+    orig_nd, orig_1d = quadrature.integrate_nd, quadrature.integrate_1d
+
+    def spy_nd(f, lo, hi, **kw):
+        dims.append(len(lo))
+        return orig_nd(f, lo, hi, **kw)
+
+    def spy_1d(f, a, b, **kw):
+        n_1d.append(1)
+        return orig_1d(f, a, b, **kw)
+
+    monkeypatch.setattr(quadrature, "integrate_nd", spy_nd)
+    monkeypatch.setattr(quadrature, "integrate_1d", spy_1d)
+    res = gauss._route_quadrature(cov4, lower, monomial)
+    assert res.converged
+    assert dims == nd_dims
+    assert len(n_1d) == calls_1d
+    # and it agrees with the reduction route
+    monkeypatch.undo()
+    est = truncated_moment(cov4, lower, monomial)
+    assert res.value == pytest.approx(est.value, rel=1e-6, abs=2e-6)
+
+
+def test_route_disagreement_raises(monkeypatch):
+    # a 1% error in one face factor of the reduction, on the edge probe's
+    # shape, is caught by the direct route
+    orig = gauss._face_factors
+
+    def skewed(cov, lower, tol):
+        f_vals, f_errs, evals, faces = orig(cov, lower, tol)
+        if len(lower) == 4:
+            f_vals = f_vals.copy()
+            f_vals[0] *= 1.01
+        return f_vals, f_errs, evals, faces
+
+    cov4 = np.array([[1.0, 0.5, -0.3, 0.2], [0.5, 1.0, 0.1, -0.4],
+                     [-0.3, 0.1, 0.8, 0.1], [0.2, -0.4, 0.1, 1.3]])
+    lower = [1.0, 0.5, 0.0, -np.inf]
+    truncated_moment(cov4, lower, (0, 0, 0, 1))
+    monkeypatch.setattr(gauss, "_face_factors", skewed)
+    with pytest.raises(ConsistencyError):
+        truncated_moment(cov4, lower, (0, 0, 0, 1))
 
 
 def test_first_moments_keep_the_region_gates():

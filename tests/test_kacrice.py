@@ -311,6 +311,19 @@ def test_narrow_ridge_interior_term():
     assert term.value.value == pytest.approx(1.3583102782213068e-11, rel=1e-8, abs=0.0)
 
 
+@pytest.mark.parametrize("scale", [0.3, 0.1, 0.05])
+def test_short_scale_ridge_sums_at_moderate_level(scale):
+    # the interior spot check's direct route gave up on these ridges at
+    # u = 3 while it integrated over 4 coordinates, two of them free; over
+    # the two bounded ones it converges and the check passes
+    k = SquaredExponential(scale)
+    mod = BivariateModel(k, k, ShiftMixture(0.5, 0.0, k))
+    res = kr.eec(mod, 3.0)
+    assert res.total.value > 0.0
+    assert not res.total.low_confidence
+    assert res.total.error < 1e-5 * res.total.value
+
+
 def test_eec_total_error_does_not_underflow():
     # every term error is ~1e-192 here; squaring them would underflow to 0
     res = kr.eec(fixture("diagonal"), 25.0)
