@@ -13,10 +13,14 @@ byte-identical file and parsing the output loses nothing.  Exit codes:
 (degeneracy, unconvergent quadrature, no matching closed form), 4 a
 violated agreement band in ``compare``.
 
-``simulate`` and ``compare`` reuse the given seed for every u value,
-so all rows of one table share a path ensemble and their sampling
-errors are positively correlated; ratios across rows are smoother than
-independent runs would give.
+``simulate`` and ``compare`` make one ``montecarlo.simulate`` call for
+all their u values: each block of paths is drawn once and read by every
+level and by both Monte Carlo estimators.  So all rows of one table
+share a path ensemble and their sampling errors are positively
+correlated; ratios across rows are smoother than independent runs would
+give.  ``simulate`` also reports the effective sample size of the
+excursion weights (the hit count under plain Monte Carlo), the rank of
+the path factor and its conditioning.
 """
 
 from __future__ import annotations
@@ -241,7 +245,8 @@ def _shift_for(mod):
 
 def _cmd_simulate(args):
     mod = _load_model(args)
-    shift = _shift_for(mod)
+    sim = montecarlo.simulate(mod, args.u, args.grid, args.reps, args.seed,
+                              shift=_shift_for(mod))
     header = (
         "u",
         "excursion_mc",
@@ -249,14 +254,15 @@ def _cmd_simulate(args):
         "excursion_method",
         "eec_mc",
         "eec_stderr",
+        "ess",
+        "factor_rank",
+        "factorization_cond",
     )
-    rows = []
-    for u in args.u:
-        exc = montecarlo.estimate_joint_excursion(
-            mod, u, args.grid, args.reps, args.seed, shift=shift
-        )
-        eec_est = montecarlo.estimate_eec(mod, u, args.grid, args.reps, args.seed)
-        rows.append((u, exc.value, exc.error, exc.method, eec_est.value, eec_est.error))
+    rows = [
+        (u, lv.excursion.value, lv.excursion.error, lv.excursion.method, lv.eec.value,
+         lv.eec.error, lv.ess, sim.rank, sim.factorization_cond)
+        for u, lv in zip(args.u, sim.levels)
+    ]
     return header, rows, 0
 
 
@@ -265,6 +271,10 @@ def _cmd_compare(args):
     restricted = args.theorem == "3.3-restricted"
     cls = asymptotics.classify(mod)
     term = _closed_form_term(mod, cls)
+    for u in args.u:
+        if u <= 0.0:
+            raise ArgumentError("compare needs u > 0, got %g" % u)
+    sim = montecarlo.simulate(mod, args.u, args.grid, args.reps, args.seed)
     header = (
         "u",
         "closed_form",
@@ -276,12 +286,10 @@ def _cmd_compare(args):
     )
     rows = []
     violations = []
-    for u in args.u:
-        if u <= 0.0:
-            raise ArgumentError("compare needs u > 0, got %g" % u)
+    for u, lv in zip(args.u, sim.levels):
         cf = term.evaluate(u)
         ee = kacrice.eec(mod, u, restricted=restricted, rel_tol=args.tol_quad).total.value
-        mc = montecarlo.estimate_eec(mod, u, args.grid, args.reps, args.seed)
+        mc = lv.eec
         ratio_cf = cf / ee if ee != 0.0 else math.nan
         ratio_mc = ee / mc.value if mc.value != 0.0 else math.nan
         rows.append((u, cf, ee, mc.value, mc.error, ratio_cf, ratio_mc))
@@ -290,7 +298,12 @@ def _cmd_compare(args):
                 "u=%g: ratio_cf_eec %.6g outside [%g, %g]"
                 % (u, ratio_cf, RATIO_BAND[0], RATIO_BAND[1])
             )
-        if mc.error > 0.0 and abs(ee - mc.value) > MC_SIGMA * mc.error:
+        if mc.error == 0.0:
+            reason = ("saw no excursion" if mc.value == 0.0
+                      else "has no standard error")
+            print(f"compare: u={u:g}: Monte Carlo {reason} in {mc.n} replicates; "
+                  "its check was skipped", file=sys.stderr)
+        elif abs(ee - mc.value) > MC_SIGMA * mc.error:
             violations.append(
                 "u=%g: |eec_numeric - mc_estimate| = %.6g exceeds %g standard errors"
                 % (u, abs(ee - mc.value), MC_SIGMA)

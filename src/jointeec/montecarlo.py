@@ -12,6 +12,12 @@ Replicates come in blocks of _BLOCK; block b draws from the Philox
 stream keyed by (seed, b) and is reduced before the next is drawn, so
 memory stays bounded and a run of r replicates is bit-identical to the
 first r replicates of any longer run with the same seed.
+
+`simulate` is the one draw-and-reduce loop: one call factors the grid
+covariance once and draws and multiplies each block once, and every
+requested level reads both the excursion and the EEC estimate from that
+block.  `estimate_eec` and `estimate_joint_excursion` are its one-level
+reads; `sample_paths` returns the paths themselves.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ __all__ = [
     "PathBatch",
     "sample_paths",
     "count_excursion_components",
+    "LevelEstimates",
+    "Simulation",
+    "simulate",
     "estimate_eec",
     "estimate_joint_excursion",
 ]
@@ -89,8 +98,8 @@ def _factor(model, grid_n: int, reps: int):
     return (grid, *_pivoted_cholesky(model, grid))
 
 
-def _blocks(factor: np.ndarray, reps: int, seed: int, tilt=0.0):
-    """Yield (z, (z + tilt) F^T) block by block, z standard normal from the
+def _blocks(factor: np.ndarray, reps: int, seed: int):
+    """Yield (z, z F^T) block by block, z standard normal from the
     Philox stream keyed by (seed, block).  A short last block is drawn and
     multiplied in full: a matrix product's rounding may depend on its
     shape (a single row goes to a matrix-vector kernel)."""
@@ -98,7 +107,7 @@ def _blocks(factor: np.ndarray, reps: int, seed: int, tilt=0.0):
     for b, start in enumerate(range(0, reps, _BLOCK)):
         key = np.array([seed & 0xFFFFFFFFFFFFFFFF, b], dtype=np.uint64)
         z = np.random.Generator(np.random.Philox(key=key)).standard_normal((_BLOCK, k))
-        paths = (z + tilt) @ factor.T
+        paths = z @ factor.T
         m = min(_BLOCK, reps - start)
         yield z[:m], paths[:m]
 
@@ -133,23 +142,125 @@ def _counts(paths: np.ndarray, u: float) -> np.ndarray:
     return starts
 
 
-def estimate_eec(
-    model: model_mod.BivariateModel, u: float, grid_n: int, reps: int, seed: int
-) -> Estimate:
-    """Mean of chi(X-path) * chi(Y-path): the Euler characteristic of a
-    product set is the product of the factors' characteristics."""
-    _, factor, _ = _factor(model, grid_n, reps)
-    prod = np.concatenate([_counts(p[:, :grid_n], u) * _counts(p[:, grid_n:], u)
-                           for _, p in _blocks(factor, reps, seed)])
+def _conditional_mean_path(model, grid, t_star, s_star, u):
+    rho = model_mod.cross_eval(model, t_star, s_star, 0, 0)
+    weights = np.linalg.solve([[1.0, rho], [rho, 1.0]], [u, u])
+    return model_mod.joint_grid_cov(model, grid, [("X", t_star), ("Y", s_star)]) @ weights
+
+
+def _tilt(model, grid, factor, shift, u):
+    """(w, u - F w, |w|^2 / 2) for the w with F w = m, m the conditional
+    mean path given X(t*)=Y(s*)=u; a residual above _TILT_TOL raises."""
+    m = _conditional_mean_path(model, grid, float(shift[0]), float(shift[1]), u)
+    w = np.linalg.lstsq(factor, m, rcond=None)[0]
+    fw = factor @ w
+    resid = float(np.linalg.norm(fw - m) / np.linalg.norm(m))
+    if not resid <= _TILT_TOL:
+        raise DegeneracyError(f"conditional mean path lies outside the span of the "
+                              f"rank-{factor.shape[1]} factor: relative residual {resid:.1e}")
+    return w, u - fw, 0.5 * float(w @ w)
+
+
+@dataclass(frozen=True)
+class LevelEstimates:
+    u: float
+    excursion: Estimate
+    eec: Estimate
+    ess: float  # (sum of weights)^2 / sum of squared weights; the hit count when unweighted
+
+
+@dataclass(frozen=True)
+class Simulation:
+    levels: tuple[LevelEstimates, ...]
+    rank: int
+    factorization_cond: float  # (first pivot / last kept pivot)^2
+
+
+def _excursion_estimate(contrib: np.ndarray, reps: int, tilted: bool):
+    value = float(np.mean(contrib))
+    total = float(np.sum(contrib))
+    sq = float(np.sum(contrib * contrib))
+    ess = total * total / sq if sq > 0.0 else 0.0
+    if not tilted:
+        stderr = math.sqrt(max(value * (1.0 - value), 0.0) / reps)
+        return Estimate(value, stderr, reps, PLAIN_MC), ess
+    stderr = float(np.std(contrib, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    est = Estimate(
+        value,
+        stderr,
+        reps,
+        IMPORTANCE_SAMPLED,
+        low_confidence=ess < 100.0,
+        notes=(f"effective sample size {ess:.1f}",),
+    )
+    return est, ess
+
+
+def _eec_estimate(prod: np.ndarray, reps: int) -> Estimate:
     value = float(np.mean(prod))
     stderr = float(np.std(prod, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return Estimate(value, stderr, reps, PLAIN_MC)
 
 
-def _conditional_mean_path(model, grid, t_star, s_star, u):
-    rho = model_mod.cross_eval(model, t_star, s_star, 0, 0)
-    weights = np.linalg.solve([[1.0, rho], [rho, 1.0]], [u, u])
-    return model_mod.joint_grid_cov(model, grid, [("X", t_star), ("Y", s_star)]) @ weights
+def simulate(
+    model: model_mod.BivariateModel,
+    levels,
+    grid_n: int,
+    reps: int,
+    seed: int,
+    shift: tuple[float, float] | None = None,
+) -> Simulation:
+    """P{max X >= u, max Y >= u} and the mean of chi(X-path) * chi(Y-path)
+    on the grid, at every u in `levels`, from one factor and one draw of
+    each block: every level and both estimates read the same paths.
+
+    The Euler characteristic of a product set is the product of the
+    factors' characteristics.  It is 0 unless both halves reach u, so the
+    component counts are taken on those rows only.
+
+    With shift=(t*, s*) the excursion estimate is importance sampled: the
+    sampling mean is tilted to the conditional mean path m given
+    X(t*)=Y(s*)=u and each replicate carries the exact Gaussian likelihood
+    ratio; effective sample size below 100 flags the estimate as low
+    confidence.  The tilt is the w with F w = m, one per level.  The
+    tilted path (z + w) F^T reaches u where z F^T >= u - F w, and the
+    ratio of the draw z + w is exp(-z.w - |w|^2/2).  The EEC estimate is
+    always plain."""
+    levels = tuple(float(u) for u in levels)
+    if not levels:
+        raise ArgumentError("levels must be nonempty")
+    grid, factor, cond = _factor(model, grid_n, reps)
+    tilts = [None if shift is None else _tilt(model, grid, factor, shift, u) for u in levels]
+    contribs = [[] for _ in levels]
+    prods = [[] for _ in levels]
+    for z, p in _blocks(factor, reps, seed):
+        x, y = p[:, :grid_n], p[:, grid_n:]
+        x_max, y_max = x.max(axis=1), y.max(axis=1)
+        for u, tilt, contrib, prod in zip(levels, tilts, contribs, prods):
+            both = (x_max >= u) & (y_max >= u)
+            chi = np.zeros(len(p), dtype=np.int64)
+            chi[both] = _counts(x[both], u) * _counts(y[both], u)
+            prod.append(chi)
+            if tilt is None:
+                contrib.append(both.astype(np.float64))
+                continue
+            w, thr, half_ww = tilt
+            # one half-width mask at a time: a full-width one would sit beside p
+            hit = (x >= thr[:grid_n]).any(axis=1)
+            hit &= (y >= thr[grid_n:]).any(axis=1)
+            contrib.append(np.where(hit, np.exp(-z @ w - half_ww), 0.0))
+    out = []
+    for u, tilt, contrib, prod in zip(levels, tilts, contribs, prods):
+        exc, ess = _excursion_estimate(np.concatenate(contrib), reps, tilt is not None)
+        out.append(LevelEstimates(u, exc, _eec_estimate(np.concatenate(prod), reps), ess))
+    return Simulation(tuple(out), factor.shape[1], cond)
+
+
+def estimate_eec(
+    model: model_mod.BivariateModel, u: float, grid_n: int, reps: int, seed: int
+) -> Estimate:
+    """Mean of chi(X-path) * chi(Y-path): `simulate` at the one level u."""
+    return simulate(model, (u,), grid_n, reps, seed).levels[0].eec
 
 
 def estimate_joint_excursion(
@@ -160,41 +271,6 @@ def estimate_joint_excursion(
     seed: int,
     shift: tuple[float, float] | None = None,
 ) -> Estimate:
-    """P{max X >= u, max Y >= u} on the grid.
-
-    With shift=(t*, s*) the sampling mean is tilted to the conditional
-    mean path m given X(t*)=Y(s*)=u and each replicate carries the exact
-    Gaussian likelihood ratio; effective sample size below 100 flags the
-    estimate as low confidence.  The tilt is the w with F w = m; the
-    ratio of the draw z + w is exp(-z.w - |w|^2/2), and 1 when w = 0."""
-    grid, factor, _ = _factor(model, grid_n, reps)
-    w = np.zeros(factor.shape[1])
-    if shift is not None:
-        m = _conditional_mean_path(model, grid, float(shift[0]), float(shift[1]), u)
-        w = np.linalg.lstsq(factor, m, rcond=None)[0]
-        resid = float(np.linalg.norm(factor @ w - m) / np.linalg.norm(m))
-        if not resid <= _TILT_TOL:
-            raise DegeneracyError(f"conditional mean path lies outside the span of the "
-                                  f"rank-{factor.shape[1]} factor: relative residual {resid:.1e}")
-    half_ww = 0.5 * float(w @ w)
-    contrib = np.concatenate([
-        np.where((p[:, :grid_n].max(axis=1) >= u) & (p[:, grid_n:].max(axis=1) >= u),
-                 np.exp(-z @ w - half_ww), 0.0)
-        for z, p in _blocks(factor, reps, seed, tilt=w)
-    ])
-    value = float(np.mean(contrib))
-    if shift is None:
-        stderr = math.sqrt(max(value * (1.0 - value), 0.0) / reps)
-        return Estimate(value, stderr, reps, PLAIN_MC)
-    stderr = float(np.std(contrib, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    total = float(np.sum(contrib))
-    sq = float(np.sum(contrib * contrib))
-    ess = total * total / sq if sq > 0.0 else 0.0
-    return Estimate(
-        value,
-        stderr,
-        reps,
-        IMPORTANCE_SAMPLED,
-        low_confidence=ess < 100.0,
-        notes=(f"effective sample size {ess:.1f}",),
-    )
+    """P{max X >= u, max Y >= u} on the grid: `simulate` at the one level
+    u, importance sampled when `shift` is given."""
+    return simulate(model, (u,), grid_n, reps, seed, shift).levels[0].excursion

@@ -137,10 +137,27 @@ def test_simulate_columns():
                    "--grid", "128", "--reps", "500", "--seed", "9", check=True)
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == ("u,excursion_mc,excursion_stderr,excursion_method,"
-                       "eec_mc,eec_stderr")
+                       "eec_mc,eec_stderr,ess,factor_rank,factorization_cond")
     row = lines[1].split(",")
     assert row[3] in ("PlainMC", "ImportanceSampled")
     assert 0.0 < float(row[1]) < 1.0
+
+
+def test_simulate_rows_share_one_sweep():
+    # every level of one call reads the same draws: each row equals the
+    # single-level run of its u byte for byte, and the ess column is the
+    # effective sample size the excursion estimate notes
+    from jointeec import montecarlo
+    args = ("--model", "interior-point", "--grid", "128", "--reps", "1500", "--seed", "9")
+    multi = run_cli("simulate", "--u", "2,2.5,3", *args, check=True).stdout.splitlines()
+    assert len(multi) == 4
+    for u, row in zip(("2", "2.5", "3"), multi[1:]):
+        single = run_cli("simulate", "--u", u, *args, check=True).stdout.splitlines()
+        assert single == [multi[0], row]
+        est = montecarlo.estimate_joint_excursion(fixture("interior-point"), float(u), 128,
+                                                  1500, 9, shift=(0.5, 0.5))
+        assert est.notes == ("effective sample size %.1f" % float(row.split(",")[6]),)
+        assert row.split(",")[7] == "16"
 
 
 def test_compare_ok_below_band_level(tmp_path):
@@ -153,6 +170,20 @@ def test_compare_ok_below_band_level(tmp_path):
     assert lines[0] == ("u,closed_form,eec_numeric,mc_estimate,mc_stderr,"
                        "ratio_cf_eec,ratio_eec_mc")
     assert len(lines) == 2
+
+
+def test_compare_says_when_it_skips_the_monte_carlo_check():
+    # plain Monte Carlo sees no excursion at u = 3 and 4 in 500 replicates;
+    # its 0 +- 0 cannot bracket anything, and compare must say so rather
+    # than pass the level silently.  The exit code stays 0
+    proc = run_cli("compare", "--model", "interior-point", "--u", "3,4",
+                   "--grid", "128", "--reps", "500", "--seed", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"compare: u={u}: Monte Carlo saw no excursion in 500 replicates; "
+        "its check was skipped" for u in (3, 4)]
+    rows = [line.split(",") for line in proc.stdout.strip().splitlines()[1:]]
+    assert [(r[3], r[4]) for r in rows] == [("0", "0"), ("0", "0")]
 
 
 def test_compare_reruns_byte_identical(tmp_path):

@@ -255,3 +255,106 @@ def test_tilt_outside_factor_span_raises(monkeypatch):
     with pytest.raises(DegeneracyError, match="relative residual"):
         mc.estimate_joint_excursion(fixture("interior-point"), 3.0, 128, 100, 1,
                                     shift=(0.5, 0.5))
+
+
+# (fixture, maximizer) pairs for the sweep tests: an interior point, the
+# middle of the diagonal ridge and a corner
+SWEEP_CASES = (("interior-point", (0.5, 0.5)), ("diagonal", (0.5, 0.5)),
+               ("corner-nondegenerate", (0.0, 0.0)))
+
+
+def _tilted_reference(mod, u, grid_n, reps, seed, shift):
+    """The importance-sampled estimate with the tilted paths (z + w) F^T
+    formed in full, block by block from the same Philox streams."""
+    grid, factor, _ = mc._factor(mod, grid_n, reps)
+    m = mc._conditional_mean_path(mod, grid, shift[0], shift[1], u)
+    w = np.linalg.lstsq(factor, m, rcond=None)[0]
+    contrib = []
+    for b, start in enumerate(range(0, reps, mc._BLOCK)):
+        key = np.array([seed, b], dtype=np.uint64)
+        z = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+            (mc._BLOCK, factor.shape[1]))
+        p = (z + w) @ factor.T
+        n = min(mc._BLOCK, reps - start)
+        hit = (p[:n, :grid_n].max(axis=1) >= u) & (p[:n, grid_n:].max(axis=1) >= u)
+        contrib.append(np.where(hit, np.exp(-z[:n] @ w - 0.5 * float(w @ w)), 0.0))
+    return np.concatenate(contrib)
+
+
+@pytest.mark.parametrize("name, shift", SWEEP_CASES)
+def test_simulate_levels_equal_the_one_level_estimators(name, shift):
+    # one sweep over three unsorted levels, across a short last block,
+    # gives level by level exactly what the one-level runs and estimators
+    # give: value, error, method, flags and notes
+    mod = fixture(name)
+    levels, reps = (2.5, 1.5, 2.0), 2100
+    tilted = mc.simulate(mod, levels, 128, reps, 13, shift=shift)
+    plain = mc.simulate(mod, levels, 128, reps, 13)
+    assert tilted.rank == plain.rank == mc.sample_paths(mod, 128, 1, 13).rank
+    for u, lt, lp in zip(levels, tilted.levels, plain.levels):
+        assert lt.u == lp.u == u
+        assert mc.simulate(mod, (u,), 128, reps, 13, shift=shift).levels == (lt,)
+        assert mc.simulate(mod, (u,), 128, reps, 13).levels == (lp,)
+        assert lt.excursion == mc.estimate_joint_excursion(mod, u, 128, reps, 13, shift=shift)
+        assert lp.excursion == mc.estimate_joint_excursion(mod, u, 128, reps, 13)
+        assert lt.eec == lp.eec == mc.estimate_eec(mod, u, 128, reps, 13)
+        assert lt.excursion.method == "ImportanceSampled"
+        assert lt.excursion.notes == (f"effective sample size {lt.ess:.1f}",)
+        # unit weights: the effective sample size is the number of hits
+        assert lp.ess == round(lp.excursion.value * reps)
+
+
+@pytest.mark.parametrize("name, shift", SWEEP_CASES)
+def test_tilted_indicator_matches_the_tilted_paths(name, shift):
+    # the sweep never forms (z + w) F^T; it compares z F^T with u - F w
+    mod = fixture(name)
+    levels = (2.0, 3.0)
+    sim = mc.simulate(mod, levels, 128, 1500, 5, shift=shift)
+    for u, lv in zip(levels, sim.levels):
+        contrib = _tilted_reference(mod, u, 128, 1500, 5, shift)
+        assert np.count_nonzero(contrib) > 0
+        assert lv.excursion.value == float(np.mean(contrib))
+        assert lv.excursion.error == float(np.std(contrib, ddof=1) / np.sqrt(1500))
+
+
+def test_simulate_draws_each_block_once(monkeypatch):
+    # three levels at 1500 replicates: two Philox blocks and one factor,
+    # shared by every level and both estimators
+    calls = {"philox": 0, "factor": 0}
+    philox, pivoted = np.random.Philox, mc._pivoted_cholesky
+
+    def counting_philox(*args, **kwargs):
+        calls["philox"] += 1
+        return philox(*args, **kwargs)
+
+    def counting_factor(*args):
+        calls["factor"] += 1
+        return pivoted(*args)
+
+    monkeypatch.setattr(mc.np.random, "Philox", counting_philox)
+    monkeypatch.setattr(mc, "_pivoted_cholesky", counting_factor)
+    sim = mc.simulate(fixture("interior-point"), (2.0, 2.5, 3.0), 128, 1500, 3,
+                      shift=(0.5, 0.5))
+    assert len(sim.levels) == 3
+    assert calls == {"philox": 2, "factor": 1}
+
+
+def test_eec_row_filter_matches_counts_on_every_row():
+    # the component counts are taken only on rows where both halves reach
+    # u; at levels only a few rows cross (4 and 2 here, one of them with
+    # its lower maximum 0.03 above 2.25), the mean must still be that of
+    # the count products over all the paths
+    mod = fixture("interior-point")
+    levels, reps = (2.25, 2.75), mc._BLOCK + 476
+    batch = mc.sample_paths(mod, 128, reps, 4)
+    sim = mc.simulate(mod, levels, 128, reps, 4)
+    for u, lv in zip(levels, sim.levels):
+        prod = mc._counts(batch.x_paths, u) * mc._counts(batch.y_paths, u)
+        assert 0 < np.count_nonzero(prod) <= 10
+        assert lv.eec.value == float(np.mean(prod))
+        assert lv.eec.error == float(np.std(prod, ddof=1) / np.sqrt(reps))
+
+
+def test_simulate_rejects_no_levels():
+    with pytest.raises(ArgumentError):
+        mc.simulate(fixture("diagonal"), (), 128, 10, 1)
