@@ -54,8 +54,9 @@ class RegimeError(EecError):
 class ConsistencyError(EecError):
     """Two independent computations of the same quantity disagree.
 
-    Raised by the dual-route truncated-moment evaluation; carries both
-    values so the disagreement can be inspected.
+    Raised by the face-pair spot checks (integrand against the direct
+    cubature of its truncated moment); carries both values so the
+    disagreement can be inspected.
     """
 
     def __init__(self, message: str, value_a: float, value_b: float):
@@ -115,7 +116,7 @@ class Tolerances:
     model_psd_floor: float = -1e-8       # grid-factorization PSD verdict for models
 
     # Gaussian integrals
-    moment_consistency_tol: float = 1e-5 # max |route_i - route_ii| for truncated moments
+    moment_consistency_tol: float = 1e-5 # max |integrand - direct cubature| at a spot check
     tail_rel_tol: float = 1e-8           # relative target for the exact corner-tail integral
 
     # classification / geometry

@@ -2,9 +2,9 @@
 
 Contents: the standard normal CDF, conditioning (Schur complements with
 named pivots), survival CDFs P{xi >= lower} for dims 1-4, truncated
-moments of degree <= 2 computed by two independent routes and
-cross-checked, the exact corner tail double integral, and its closed
-asymptotic form.
+moments of degree <= 2 by direct cubature (the independent reference the
+face-pair integrands are spot-checked against), the exact corner tail
+double integral, and its closed asymptotic form.
 
 The normal CDF is written as Phi(-h) = exp(-h^2 / 2) R(h) for h >= 0,
 with R the Mills ratio over sqrt(2 pi) taken from piecewise polynomials
@@ -32,21 +32,12 @@ from .common import (
     QUADRATURE,
     AccuracyError,
     ArgumentError,
-    ConsistencyError,
     DegeneracyError,
     Estimate,
     RegimeError,
-    Tolerances,
     UnsupportedDimensionError,
     DEFAULT_TOL,
 )
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-def _phi(x):
-    return np.exp(-0.5 * np.square(x)) / _SQRT2PI
-
 
 # ---------------------------------------------------------------------------
 # the normal CDF
@@ -178,7 +169,7 @@ def _cholesky_named(mat: np.ndarray, labels, floor: float) -> np.ndarray:
     return low
 
 
-def condition(cov, observed_idx, tol: Tolerances = DEFAULT_TOL) -> ConditionalLaw:
+def condition(cov, observed_idx) -> ConditionalLaw:
     """Split a covariance into the law of the rest given the observed block."""
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
@@ -191,13 +182,13 @@ def condition(cov, observed_idx, tol: Tolerances = DEFAULT_TOL) -> ConditionalLa
     s_oo = cov[np.ix_(obs, obs)]
     s_uo = cov[np.ix_(uno, obs)]
     s_uu = cov[np.ix_(uno, uno)]
-    low = _cholesky_named(s_oo, obs, tol.observed_pivot_floor)
+    low = _cholesky_named(s_oo, obs, DEFAULT_TOL.observed_pivot_floor)
     # mean_map = S_uo S_oo^{-1} via two triangular solves
     half = np.linalg.solve(low, s_uo.T)          # L^{-1} S_ou
     mean_map = np.linalg.solve(low.T, half).T
     residual = s_uu - half.T @ half
     asym = float(np.max(np.abs(residual - residual.T))) if residual.size else 0.0
-    if asym > tol.symmetry_tol:
+    if asym > DEFAULT_TOL.symmetry_tol:
         raise DegeneracyError(f"residual covariance asymmetric by {asym:.3e}")
     residual = 0.5 * (residual + residual.T)
     return ConditionalLaw(mean_map, residual, obs, uno)
@@ -396,7 +387,7 @@ def _orthant_region(cov, lower):
     if cov.shape != (n, n) or lower.shape != (n,):
         raise ArgumentError("cov must be square and lower of matching length")
     if n < 1 or n > 4:
-        raise UnsupportedDimensionError(f"mvn_cdf supports dims 1..4, got {n}")
+        raise UnsupportedDimensionError(f"Gaussian regions of dims 1..4 only, got {n}")
     if np.any(np.isposinf(lower)):
         return Estimate(0.0, 0.0, 0, QUADRATURE)
     keep = ~np.isneginf(lower)
@@ -440,7 +431,7 @@ def mvn_cdf(cov, lower) -> Estimate:
 
 
 # ---------------------------------------------------------------------------
-# truncated moments, two independent routes
+# truncated moments by direct cubature
 
 def _density_eval(cov: np.ndarray):
     """The N(0, cov) density on (m, n) point batches.  The Cholesky factor
@@ -514,133 +505,24 @@ def _route_quadrature(cov: np.ndarray, lower: np.ndarray, monomial,
                                    max_evals=max_evals)
 
 
-def _face_factors(cov: np.ndarray, lower: np.ndarray, tol: Tolerances):
-    """Density-weighted face integrals F_j: the marginal density of
-    coordinate j at its bound times the conditional survival CDF of the
-    remaining region.  Returns (F values, error bound, evaluation count,
-    faces), where faces holds (j, density, conditional law of the rest,
-    its conditional mean, its shifted thresholds, their survival) for each
-    finite bound, so a caller conditions on each coordinate once; in
-    dimension 1 the last four are None."""
-    n = cov.shape[0]
-    f_vals = np.zeros(n)
-    f_errs = np.zeros(n)
-    evals = 0
-    faces = []
-    for j in range(n):
-        if not np.isfinite(lower[j]):
-            continue
-        sdj = math.sqrt(cov[j, j])
-        dens = float(_phi(lower[j] / sdj)) / sdj
-        if n == 1:
-            f_vals[j] = dens
-            faces.append((j, dens, None, None, None, None))
-            continue
-        law = condition(cov, (j,), tol)
-        mu = law.mean_map[:, 0] * lower[j]
-        rest = np.array([lower[i] for i in law.unobserved_idx]) - mu
-        sub = mvn_cdf(law.residual_cov, rest)
-        f_vals[j] = dens * sub.value
-        f_errs[j] = dens * sub.error
-        evals += sub.n
-        faces.append((j, dens, law, mu, rest, sub))
-    return f_vals, f_errs, evals, faces
-
-
-def truncated_moments(cov, lower, monomials,
-                      tol: Tolerances = DEFAULT_TOL) -> list[Estimate]:
-    """E{ prod_j xi_j^monomial_j * 1{xi >= lower} } for several monomials.
-
-    Route one reduces to lower-dimensional CDFs (moment identities for
-    the truncated Gaussian); route two integrates the truncated density
-    directly, over the bounded coordinates (_route_quadrature).  Route two
-    runs for every monomial; disagreement beyond
-    tol.moment_consistency_tol raises.  Route one computes each shared
-    piece once, and only when a monomial reads it: the region's orthant
-    probability for degrees 0 and 2 (first moments never read it, but the
-    region still passes mvn_cdf's shape, diagonal and PSD gates), and the
-    conditional law given each bounded coordinate for degrees 1 and 2.
-    """
+def truncated_moment(cov, lower, monomial) -> Estimate:
+    """E{ prod_j xi_j^monomial_j * 1{xi >= lower} } for centered
+    xi ~ N(0, cov), dim <= 4, degree <= 2, by direct cubature over the
+    bounded coordinates (_route_quadrature).  The region passes mvn_cdf's
+    gates first; a cubature that misses its tolerance raises AccuracyError."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    _orthant_region(cov, lower)
     n = cov.shape[0]
-    if n < 1 or n > 4:
-        raise UnsupportedDimensionError(f"truncated moments support dims 1..4, got {n}")
-    monomials = [tuple(int(p) for p in m) for m in monomials]
-    for m in monomials:
-        if len(m) != n or any(p < 0 for p in m) or sum(m) > 2:
-            raise ArgumentError(f"bad monomial {m} for dimension {n}")
-
-    degrees = [sum(m) for m in monomials]
-    prob = None
-    evals = 0
-    if any(d != 1 for d in degrees):
-        prob = mvn_cdf(cov, lower)
-        evals = prob.n
-    else:
-        _orthant_region(cov, lower)
-
-    first = first_err = faces = None
-    if any(d >= 1 for d in degrees):
-        f_vals, f_errs, ev, faces = _face_factors(cov, lower, tol)
-        evals += ev
-        first = cov @ f_vals
-        first_err = np.abs(cov) @ f_errs
-
-    second = second_err = None
-    if 2 in degrees:
-        hmat = np.zeros((n, n))
-        herr = np.zeros((n, n))
-        for j, dens, law, mu, rest, sub_p in faces:
-            if law is None:
-                hmat[0, 0] = dens * lower[0]
-                continue
-            sub_f, sub_fe, ev, _ = _face_factors(law.residual_cov, rest, tol)
-            evals += ev
-            centered = law.residual_cov @ sub_f
-            centered_err = np.abs(law.residual_cov) @ sub_fe
-            for pos, k in enumerate(law.unobserved_idx):
-                hmat[j, k] = dens * (mu[pos] * sub_p.value + centered[pos])
-                herr[j, k] = dens * (abs(mu[pos]) * sub_p.error + centered_err[pos])
-            hmat[j, j] = dens * lower[j] * sub_p.value
-            herr[j, j] = dens * abs(lower[j]) * sub_p.error
-        second = np.zeros((n, n))
-        second_err = np.zeros((n, n))
-        for i in range(n):
-            for k in range(n):
-                second[i, k] = cov[i, k] * prob.value + cov[i, :] @ hmat[:, k]
-                second_err[i, k] = (abs(cov[i, k]) * prob.error
-                                    + np.abs(cov[i, :]) @ herr[:, k])
-
-    out: list[Estimate] = []
-    for m, deg in zip(monomials, degrees):
-        if deg == 0:
-            val, err = prob.value, prob.error
-        elif deg == 1:
-            i = next(idx for idx, p in enumerate(m) if p)
-            val, err = float(first[i]), float(first_err[i])
-        else:
-            pair = [idx for idx, p in enumerate(m) for _ in range(p)]
-            i, k = pair[0], pair[1]
-            val, err = float(second[i, k]), float(second_err[i, k])
-        check = _route_quadrature(cov, lower, m)
-        if not check.converged:
-            raise AccuracyError(
-                f"direct-quadrature route for moment {m} did not converge",
-                best_value=check.value, achieved_error=check.error)
-        evals_m = evals + check.n_evals
-        gap = abs(val - check.value)
-        if gap > tol.moment_consistency_tol:
-            raise ConsistencyError(
-                f"truncated moment {m} disagrees between reduction "
-                f"({val:.9e}) and direct quadrature ({check.value:.9e})",
-                value_a=val, value_b=check.value)
-        out.append(Estimate(val, max(err, gap), evals_m, QUADRATURE))
-    return out
-
-
-def truncated_moment(cov, lower, monomial, tol: Tolerances = DEFAULT_TOL) -> Estimate:
-    return truncated_moments(cov, lower, [monomial], tol)[0]
+    m = tuple(int(p) for p in monomial)
+    if len(m) != n or any(p < 0 for p in m) or sum(m) > 2:
+        raise ArgumentError(f"bad monomial {m} for dimension {n}")
+    res = _route_quadrature(cov, lower, m)
+    if not res.converged:
+        raise AccuracyError(
+            f"direct-quadrature route for moment {m} did not converge",
+            best_value=res.value, achieved_error=res.error)
+    return Estimate(res.value, res.error, res.n_evals, QUADRATURE)
 
 
 # ---------------------------------------------------------------------------

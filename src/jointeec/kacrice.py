@@ -13,9 +13,9 @@ second truncated moment.  Those are evaluated in closed form through
 face-factor identities (E{xi 1_A} = Sigma G with G the density-weighted
 conditional survivals), vectorized over quadrature nodes, with every
 conditional covariance written out entrywise.  Each integrated term is
-additionally spot-checked at one node against the dual-route moment
-evaluator in gauss, which recomputes the same quantity by an independent
-cubature.  The probe is the rule's own centre node, t = 0.5 for the
+additionally spot-checked at one node against gauss.truncated_moment,
+which recomputes the same quantity by direct cubature of the truncated
+density.  The probe is the rule's own centre node, t = 0.5 for the
 Gauss-Kronrod rule and (0.5, 0.5) for the cubature, and the value checked
 is the one the rule computed there in its first batch.
 
@@ -349,10 +349,10 @@ def interior_interior_integrand(model: model_mod.BivariateModel, t, s, u: float)
 
 
 # ---------------------------------------------------------------------------
-# spot checks: one node per integrated term is recomputed through the
-# dual-route moment evaluator (reduction vs direct cubature) in gauss.  The
-# integrand value compared is the one the rule computed at that node in its
-# first batch, so a check makes no integrand call of its own.
+# spot checks: one node per integrated term is recomputed by the direct
+# cubature of gauss.truncated_moment.  The integrand value compared is the
+# one the rule computed at that node in its first batch, so a check makes
+# no integrand call of its own.
 
 def _keeping_first_batch(f, store):
     """f, also appending the nodes and values of its first call to store."""
@@ -377,39 +377,35 @@ def _value_at(store, probe):
     return float(vals[i])
 
 
+def _check_against_cubature(what, value_at_probe, ref):
+    if abs(ref - value_at_probe) > DEFAULT_TOL.moment_consistency_tol:
+        raise ConsistencyError(
+            f"{what} disagrees with the direct cubature of its truncated "
+            f"moment: {value_at_probe:.9e} vs {ref:.9e}",
+            value_a=value_at_probe,
+            value_b=ref,
+        )
+
+
 def _spot_check_edge(model, s0, u, constrain, first_batch, probe_t=0.5):
-    value_at_probe = _value_at(first_batch, probe_t)
     es = _EPS["Left"] if s0 == 0.0 else _EPS["Right"]
     cov4 = _dense(_edge_conditional(model, probe_t, s0, es))
     lower = np.array([u, u, 0.0, -np.inf]) if constrain else np.array(
         [u, u, -np.inf, -np.inf]
     )
     mom = gauss.truncated_moment(cov4, lower, (0, 0, 0, 1))
-    ref = mom.value / math.sqrt(2.0 * math.pi * model.lambda1)
-    gap = abs(ref - value_at_probe)
-    if gap > DEFAULT_TOL.moment_consistency_tol:
-        raise ConsistencyError(
-            "edge integrand disagrees with the dual-route moment evaluator "
-            f"at t={probe_t}: {value_at_probe:.9e} vs {ref:.9e}",
-            value_a=value_at_probe,
-            value_b=ref,
-        )
+    _check_against_cubature(f"edge integrand at t={probe_t}",
+                            _value_at(first_batch, probe_t),
+                            mom.value / math.sqrt(2.0 * math.pi * model.lambda1))
 
 
 def _spot_check_interior(model, u, first_batch, probe=(0.5, 0.5)):
-    value_at_probe = _value_at(first_batch, probe)
     c, dens0 = _interior_conditional(model, probe[0], probe[1])
     lower = np.array([u, u, -np.inf, -np.inf])
     mom = gauss.truncated_moment(_dense(c), lower, (0, 0, 1, 1))
-    ref = float(dens0[0]) * mom.value
-    gap = abs(ref - value_at_probe)
-    if gap > DEFAULT_TOL.moment_consistency_tol:
-        raise ConsistencyError(
-            "interior integrand disagrees with the dual-route moment evaluator "
-            f"at (t,s)={probe}: {value_at_probe:.9e} vs {ref:.9e}",
-            value_a=value_at_probe,
-            value_b=ref,
-        )
+    _check_against_cubature(f"interior integrand at (t,s)={probe}",
+                            _value_at(first_batch, probe),
+                            float(dens0[0]) * mom.value)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +423,8 @@ def face_pair_integral(
     """One term of the face-pair sum, with its sign (-1)^(k+l).
 
     Every integrated term must converge and is spot-checked at the centre
-    node of the rule's first batch against the dual-route moment
-    evaluator."""
+    node of the rule's first batch against the direct cubature of its
+    truncated moment (gauss.truncated_moment)."""
     if rel_tol is None:
         rel_tol = DEFAULT_TOL.quad_rel_tol
     k = int(face_x == "Interior") + int(face_y == "Interior")
@@ -527,7 +523,9 @@ def eec(
     breakdown.
 
     The full sum integrates all nine pairs whatever the shape of r; only
-    the restricted sum classifies the model, to find its maximizer."""
+    the restricted sum classifies the model, to find its maximizer.  A sum
+    whose every term is exactly 0.0 has underflowed, not converged: it is
+    returned low-confidence with a note."""
     if restricted:
         classification = asymptotics.classify(model)
         pairs, constrain_x, constrain_y = _restricted_pairs(
@@ -553,8 +551,13 @@ def eec(
     err = math.hypot(*(t.value.error for t in terms))  # no underflow of tiny errors
     n = sum(t.value.n for t in terms)
     low_conf = any(t.value.error > 1e-4 * abs(total) for t in terms)
+    notes = ()
+    if all(t.value.value == 0.0 for t in terms):
+        low_conf = True
+        notes = (f"every face-pair term underflowed to 0.0 at u={u:g}",)
     return EecResult(
-        total=Estimate(total, err, n, QUADRATURE, low_confidence=low_conf),
+        total=Estimate(total, err, n, QUADRATURE, low_confidence=low_conf,
+                       notes=notes),
         terms=terms,
         u=u,
     )

@@ -18,8 +18,8 @@ from scipy.special import ndtr
 
 from jointeec import gauss, quadrature
 from jointeec.common import (
+    AccuracyError,
     ArgumentError,
-    ConsistencyError,
     DegeneracyError,
     RegimeError,
     UnsupportedDimensionError,
@@ -30,7 +30,6 @@ from jointeec.gauss import (
     mills_ratio_asymptotic,
     mvn_cdf,
     truncated_moment,
-    truncated_moments,
 )
 
 # frozen reference probabilities
@@ -384,28 +383,24 @@ M2D_ANISO = {
 def test_truncated_moments_2d_reference():
     cov = np.array([[1.0, 0.6], [0.6, 1.0]])
     low = np.array([0.5, -0.3])
-    monos = sorted(M2D)
-    ests = truncated_moments(cov, low, monos)
-    for mono, est in zip(monos, ests):
-        assert est.value == pytest.approx(M2D[mono], rel=2e-5), mono
+    for mono, ref in M2D.items():
+        assert truncated_moment(cov, low, mono).value == pytest.approx(ref, rel=2e-5), mono
 
 
 def test_truncated_moments_2d_anisotropic():
     cov = np.array([[2.0, -0.5], [-0.5, 0.8]])
     low = np.array([1.0, 0.2])
-    monos = sorted(M2D_ANISO)
-    ests = truncated_moments(cov, low, monos)
-    for mono, est in zip(monos, ests):
-        assert est.value == pytest.approx(M2D_ANISO[mono], rel=2e-5), mono
+    for mono, ref in M2D_ANISO.items():
+        assert truncated_moment(cov, low, mono).value == pytest.approx(ref, rel=2e-5), mono
 
 
 def test_truncated_moments_3d_first_order():
     cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.5, -0.4], [0.2, -0.4, 1.2]])
     low = np.array([0.3, -0.5, 0.8])
-    ests = truncated_moments(cov, low, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    monos = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     refs = (0.0742699792561437, 0.0856659565576165, 0.0428141772670615, 0.105193380081632)
-    for est, ref in zip(ests, refs):
-        assert est.value == pytest.approx(ref, rel=5e-5)
+    for mono, ref in zip(monos, refs):
+        assert truncated_moment(cov, low, mono).value == pytest.approx(ref, rel=5e-5)
 
 
 def test_truncated_moment_degenerate_monomial_is_probability():
@@ -420,41 +415,18 @@ def test_truncated_moments_untruncated_reduction():
     # with all bounds at -inf the moments are plain Gaussian moments
     cov = np.array([[1.3, 0.4], [0.4, 0.9]])
     low = np.array([-np.inf, -np.inf])
-    ests = truncated_moments(cov, low, [(1, 0), (2, 0), (1, 1), (0, 2)])
-    refs = (0.0, 1.3, 0.4, 0.9)
-    for est, ref in zip(ests, refs):
-        assert est.value == pytest.approx(ref, abs=5e-6)
+    for mono, ref in zip([(1, 0), (2, 0), (1, 1), (0, 2)], (0.0, 1.3, 0.4, 0.9)):
+        assert truncated_moment(cov, low, mono).value == pytest.approx(ref, abs=5e-6)
 
 
-def test_first_moments_skip_the_region_orthant(monkeypatch):
-    # a first moment is sum_j cov[i, j] F_j and never reads the region's own
-    # orthant probability; only the (d-1)-dimensional face orthants are asked
-    # for.  The values are the ones computed with that probability in place.
-    asked = []
-    orig = gauss.mvn_cdf
-
-    def spy(cov, lower):
-        asked.append(np.shape(cov))
-        return orig(cov, lower)
-
-    monkeypatch.setattr(gauss, "mvn_cdf", spy)
-    cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.5, -0.4], [0.2, -0.4, 1.2]])
-    ests = truncated_moments(cov, [0.3, -0.5, 0.8], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert [e.value for e in ests] == [
-        0.08566595655762065, 0.04281417726706376, 0.10519338008163688]
-    assert asked == [(2, 2)] * 3  # one per face, none for the region
-    asked.clear()
-    # the edge spot check's shape: a 4-d covariance with one free coordinate
-    cov4 = np.array([[1.0, 0.5, -0.3, 0.2], [0.5, 1.0, 0.1, -0.4],
-                     [-0.3, 0.1, 0.8, 0.1], [0.2, -0.4, 0.1, 1.3]])
-    est = truncated_moment(cov4, [1.0, 0.5, 0.0, -np.inf], (0, 0, 0, 1))
-    assert est.value == 0.008535888088452862
-    assert asked == [(3, 3)] * 3
-    # the value pinned with scipy's normal tail, 3 ulp away, is reproduced
-    # bit for bit when that tail is put back
-    monkeypatch.setattr(gauss, "ndtr", ndtr)
-    est = truncated_moment(cov4, [1.0, 0.5, 0.0, -np.inf], (0, 0, 0, 1))
-    assert est.value == 0.008535888088452856
+# the moments below by the Tallis reduction (moment identities over
+# lower-dimensional orthants), an independent computation, by monomial
+TALLIS_4D = {
+    (0, 0, 0, 1): 0.008535888088452862,
+    (0, 0, 1, 1): 3.938842976506697e-05,
+    (0, 1, 0, 1): -0.03926502912066848,
+    (0, 1, 1, 0): 0.1,
+}
 
 
 @pytest.mark.parametrize("lower, monomial, nd_dims, calls_1d", [
@@ -469,7 +441,6 @@ def test_direct_route_integrates_the_bounded_coordinates(monkeypatch, lower, mon
     # its cubature has one dimension per finite bound
     cov4 = np.array([[1.0, 0.5, -0.3, 0.2], [0.5, 1.0, 0.1, -0.4],
                      [-0.3, 0.1, 0.8, 0.1], [0.2, -0.4, 0.1, 1.3]])
-    lower = np.array(lower)
     dims, n_1d = [], []
     orig_nd, orig_1d = quadrature.integrate_nd, quadrature.integrate_1d
 
@@ -483,54 +454,43 @@ def test_direct_route_integrates_the_bounded_coordinates(monkeypatch, lower, mon
 
     monkeypatch.setattr(quadrature, "integrate_nd", spy_nd)
     monkeypatch.setattr(quadrature, "integrate_1d", spy_1d)
-    res = gauss._route_quadrature(cov4, lower, monomial)
-    assert res.converged
+    est = truncated_moment(cov4, lower, monomial)
     assert dims == nd_dims
     assert len(n_1d) == calls_1d
-    # and it agrees with the reduction route
-    monkeypatch.undo()
-    est = truncated_moment(cov4, lower, monomial)
-    assert res.value == pytest.approx(est.value, rel=1e-6, abs=2e-6)
+    assert est.value == pytest.approx(TALLIS_4D[monomial], rel=1e-6, abs=2e-6)
 
 
-def test_route_disagreement_raises(monkeypatch):
-    # a 1% error in one face factor of the reduction, on the edge probe's
-    # shape, is caught by the direct route
-    orig = gauss._face_factors
+def test_truncated_moment_raises_when_the_cubature_misses(monkeypatch):
+    # an unconverged cubature is never returned as a moment
+    orig = gauss._route_quadrature
 
-    def skewed(cov, lower, tol):
-        f_vals, f_errs, evals, faces = orig(cov, lower, tol)
-        if len(lower) == 4:
-            f_vals = f_vals.copy()
-            f_vals[0] *= 1.01
-        return f_vals, f_errs, evals, faces
+    def short(*args):
+        res = orig(*args)
+        return quadrature.QuadratureResult(res.value, res.error, res.n_evals, False)
 
-    cov4 = np.array([[1.0, 0.5, -0.3, 0.2], [0.5, 1.0, 0.1, -0.4],
-                     [-0.3, 0.1, 0.8, 0.1], [0.2, -0.4, 0.1, 1.3]])
-    lower = [1.0, 0.5, 0.0, -np.inf]
-    truncated_moment(cov4, lower, (0, 0, 0, 1))
-    monkeypatch.setattr(gauss, "_face_factors", skewed)
-    with pytest.raises(ConsistencyError):
-        truncated_moment(cov4, lower, (0, 0, 0, 1))
+    monkeypatch.setattr(gauss, "_route_quadrature", short)
+    with pytest.raises(AccuracyError):
+        truncated_moment(np.eye(2), [1.0, 0.5], (1, 0))
 
 
 def test_first_moments_keep_the_region_gates():
-    # a duplicated coordinate makes the 3-d region singular; skipping its
-    # orthant probability must not skip mvn_cdf's PSD gate
+    # a duplicated coordinate makes the 3-d region singular; the moment
+    # must not skip mvn_cdf's PSD gate
     cov = np.array([[1.0, 0.5, 1.0], [0.5, 1.0, 0.5], [1.0, 0.5, 1.0]])
-    with pytest.raises(DegeneracyError):
-        truncated_moments(cov, [0.3, -0.5, 0.8], [(1, 0, 0), (0, 0, 1)])
+    for mono in [(1, 0, 0), (0, 0, 1)]:
+        with pytest.raises(DegeneracyError):
+            truncated_moment(cov, [0.3, -0.5, 0.8], mono)
 
 
 def test_truncated_moments_rejects_bad_input():
     cov = np.eye(2)
     with pytest.raises(ArgumentError):
-        truncated_moments(cov, [0.0, 0.0], [(1, 0, 0)])  # wrong monomial length
+        truncated_moment(cov, [0.0, 0.0], (1, 0, 0))  # wrong monomial length
     with pytest.raises(ArgumentError):
-        truncated_moments(cov, [0.0], [(1, 0)])
+        truncated_moment(cov, [0.0], (1, 0))
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(DegeneracyError):
-        truncated_moments(bad, [0.0, 0.0], [(1, 0)])
+        truncated_moment(bad, [0.0, 0.0], (1, 0))
 
 
 # ---------------------------------------------------------------------------

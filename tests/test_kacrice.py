@@ -24,6 +24,7 @@ from jointeec.model import (
     transpose,
 )
 from jointeec import asymptotics as asy
+from jointeec import gauss
 from jointeec import kacrice as kr
 
 BVN_335 = 8.1889661832192112e-5  # P{X>=3, Y>=3}, correlation 0.5
@@ -228,6 +229,30 @@ def test_spot_check_reads_the_centre_node(monkeypatch, fx, fy):
         kr.face_pair_integral(fixture("interior-point"), fx, fy, 3.0)
 
 
+def test_spot_check_runs_the_direct_cubature_alone(monkeypatch):
+    # the check compares the integrand with one direct cubature of the same
+    # truncated moment; it computes no orthant probability on the side
+    orthants, cubatures = [], []
+    orig_cdf, orig_quad = gauss.mvn_cdf, gauss._route_quadrature
+
+    def spy_cdf(*args):
+        orthants.append(1)
+        return orig_cdf(*args)
+
+    def spy_quad(*args):
+        cubatures.append(1)
+        return orig_quad(*args)
+
+    monkeypatch.setattr(gauss, "mvn_cdf", spy_cdf)
+    monkeypatch.setattr(gauss, "_route_quadrature", spy_quad)
+    pairs = [p for p in kr._PAIR_ORDER if "Interior" in p]
+    assert len(pairs) == 5
+    for fx, fy in pairs:
+        orthants.clear()
+        cubatures.clear()
+        kr.face_pair_integral(fixture("interior-point"), fx, fy, 3.0)
+        assert (len(orthants), len(cubatures)) == (0, 1), (fx, fy)
+
 
 def test_face_pair_integral_pin():
     t = kr.face_pair_integral(fixture("diagonal"), "Interior", "Left", 3.0)
@@ -330,6 +355,34 @@ def test_eec_total_error_does_not_underflow():
     assert res.total.error > 0.0
     assert res.total.error >= max(t.value.error for t in res.terms)
 
+
+UNDERFLOW_FIXTURES = ("interior-point", "diagonal", "corner-nondegenerate")
+
+
+@pytest.mark.parametrize("name", UNDERFLOW_FIXTURES)
+@pytest.mark.parametrize("u", [35.0, 40.0])
+def test_eec_flags_a_sum_that_underflowed(name, u):
+    # far enough out every term is exactly 0.0 in double precision; a
+    # 0.0 +- 0.0 that claimed full confidence would read as a converged zero
+    res = kr.eec(fixture(name), u)
+    assert all(t.value.value == 0.0 for t in res.terms)
+    assert res.total.value == 0.0
+    assert res.total.low_confidence
+    assert any("underflowed" in note for note in res.total.notes)
+
+
+@pytest.mark.parametrize("name", UNDERFLOW_FIXTURES)
+def test_eec_does_not_flag_a_zero_term(name):
+    # at u = 30 the sums are still representable (1e-264 to 1e-259); the
+    # diagonal's (Left, Right) corner is already 0.0 there, and one zero
+    # term is not an underflowed sum
+    res = kr.eec(fixture(name), 30.0)
+    assert res.total.value > 0.0
+    assert not res.total.low_confidence
+    assert res.total.notes == ()
+    if name == "diagonal":
+        assert dict(((t.face_x, t.face_y), t.value.value)
+                    for t in res.terms)[("Left", "Right")] == 0.0
 
 # ---------------------------------------------------------------------------
 # restricted mode
