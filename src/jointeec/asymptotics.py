@@ -144,29 +144,24 @@ class AsymptoticTerm:
 
 def local_geometry(model: model_mod.BivariateModel, t: float, s: float) -> LocalGeometry:
     """All eight local quantities from the model's closed forms."""
+    r, r1, r2, r11, r22, r12 = model.cross.partials(
+        t, s, ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
     return LocalGeometry(
         lambda1=model.lambda1,
         lambda2=model.lambda2,
-        r=float(model_mod.cross_eval(model, t, s, 0, 0)),
-        r1=float(model_mod.cross_eval(model, t, s, 1, 0)),
-        r2=float(model_mod.cross_eval(model, t, s, 0, 1)),
-        r11=float(model_mod.cross_eval(model, t, s, 2, 0)),
-        r22=float(model_mod.cross_eval(model, t, s, 0, 2)),
-        r12=float(model_mod.cross_eval(model, t, s, 1, 1)),
+        r=float(r),
+        r1=float(r1),
+        r2=float(r2),
+        r11=float(r11),
+        r22=float(r22),
+        r12=float(r12),
     )
 
 
 def _grad_hess(model: model_mod.BivariateModel, t: float, s: float):
-    g = np.array(
-        [
-            model_mod.cross_eval(model, t, s, 1, 0),
-            model_mod.cross_eval(model, t, s, 0, 1),
-        ]
-    )
-    h11 = model_mod.cross_eval(model, t, s, 2, 0)
-    h22 = model_mod.cross_eval(model, t, s, 0, 2)
-    h12 = model_mod.cross_eval(model, t, s, 1, 1)
-    return g, np.array([[h11, h12], [h12, h22]])
+    r1, r2, r11, r22, r12 = model.cross.partials(
+        t, s, ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
+    return np.array([r1, r2]), np.array([[r11, r12], [r12, r22]])
 
 
 def _refine(model: model_mod.BivariateModel, t: float, s: float, step_floor: float):

@@ -226,7 +226,11 @@ def _cmd_closed_form(args):
     for u in args.u:
         if u <= 0.0:
             raise ArgumentError("closed-form needs u > 0, got %g" % u)
-        rows.append((u, term.evaluate(u), term.coefficient, term.power, term.rate, cls.tag))
+        value = term.evaluate(u)
+        if value == 0.0:
+            print(f"closed-form: u={u:g}: exp(-u^2/{term.rate:g}) underflowed; "
+                  "the closed form reads 0", file=sys.stderr)
+        rows.append((u, value, term.coefficient, term.power, term.rate, cls.tag))
     return header, rows, 0
 
 

@@ -119,10 +119,7 @@ def corner_corner_term(
         raise ArgumentError("corner coordinates must be 0 or 1")
     et = -1.0 if t0 == 0.0 else 1.0
     es = -1.0 if s0 == 0.0 else 1.0
-    r = model_mod.cross_eval(model, t0, s0, 0, 0)
-    r1 = model_mod.cross_eval(model, t0, s0, 1, 0)
-    r2 = model_mod.cross_eval(model, t0, s0, 0, 1)
-    r12 = model_mod.cross_eval(model, t0, s0, 1, 1)
+    r, r1, r2, r12 = model.cross.partials(t0, s0, ((0, 0), (1, 0), (0, 1), (1, 1)))
     lam1, lam2 = model.lambda1, model.lambda2
 
     idx_x = 2 if constrain_x else None
@@ -164,12 +161,8 @@ def _edge_conditional(model: model_mod.BivariateModel, t, s0: float, es: float):
     with covariances r1 and es*r12 to it, lose variance to it."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     lam1, lam2 = model.lambda1, model.lambda2
-
-    def ce(a, b):
-        return np.broadcast_to(model_mod.cross_eval(model, t, s0, a, b), t.shape)
-
-    r, r1, r2 = ce(0, 0), ce(1, 0), ce(0, 1)
-    r11, r12, r112 = ce(2, 0), ce(1, 1), ce(2, 1)
+    r, r1, r2, r11, r12, r112 = model.cross.partials(
+        t, s0, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1)))
     return {
         (0, 0): 1.0, (0, 1): r, (0, 2): es * r2, (0, 3): -lam1,
         (1, 1): 1.0 - r1 * r1 / lam1, (1, 2): -es * r1 * r12 / lam1, (1, 3): r11,
@@ -250,15 +243,9 @@ def _interior_conditional(model: model_mod.BivariateModel, t, s):
     covariances with them: (0, r2), (r1, 0), (0, r112), (r122, 0)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    t, s = np.broadcast_arrays(t, s)
     lam1, lam2 = model.lambda1, model.lambda2
-
-    def ce(a, b):
-        return np.broadcast_to(model_mod.cross_eval(model, t, s, a, b), t.shape)
-
-    r, r1, r2 = ce(0, 0), ce(1, 0), ce(0, 1)
-    r11, r22, r12 = ce(2, 0), ce(0, 2), ce(1, 1)
-    r112, r122, r1122 = ce(2, 1), ce(1, 2), ce(2, 2)
+    r, r1, r2, r11, r22, r12, r112, r122, r1122 = model.cross.partials(
+        t, s, ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)))
 
     det = lam1 * lam2 - r12 * r12
     c = {

@@ -4,7 +4,8 @@ A model is a pair of unit-variance stationary marginal kernels plus a
 cross-correlation surface r(t,s) = E{X(t)Y(s)}.  Everything downstream
 needs covariances of (X, Y) and their first two derivatives, so each
 kernel family supplies closed-form derivatives up to order four and each
-cross form supplies all partials with total order up to four.  No finite
+cross form supplies all partials with total order up to four, any set of
+them from one evaluation of its kernels (`derivs`, `partials`).  No finite
 differences anywhere in the computational path; they appear only in
 tests as an independent check.
 
@@ -20,7 +21,6 @@ Supported cross forms:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +31,37 @@ from .common import ArgumentError, DEFAULT_TOL
 # ---------------------------------------------------------------------------
 # kernels
 
+def _check_order(top: int):
+    if top not in (0, 1, 2, 3, 4):
+        raise ArgumentError(f"derivative order must be 0..4, got {top}")
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Base class: stationary correlation function C with C(0)=1."""
 
-    def deriv(self, lag, order: int):
+    def derivs(self, lag, top: int):
+        """[C, C', ..., C^(top)] at lag, from one evaluation of C's
+        transcendental factor; broadcasts over arrays."""
         raise NotImplementedError
+
+    def deriv(self, lag, order: int):
+        return self.derivs(lag, order)[order]
 
     @property
     def spectral_moment2(self) -> float:
         """lambda = Var of the derivative process = -C''(0)."""
         return -float(self.deriv(0.0, 2))
+
+
+# C^(k) / C for the squared exponential, as polynomials in (tau, ell^2)
+_SQEXP_POLYS = (
+    lambda tau, ell2: 1.0,
+    lambda tau, ell2: -tau / ell2,
+    lambda tau, ell2: tau * tau / ell2 ** 2 - 1.0 / ell2,
+    lambda tau, ell2: 3.0 * tau / ell2 ** 2 - tau ** 3 / ell2 ** 3,
+    lambda tau, ell2: 3.0 / ell2 ** 2 - 6.0 * tau * tau / ell2 ** 3 + tau ** 4 / ell2 ** 4,
+)
 
 
 @dataclass(frozen=True)
@@ -52,23 +72,12 @@ class SquaredExponential(Kernel):
         if self.scale <= 0:
             raise ArgumentError("scale must be positive")
 
-    def deriv(self, lag, order: int):
+    def derivs(self, lag, top: int):
+        _check_order(top)
         tau = np.asarray(lag, dtype=float)
         ell2 = self.scale * self.scale
         c = np.exp(-0.5 * tau * tau / ell2)
-        if order == 0:
-            poly = 1.0
-        elif order == 1:
-            poly = -tau / ell2
-        elif order == 2:
-            poly = tau * tau / ell2 ** 2 - 1.0 / ell2
-        elif order == 3:
-            poly = 3.0 * tau / ell2 ** 2 - tau ** 3 / ell2 ** 3
-        elif order == 4:
-            poly = 3.0 / ell2 ** 2 - 6.0 * tau * tau / ell2 ** 3 + tau ** 4 / ell2 ** 4
-        else:
-            raise ArgumentError(f"derivative order must be 0..4, got {order}")
-        return poly * c
+        return [poly(tau, ell2) * c for poly in _SQEXP_POLYS[:top + 1]]
 
 
 @dataclass(frozen=True)
@@ -90,22 +99,25 @@ class CosineMixture(Kernel):
         if float(w @ (om * om)) <= 0:
             raise ArgumentError("second spectral moment must be positive (some frequency nonzero)")
 
-    def deriv(self, lag, order: int):
-        if order not in (0, 1, 2, 3, 4):
-            raise ArgumentError(f"derivative order must be 0..4, got {order}")
+    def derivs(self, lag, top: int):
+        _check_order(top)
         tau = np.asarray(lag, dtype=float)
         w = np.asarray(self.weights, dtype=float)
         om = np.asarray(self.frequencies, dtype=float)
-        # d^k/dtau^k cos(om*tau) = om^k * cos(om*tau + k*pi/2)
-        arg = np.multiply.outer(tau, om) + 0.5 * math.pi * order
-        vals = np.cos(arg) @ (w * om ** order)
-        return vals if vals.shape else float(vals)
+        arg = np.multiply.outer(tau, om)
+        cos, sin = np.cos(arg), np.sin(arg)
+        # d^k/dtau^k cos(om*tau) = om^k * cos(om*tau + k*pi/2): cos, -sin, -cos, sin
+        out = []
+        for k in range(top + 1):
+            vals = (cos if k % 2 == 0 else sin) @ (w * om ** k)
+            if k % 4 in (1, 2):
+                vals = -vals
+            out.append(vals if vals.shape else float(vals))
+        return out
 
 
 def kernel_eval(kernel: Kernel, lag, order: int):
     """d^order C / d tau^order at lag; broadcasts over array inputs."""
-    if order not in (0, 1, 2, 3, 4):
-        raise ArgumentError(f"derivative order must be 0..4, got {order}")
     out = kernel.deriv(lag, order)
     if np.ndim(out) == 0:
         return float(out)
@@ -115,11 +127,21 @@ def kernel_eval(kernel: Kernel, lag, order: int):
 # ---------------------------------------------------------------------------
 # cross-correlation forms
 
+def _check_orders(orders):
+    if any(a < 0 or b < 0 or a + b > 4 for a, b in orders):
+        raise ArgumentError("total cross-derivative order must be 0..4")
+
+
 @dataclass(frozen=True)
 class CrossCorrelation:
+    def partials(self, t, s, orders):
+        """[d^a/dt^a d^b/ds^b r at (t, s) for (a, b) in orders], from one
+        evaluation of the kernels; broadcasts over arrays."""
+        raise NotImplementedError
+
     def partial(self, t, s, a: int, b: int):
         """d^a/dt^a d^b/ds^b of r at (t, s); broadcasts over arrays."""
-        raise NotImplementedError
+        return self.partials(t, s, ((a, b),))[0]
 
 
 @dataclass(frozen=True)
@@ -134,13 +156,13 @@ class ShiftMixture(CrossCorrelation):
         if not (0.0 <= self.c < 1.0):
             raise ArgumentError("mixture coefficient c must lie in [0, 1)")
 
-    def partial(self, t, s, a: int, b: int):
-        if a + b > 4 or a < 0 or b < 0:
-            raise ArgumentError("total cross-derivative order must be 0..4")
+    def partials(self, t, s, orders):
+        _check_orders(orders)
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
         # r(t,s) = c*C(t-s-d): each s-derivative flips the sign of C'
-        return self.c * (-1.0) ** b * self.base.deriv(t - s - self.d, a + b)
+        jet = self.base.derivs(t - s - self.d, max(a + b for a, b in orders))
+        return [self.c * (-1.0) ** b * jet[a + b] for a, b in orders]
 
 
 @dataclass(frozen=True)
@@ -155,13 +177,13 @@ class PointAnchor(CrossCorrelation):
         if not (0.0 <= self.c < 1.0):
             raise ArgumentError("anchor coefficient c must lie in [0, 1)")
 
-    def partial(self, t, s, a: int, b: int):
-        if a + b > 4 or a < 0 or b < 0:
-            raise ArgumentError("total cross-derivative order must be 0..4")
+    def partials(self, t, s, orders):
+        _check_orders(orders)
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        return (self.c * self.t_kernel.deriv(t - self.t_star, a)
-                * self.s_kernel.deriv(s - self.s_star, b))
+        jet_t = self.t_kernel.derivs(t - self.t_star, max(a for a, _ in orders))
+        jet_s = self.s_kernel.derivs(s - self.s_star, max(b for _, b in orders))
+        return [self.c * jet_t[a] * jet_s[b] for a, b in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +207,6 @@ class BivariateModel:
 
 def cross_eval(model: BivariateModel, t, s, order_t: int, order_s: int):
     """d^a/dt^a d^b/ds^b of r at (t, s); broadcasts over array inputs."""
-    if order_t < 0 or order_s < 0 or order_t + order_s > 4:
-        raise ArgumentError("total cross-derivative order must be 0..4")
     out = model.cross.partial(t, s, order_t, order_s)
     if np.ndim(out) == 0:
         return float(out)

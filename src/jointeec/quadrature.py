@@ -7,8 +7,9 @@ integrand maps an array of abscissae to an array of values, an n-d
 integrand maps an (m, d) point array to an (m,) value array.
 
 Refinement order is deterministic (worst-error first with a fixed
-tie-break), and final sums are accumulated with math.fsum over a sorted
-region list, so repeated runs produce identical bits.
+tie-break), and the totals over the regions are kept exact as regions
+enter and leave and rounded once (_exact_parts), so they do not depend on
+the order of the regions and repeated runs produce identical bits.
 
 Neither driver raises on budget exhaustion; they return their best value
 with ``converged=False`` and leave contract enforcement to callers.
@@ -98,14 +99,14 @@ def integrate_1d(f, a: float, b: float, rel_tol: float = 1e-6,
     # heap entries: (-error, tiebreak, lo, hi, value, error)
     counter = 0
     heap = [(-err[0], counter, a, b, k15[0], err[0])]
+    totals = _retotal(_ZERO, [k15[0]], [err[0]], [], heap)
     while True:
-        total_val = math.fsum(h[4] for h in heap)
-        total_err = math.fsum(h[5] for h in heap)
+        total_val, total_err = totals[0][0], totals[1][0]
         target = max(abs_tol, rel_tol * abs(total_val))
         if total_err <= target:
-            return _finish(heap, n_evals, True)
+            return _finish(totals, n_evals, True)
         if n_evals >= max_evals:
-            return _finish(heap, n_evals, False)
+            return _finish(totals, n_evals, False)
         n_pop = min(batch, len(heap))
         worst = [heapq.heappop(heap) for _ in range(n_pop)]
         # keep panels whose own error is already negligible; refine the rest
@@ -131,13 +132,40 @@ def integrate_1d(f, a: float, b: float, rel_tol: float = 1e-6,
         for i in range(len(los)):
             counter += 1
             heapq.heappush(heap, (-err[i], counter, los[i], his[i], k15[i], err[i]))
+        totals = _retotal(totals, k15.tolist(), err.tolist(), refine, heap)
 
 
-def _finish(heap, n_evals: int, converged: bool) -> QuadratureResult:
-    regions = sorted(heap, key=lambda h: (h[2], h[3]))
-    value = math.fsum(h[4] for h in regions)
-    error = math.fsum(h[5] for h in regions)
-    return QuadratureResult(value, error, n_evals, converged)
+def _finish(totals, n_evals: int, converged: bool) -> QuadratureResult:
+    return QuadratureResult(totals[0][0], totals[1][0], n_evals, converged)
+
+
+# the exact totals of an empty heap, as _exact_parts gives them
+_ZERO = ([0.0], [0.0])
+
+
+def _exact_parts(values: list) -> list:
+    """Floats whose exact sum is that of values, the first of them that sum
+    rounded once, so equal to math.fsum(values) bit for bit.  Each further
+    float is the rounded remainder, until none is left: two or three for
+    values of like magnitude."""
+    parts = [math.fsum(values)]
+    if math.isfinite(parts[0]):
+        while rest := math.fsum(values + [-p for p in parts]):
+            parts.append(rest)
+    return parts
+
+
+def _retotal(totals, vals: list, errs: list, leaving, heap):
+    """The exact (value, error) totals of the heap, as _exact_parts, after
+    the regions with vals and errs entered it and the entries in leaving
+    (value at index 4, error at 5) left: only what moved is summed, not
+    the whole heap.  Past a non-finite total nothing cancels exactly any
+    more, and the heap is summed again."""
+    val_parts, err_parts = totals
+    if math.isfinite(val_parts[0]) and math.isfinite(err_parts[0]):
+        return (_exact_parts(val_parts + vals + [-h[4] for h in leaving]),
+                _exact_parts(err_parts + errs + [-h[5] for h in leaving]))
+    return _exact_parts([h[4] for h in heap]), _exact_parts([h[5] for h in heap])
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +305,14 @@ def integrate_nd(f, lo, hi, rel_tol: float = 1e-6, abs_tol: float = 0.0,
     counter = len(cells_lo)
     heap = _cell_entries(1, cells_lo, cells_hi, val, err, axis)
     heapq.heapify(heap)
+    totals = _retotal(_ZERO, val.tolist(), err.tolist(), [], heap)
     while True:
-        total_val = math.fsum(h[4] for h in heap)
-        total_err = math.fsum(h[5] for h in heap)
+        total_val, total_err = totals[0][0], totals[1][0]
         target = max(abs_tol, rel_tol * abs(total_val))
         if total_err <= target:
-            return _finish(heap, n_evals, True)
+            return _finish(totals, n_evals, True)
         if n_evals >= max_evals:
-            return _finish(heap, n_evals, False)
+            return _finish(totals, n_evals, False)
         n_pop = min(batch, len(heap))
         popped = [heapq.heappop(heap) for _ in range(n_pop)]
         refine = [h for h in popped if h[5] > 0.0]
@@ -292,7 +320,7 @@ def integrate_nd(f, lo, hi, rel_tol: float = 1e-6, abs_tol: float = 0.0,
             if h[5] <= 0.0:
                 heapq.heappush(heap, h)
         if not refine:
-            return _finish(heap, n_evals, True)
+            return _finish(totals, n_evals, True)
         # bisect each cell on its axis; the halves go in as (lower, upper) pairs
         c_lo = np.array([h[2] for h in refine])
         c_hi = np.array([h[3] for h in refine])
@@ -310,6 +338,7 @@ def integrate_nd(f, lo, hi, rel_tol: float = 1e-6, abs_tol: float = 0.0,
         for entry in _cell_entries(counter + 1, los, his, val, err, axis):
             heapq.heappush(heap, entry)
         counter += len(los)
+        totals = _retotal(totals, val.tolist(), err.tolist(), refine, heap)
 
 
 def _cell_entries(first, lo, hi, val, err, axis):

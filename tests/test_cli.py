@@ -186,6 +186,25 @@ def test_compare_says_when_it_skips_the_monte_carlo_check():
     assert [(r[3], r[4]) for r in rows] == [("0", "0"), ("0", "0")]
 
 
+@pytest.mark.parametrize("model", ["interior-point", "diagonal"])
+def test_closed_form_says_when_it_underflows(model):
+    # exp(-u^2 / rate) with rate 1.5 leaves the doubles between u = 30
+    # (3.65e-264 on interior-point) and u = 35: each level that reads 0 gets
+    # one line on stderr; the CSV and the exit code stay as they are
+    quiet = run_cli("closed-form", "--model", model, "--u", "30")
+    assert quiet.returncode == 0, quiet.stderr
+    assert quiet.stderr == ""
+    assert float(quiet.stdout.splitlines()[1].split(",")[1]) > 0.0
+    proc = run_cli("closed-form", "--model", model, "--u", "30,35,40")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"closed-form: u={u}: exp(-u^2/1.5) underflowed; the closed form reads 0"
+        for u in (35, 40)]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "u,closed_form,coefficient,power,rate,tag"
+    assert [line.split(",")[1] for line in lines[2:]] == ["0", "0"]
+
+
 def test_compare_reruns_byte_identical(tmp_path):
     args = ("compare", "--model", "interior-point", "--u", "2,3",
             "--grid", "128", "--reps", "1000", "--seed", "21")

@@ -186,10 +186,14 @@ def test_bvn_survival_reference_values(h, k, rho, ref):
     assert est.n > 2  # the adaptive rule's count: at least one 15-node panel
 
 
-# Far-tail cases of the vectorized kernel's fixed 64-node rule, against
+# Far-tail cases of the vectorized kernel (64 nodes on each: the log range
+# of the path integrand exceeds 30), against
 # int_h^inf phi(x) Phi((rho x - k) / sqrt(1 - rho^2)) dx in 60-digit
-# arithmetic, panels 0.05 wide from h to h + 15.  The rule's measured
-# relative errors are 7e-13, 4e-13 and 2e-12.
+# arithmetic, panels 0.05 wide from h to h + 15.  These literals are
+# themselves off by -7.2e-13, -4.3e-13 and 1.9e-12: mpmath's quad stops on
+# an absolute tolerance, which an integrand of 1e-60 and less meets at once.
+# Against the scaled 40-digit references of tools/bvn_reference.py the
+# kernel's relative errors are 2.4e-14, 1.8e-14 and 5.2e-14.
 BVN_FAR_TAIL = (
     (13.0, 0.3, 5.7029544282140996919e-60),
     (20.0, 0.7, 1.0284366707501192579e-105),
@@ -221,6 +225,71 @@ def test_bvn_negative_correlation_far_tail(h, k, rho, ref):
     assert est.value == pytest.approx(ref, rel=1e-11, abs=0.0)
     assert est.error < 1e-11 * ref
     assert gauss._bvn_survival_batch(h, k, rho)[0] == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+# Further out at negative correlation the path starts at rho = -1 and, once
+# (h + k) / sqrt(1 - rho^2) exceeds 14, its integrand is a spike at the top
+# of the path that a 64-node rule misses by 1e-8 to 1e-5 relative; the
+# kernel gives such points 128 nodes.  References: the 40-digit theta form
+# of tools/bvn_reference.py, which agrees with the x-integral to 30 digits.
+# The kernel's errors are 2.3e-12, 1.8e-12 and 3.6e-12.
+BVN_FAR_NEGATIVE = (
+    (4.5, 4.5, -0.95, 8.0900722681808199451e-181),
+    (9.0, 9.0, -0.8, 1.6839067350281514877e-180),
+    (2.0, 9.0, -0.95, 1.4032751943569512297e-270),
+)
+
+
+@pytest.mark.parametrize("h,k,rho,ref", BVN_FAR_NEGATIVE)
+def test_bvn_survival_batch_far_negative_tail(h, k, rho, ref):
+    assert gauss._bvn_survival_batch(h, k, rho)[0] == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def _path_rule(h, k, rho, n=1024, chunk=4096):
+    """The kernel's path integral with an n-node Gauss-Legendre rule on the
+    same path (start at rho = 0 or -1), point by point."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    from_minus_one = gauss._from_minus_one(h, k, rho)
+    out = np.empty(len(h))
+    for i in range(0, len(h), chunk):
+        sl = slice(i, i + chunk)
+        hh, kk, m1 = h[sl, None], k[sl, None], from_minus_one[sl]
+        start = np.where(m1, -0.5 * math.pi, 0.0)[:, None]
+        span = np.arcsin(rho[sl])[:, None] - start
+        sn = np.sin(start + span * x)
+        expo = np.exp(-(hh * hh + kk * kk - 2.0 * hh * kk * sn) / (2.0 * (1.0 - sn * sn)))
+        base = np.where(m1, 0.0, gauss.ndtr(-h[sl]) * gauss.ndtr(-k[sl]))
+        out[sl] = base + (expo @ w) * span[:, 0] / (2.0 * math.pi)
+    return out
+
+
+def test_bvn_survival_batch_node_tiers_on_a_grid():
+    # the kernel sizes its rule per point (24, 32, 64 or 128 nodes); on the
+    # grid below it must stay within 1e-12 of a 1024-node rule on the same
+    # path everywhere the value is a normal double.  A fixed 64-node rule
+    # misses by up to 4.5e-5 where the path starts at rho = -1 far out
+    vals = np.arange(-2.0, 20.25, 0.5)
+    rhos = np.round(np.arange(0.05, 0.96, 0.05), 2)
+    h, k, rho = (a.ravel() for a in np.meshgrid(vals, vals, np.concatenate([rhos, -rhos]),
+                                                indexing="ij"))
+    ref = _path_rule(h, k, rho)
+    keep = ref >= 1e-300
+    assert keep.sum() > 70_000
+    err = np.abs(gauss._bvn_survival_batch(h[keep], k[keep], rho[keep]) / ref[keep] - 1.0)
+    worst = int(np.argmax(err))
+    assert err[worst] <= 1e-12, (h[keep][worst], k[keep][worst], rho[keep][worst])
+
+
+def test_path_nodes_follow_the_log_range():
+    # D = 0 at h = k = 0; D = 15.4 and 39 at h = k = 13 with rho = 0.1, 0.3
+    # (the peak of the integrand clipped to the path end); a path from
+    # rho = -1 takes 64 nodes, or 128 past the far-tail ratio
+    h = np.array([0.0, 13.0, 13.0, 2.0, 9.0])
+    k = np.array([0.0, 13.0, 13.0, 2.0, 9.0])
+    rho = np.array([0.5, 0.1, 0.3, -0.5, -0.8])
+    nodes = gauss._path_nodes(h, k, rho, gauss._from_minus_one(h, k, rho))
+    assert nodes.tolist() == [24, 32, 64, 64, 128]
 
 
 def test_bvn_survival_nonnegative():

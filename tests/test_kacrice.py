@@ -254,6 +254,31 @@ def test_spot_check_runs_the_direct_cubature_alone(monkeypatch):
         assert (len(orthants), len(cubatures)) == (0, 1), (fx, fy)
 
 
+@pytest.mark.parametrize("name", ["diagonal", "interior-point"])
+def test_integrand_batches_evaluate_the_cross_form_once(monkeypatch, name):
+    # every cross-correlation partial a batch of nodes needs comes from one
+    # evaluation of the cross form (its kernels' exp taken once), not one
+    # per derivative order
+    mod = fixture(name)
+    calls = []
+    for attr in ("partial", "partials"):
+        real = getattr(type(mod.cross), attr, None)
+        if real is None:
+            continue
+
+        def spy(self, *args, _real=real):
+            calls.append(1)
+            return _real(self, *args)
+
+        monkeypatch.setattr(type(mod.cross), attr, spy)
+    t = np.linspace(0.05, 0.95, 17)
+    kr.interior_interior_integrand(mod, t, t[::-1], 4.5)
+    assert len(calls) == 1
+    calls.clear()
+    kr.edge_point_integrand(mod, t, 1.0, 4.5)
+    assert len(calls) == 1
+
+
 def test_face_pair_integral_pin():
     t = kr.face_pair_integral(fixture("diagonal"), "Interior", "Left", 3.0)
     assert t.sign == -1

@@ -61,7 +61,9 @@ def test_kernel_derivatives_match_finite_differences(kernel, order):
     tol = {1: 1e-6, 2: 1e-6, 3: 1e-4, 4: 1e-3}[order]
     for tau in (0.0, 0.17, -0.4, 0.93):
         fd = central_diff(lambda x: kernel_eval(kernel, x, 0), tau, order, h)
-        assert kernel_eval(kernel, tau, order) == pytest.approx(fd, rel=tol, abs=tol)
+        # the per-order call, and the jet of every order up to four at once
+        for value in (kernel_eval(kernel, tau, order), kernel.derivs(tau, 4)[order]):
+            assert value == pytest.approx(fd, rel=tol, abs=tol)
 
 
 def test_kernel_unit_variance_and_curvature():
@@ -118,6 +120,9 @@ def test_sqexp_validation():
         SquaredExponential(-1.0)
 
 
+JET_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2))
+
+
 @pytest.mark.parametrize("name", ["diagonal", "interior-point", "corner-nondegenerate"])
 @pytest.mark.parametrize("orders", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (2, 2)])
 def test_cross_partials_match_finite_differences(name, orders):
@@ -138,7 +143,10 @@ def test_cross_partials_match_finite_differences(name, orders):
         else:
             fd = central_diff(
                 lambda x: central_diff(lambda y: r(x, y), s, j, h), t, i, h)
-        assert cross_eval(mod, t, s, i, j) == pytest.approx(fd, rel=tol, abs=tol * 1e-2)
+        # the per-order call, and the jet of every partial the integrands use
+        jet = dict(zip(JET_ORDERS, mod.cross.partials(t, s, JET_ORDERS)))
+        for value in (cross_eval(mod, t, s, i, j), jet[i, j]):
+            assert value == pytest.approx(fd, rel=tol, abs=tol * 1e-2)
 
 
 def test_transpose_swaps_arguments():

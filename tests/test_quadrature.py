@@ -8,8 +8,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jointeec.quadrature import integrate_1d, integrate_nd
+from jointeec.quadrature import _exact_parts, integrate_1d, integrate_nd
+
+
+def bits(res):
+    """A result as exact values: the cubature keeps its totals exactly and
+    rounds them once, so these equal the heap re-summed by math.fsum."""
+    return res.value, res.error, res.n_evals, res.converged
 
 
 def test_polynomial_exact_1d():
@@ -57,6 +65,7 @@ def test_product_gaussian_2d():
     res = integrate_nd(f, [-8.0, -8.0], [8.0, 8.0], rel_tol=1e-8)
     assert res.converged
     assert res.value == pytest.approx(1.0, rel=1e-7)
+    assert bits(res) == (0.9999999999567891, 9.827299514015883e-09, 39627, True)
 
 
 def test_polynomial_2d():
@@ -64,6 +73,7 @@ def test_polynomial_2d():
     f = lambda x: x[..., 0] ** 2 * x[..., 1] ** 4
     res = integrate_nd(f, [0.0, -1.0], [2.0, 3.0], rel_tol=1e-10)
     assert res.value == pytest.approx((8.0 / 3.0) * (244.0 / 5.0), rel=1e-9)
+    assert bits(res) == (130.13333333333333, 5.545300970017652e-09, 9707, True)
 
 
 def test_concentrated_mass_2d():
@@ -74,6 +84,7 @@ def test_concentrated_mass_2d():
     f = lambda x: np.exp(-w * ((x[..., 0] - 0.51) ** 2 + (x[..., 1] - 0.49) ** 2))
     res = integrate_nd(f, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-7, initial_splits=3)
     assert res.value == pytest.approx(math.pi / w, rel=1e-6)
+    assert bits(res) == (0.0015707963266559622, 1.4675678779046874e-10, 21131, True)
 
 
 def test_odd_slice_mass_3d():
@@ -85,6 +96,7 @@ def test_odd_slice_mass_3d():
     one = integrate_1d(lambda t: t * np.exp(-2.0 * t**2), 0.0, 2.0, rel_tol=1e-12).value
     flat = integrate_1d(lambda t: np.exp(-2.0 * t**2), -2.0, 2.0, rel_tol=1e-12).value
     assert res.value == pytest.approx(one * one * flat, rel=1e-6)
+    assert bits(res) == (0.07827462896636421, 7.776804305017856e-09, 319803, True)
 
 
 def test_eval_budget_reported():
@@ -94,12 +106,39 @@ def test_eval_budget_reported():
     res = integrate_nd(f, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-13, max_evals=2000)
     assert not res.converged
     assert res.n_evals <= 2000 + 17 * 32  # one generation of overshoot at most
+    assert bits(res) == (2.1506657126272334e-07, 2.2945168622562044e-07, 2227, False)
 
 
 def test_zero_integrand():
     res = integrate_nd(lambda x: np.zeros(x.shape[:-1]), [0.0, 0.0], [1.0, 1.0], rel_tol=1e-9)
     assert res.value == 0.0
     assert res.converged
+    assert bits(res) == (0.0, 0.0, 153, True)
+
+
+def test_overflowing_integrand_is_reported_unconverged():
+    # exp(800 x) overflows near x = 1: the totals turn infinite, the running
+    # sums are rebuilt from the heap, and the rule stops at its budget
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = integrate_1d(lambda x: np.exp(800.0 * x), 0.0, 1.0, max_evals=3000)
+    assert res.value == math.inf
+    assert not res.converged
+
+
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+       st.lists(st.floats(-1e300, 1e300), max_size=40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_exact_parts_follow_what_enters_and_leaves(first, more, data):
+    # the running totals of the cubature: parts of the members, plus what
+    # enters, minus what leaves, round to math.fsum of the members left
+    parts = _exact_parts(first)
+    assert parts[0] == math.fsum(first)
+    members = first + more
+    drop = data.draw(st.sets(st.integers(0, len(members) - 1)))
+    leaving = [members[i] for i in drop]
+    members = [x for i, x in enumerate(members) if i not in drop]
+    parts = _exact_parts(parts + more + [-x for x in leaving])
+    assert parts[0] == math.fsum(members)
 
 
 # Pinned by exact equality: value, error and evaluation count of the adaptive
