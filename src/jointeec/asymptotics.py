@@ -56,6 +56,7 @@ CASE_TAGS = (
 )
 
 _GRID_N = 101
+_JET = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))  # r, gradient, Hessian
 _DIAG_MIN_POINTS = 10
 _DIAG_SPAN_SLACK = 0.02
 _DIAG_GAP_MAX = 0.05
@@ -144,8 +145,7 @@ class AsymptoticTerm:
 
 def local_geometry(model: model_mod.BivariateModel, t: float, s: float) -> LocalGeometry:
     """All eight local quantities from the model's closed forms."""
-    r, r1, r2, r11, r22, r12 = model.cross.partials(
-        t, s, ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
+    r, r1, r2, r11, r22, r12 = model.cross.partials(t, s, _JET)
     return LocalGeometry(
         lambda1=model.lambda1,
         lambda2=model.lambda2,
@@ -158,18 +158,13 @@ def local_geometry(model: model_mod.BivariateModel, t: float, s: float) -> Local
     )
 
 
-def _grad_hess(model: model_mod.BivariateModel, t: float, s: float):
-    r1, r2, r11, r22, r12 = model.cross.partials(
-        t, s, ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
-    return np.array([r1, r2]), np.array([[r11, r12], [r12, r22]])
-
-
 def _refine(model: model_mod.BivariateModel, t: float, s: float, step_floor: float):
     """Projected ascent on r from (t,s), Newton steps with backtracking."""
     x = np.array([t, s], dtype=float)
-    val = float(model_mod.cross_eval(model, x[0], x[1], 0, 0))
     for _ in range(50):
-        g, hess = _grad_hess(model, x[0], x[1])
+        r, r1, r2, r11, r22, r12 = model.cross.partials(x[0], x[1], _JET)
+        val = float(r)
+        g, hess = np.array([r1, r2]), np.array([[r11, r12], [r12, r22]])
         # Active box constraints: gradient pushing outward pins the coordinate.
         free = []
         for j in range(2):
@@ -209,9 +204,7 @@ def _refine(model: model_mod.BivariateModel, t: float, s: float, step_floor: flo
     return x, val
 
 
-def classify(
-    model: model_mod.BivariateModel, tol: float = DEFAULT_TOL.gradient_tol
-) -> CaseClassification:
+def classify(model: model_mod.BivariateModel) -> CaseClassification:
     """Locate the global maximizers of r and match an asymptotic regime.
 
     Grid scan on a 101x101 lattice, cluster of near-maximal cells, local
@@ -220,8 +213,6 @@ def classify(
     diagonal {t = s}; any other shape drops to GeneralFallback with a
     note rather than an exception.
     """
-    if not tol > 0.0:
-        raise ArgumentError("tol must be positive")
     ax = np.linspace(0.0, 1.0, _GRID_N)
     tt, ss = np.meshgrid(ax, ax, indexing="ij")
     vals = model_mod.cross_eval(model, tt, ss, 0, 0)
@@ -295,8 +286,8 @@ def classify(
     geo = local_geometry(model, t_star, s_star)
     t_bnd = t_star <= 1e-9 or t_star >= 1.0 - 1e-9
     s_bnd = s_star <= 1e-9 or s_star >= 1.0 - 1e-9
-    r1_zero = abs(geo.r1) < tol
-    r2_zero = abs(geo.r2) < tol
+    r1_zero = abs(geo.r1) < DEFAULT_TOL.gradient_tol
+    r2_zero = abs(geo.r2) < DEFAULT_TOL.gradient_tol
 
     if t_bnd and s_bnd:
         if r1_zero and r2_zero:

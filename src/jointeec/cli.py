@@ -41,8 +41,9 @@ from .common import (
 from . import asymptotics, kacrice, model as model_mod, montecarlo
 
 # compare bands: the closed form is asymptotic, so its ratio against the
-# numeric sum is only enforced from this level upward; the Monte Carlo
-# band applies wherever the sampler saw any signal at all.
+# numeric sum is only enforced from this level upward, and only where
+# neither value underflowed to 0 (the ratio is undefined there); the
+# Monte Carlo band applies wherever the sampler saw any signal at all.
 RATIO_BAND = (0.85, 1.15)
 RATIO_BAND_MIN_U = 4.5
 MC_SIGMA = 3.0
@@ -297,7 +298,14 @@ def _cmd_compare(args):
         ratio_cf = cf / ee if ee != 0.0 else math.nan
         ratio_mc = ee / mc.value if mc.value != 0.0 else math.nan
         rows.append((u, cf, ee, mc.value, mc.error, ratio_cf, ratio_mc))
-        if u >= RATIO_BAND_MIN_U and not (RATIO_BAND[0] <= ratio_cf <= RATIO_BAND[1]):
+        if u < RATIO_BAND_MIN_U:
+            pass
+        elif cf == 0.0 or ee == 0.0:
+            zero = " and ".join(name for name, v in (("closed_form", cf), ("eec_numeric", ee))
+                                if v == 0.0)
+            print(f"compare: u={u:g}: {zero} underflowed to 0; the ratio check was skipped",
+                  file=sys.stderr)
+        elif not RATIO_BAND[0] <= ratio_cf <= RATIO_BAND[1]:
             violations.append(
                 "u=%g: ratio_cf_eec %.6g outside [%g, %g]"
                 % (u, ratio_cf, RATIO_BAND[0], RATIO_BAND[1])

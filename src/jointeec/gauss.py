@@ -505,8 +505,11 @@ def _density_eval(cov: np.ndarray):
     return pdf
 
 
-def _route_quadrature(cov: np.ndarray, lower: np.ndarray, monomial,
-                      abs_tol: float = 2e-6, max_evals: int = 400_000):
+_ROUTE_ABS_TOL = 2e-6
+_ROUTE_MAX_EVALS = 400_000
+
+
+def _route_quadrature(cov: np.ndarray, lower: np.ndarray, monomial):
     """Direct cubature of x^monomial times the density over the region,
     in its bounded coordinates only.
 
@@ -553,11 +556,11 @@ def _route_quadrature(cov: np.ndarray, lower: np.ndarray, monomial,
 
     if m == 1:
         return quadrature.integrate_1d(lambda t: g(t[:, None]), 0.0, 1.0,
-                                       rel_tol=1e-7, abs_tol=abs_tol,
-                                       max_evals=max_evals)
+                                       rel_tol=1e-7, abs_tol=_ROUTE_ABS_TOL,
+                                       max_evals=_ROUTE_MAX_EVALS)
     return quadrature.integrate_nd(g, np.zeros(m), np.ones(m),
-                                   rel_tol=1e-7, abs_tol=abs_tol,
-                                   max_evals=max_evals)
+                                   rel_tol=1e-7, abs_tol=_ROUTE_ABS_TOL,
+                                   max_evals=_ROUTE_MAX_EVALS)
 
 
 def truncated_moment(cov, lower, monomial) -> Estimate:

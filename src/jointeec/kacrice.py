@@ -167,7 +167,7 @@ def _edge_conditional(model: model_mod.BivariateModel, t, s0: float, es: float):
         (0, 0): 1.0, (0, 1): r, (0, 2): es * r2, (0, 3): -lam1,
         (1, 1): 1.0 - r1 * r1 / lam1, (1, 2): -es * r1 * r12 / lam1, (1, 3): r11,
         (2, 2): lam2 - r12 * r12 / lam1, (2, 3): es * r112,
-        (3, 3): model_mod.kernel_eval(model.kernel_x, 0.0, 4),
+        (3, 3): model.fourth1,
     }
 
 
@@ -256,9 +256,9 @@ def _interior_conditional(model: model_mod.BivariateModel, t, s):
         (1, 1): 1.0 - lam2 * r1 * r1 / det,
         (1, 2): r11 + r12 * r1 * r112 / det,
         (1, 3): -lam2 - lam2 * r1 * r122 / det,
-        (2, 2): model_mod.kernel_eval(model.kernel_x, 0.0, 4) - lam1 * r112 * r112 / det,
+        (2, 2): model.fourth1 - lam1 * r112 * r112 / det,
         (2, 3): r1122 + r12 * r112 * r122 / det,
-        (3, 3): model_mod.kernel_eval(model.kernel_y, 0.0, 4) - lam2 * r122 * r122 / det,
+        (3, 3): model.fourth2 - lam2 * r122 * r122 / det,
     }
     dens0 = 1.0 / (2.0 * math.pi * np.sqrt(det))
     return c, dens0

@@ -2,12 +2,15 @@
 
 A model is a pair of unit-variance stationary marginal kernels plus a
 cross-correlation surface r(t,s) = E{X(t)Y(s)}.  Everything downstream
-needs covariances of (X, Y) and their first two derivatives, so each
-kernel family supplies closed-form derivatives up to order four and each
-cross form supplies all partials with total order up to four, any set of
-them from one evaluation of its kernels (`derivs`, `partials`).  No finite
-differences anywhere in the computational path; they appear only in
-tests as an independent check.
+needs covariances of (X, Y) and their first two derivatives, and each
+component supplies them through one method: a kernel family implements
+`derivs`, the closed-form jet [C, C', ..., C^(top)] up to order four
+from one evaluation of its transcendental factor, and a cross form
+implements `partials`, any set of partials of r with total order up to
+four from one evaluation of its kernels.  `joint_cov` builds every
+covariance from these two, and `BivariateModel` reads its spectral
+moments from them once.  No finite differences anywhere in the
+computational path; they appear only in tests as an independent check.
 
 Supported cross forms:
 
@@ -21,7 +24,7 @@ Supported cross forms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,14 +47,6 @@ class Kernel:
         """[C, C', ..., C^(top)] at lag, from one evaluation of C's
         transcendental factor; broadcasts over arrays."""
         raise NotImplementedError
-
-    def deriv(self, lag, order: int):
-        return self.derivs(lag, order)[order]
-
-    @property
-    def spectral_moment2(self) -> float:
-        """lambda = Var of the derivative process = -C''(0)."""
-        return -float(self.deriv(0.0, 2))
 
 
 # C^(k) / C for the squared exponential, as polynomials in (tau, ell^2)
@@ -116,14 +111,6 @@ class CosineMixture(Kernel):
         return out
 
 
-def kernel_eval(kernel: Kernel, lag, order: int):
-    """d^order C / d tau^order at lag; broadcasts over array inputs."""
-    out = kernel.deriv(lag, order)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cross-correlation forms
 
@@ -138,10 +125,6 @@ class CrossCorrelation:
         """[d^a/dt^a d^b/ds^b r at (t, s) for (a, b) in orders], from one
         evaluation of the kernels; broadcasts over arrays."""
         raise NotImplementedError
-
-    def partial(self, t, s, a: int, b: int):
-        """d^a/dt^a d^b/ds^b of r at (t, s); broadcasts over arrays."""
-        return self.partials(t, s, ((a, b),))[0]
 
 
 @dataclass(frozen=True)
@@ -195,22 +178,24 @@ class BivariateModel:
     kernel_y: Kernel
     cross: CrossCorrelation
     label: str = ""
+    # spectral moments of X (1) and Y (2), read once from each kernel's jet
+    # at lag 0: lambda = -C''(0) = Var X'(t), fourth = C''''(0) = Var X''(t)
+    lambda1: float = field(init=False, repr=False, compare=False)
+    lambda2: float = field(init=False, repr=False, compare=False)
+    fourth1: float = field(init=False, repr=False, compare=False)
+    fourth2: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def lambda1(self) -> float:
-        return self.kernel_x.spectral_moment2
-
-    @property
-    def lambda2(self) -> float:
-        return self.kernel_y.spectral_moment2
+    def __post_init__(self):
+        for i, kernel in (("1", self.kernel_x), ("2", self.kernel_y)):
+            jet = kernel.derivs(0.0, 4)
+            object.__setattr__(self, "lambda" + i, -float(jet[2]))
+            object.__setattr__(self, "fourth" + i, float(jet[4]))
 
 
 def cross_eval(model: BivariateModel, t, s, order_t: int, order_s: int):
     """d^a/dt^a d^b/ds^b of r at (t, s); broadcasts over array inputs."""
-    out = model.cross.partial(t, s, order_t, order_s)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    out = model.cross.partials(t, s, ((order_t, order_s),))[0]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def transpose(model: BivariateModel) -> BivariateModel:
@@ -226,50 +211,42 @@ def transpose(model: BivariateModel) -> BivariateModel:
                           label=model.label + "-transposed" if model.label else "")
 
 
-def joint_cov(model: BivariateModel, specs) -> np.ndarray:
-    """Covariance matrix of the listed derivative values.
+def _block(spec):
+    tag, points, order = spec
+    if tag not in ("X", "Y"):
+        raise ArgumentError(f"process tag must be 'X' or 'Y', got {tag!r}")
+    if order not in (0, 1, 2):
+        raise ArgumentError("derivative order in joint_cov must be 0..2")
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    if points.ndim != 1:
+        raise ArgumentError("points in joint_cov must be a scalar or a 1-d array")
+    return tag, points, order
 
-    specs: sequence of (tag, point, order) with tag in {"X", "Y"} and
-    order 0..2.  Sign conventions for a stationary kernel:
-    Cov(X^(a)(t), X^(b)(t')) = (-1)^a C^(a+b)(t'-t); cross terms are the
-    straight partials of r.
+
+def _cov_block(model: BivariateModel, row, col) -> np.ndarray:
+    (tag_r, p_r, a), (tag_c, p_c, b) = row, col
+    if tag_r == tag_c:
+        kernel = model.kernel_x if tag_r == "X" else model.kernel_y
+        return (-1.0) ** a * kernel.derivs(p_c[None, :] - p_r[:, None], a + b)[a + b]
+    if tag_r == "X":
+        return model.cross.partials(p_r[:, None], p_c[None, :], ((a, b),))[0]
+    return model.cross.partials(p_c[None, :], p_r[:, None], ((b, a),))[0]
+
+
+def joint_cov(model: BivariateModel, rows, cols=None) -> np.ndarray:
+    """Covariances of the values listed in rows with those listed in cols
+    (default: rows), as one matrix.
+
+    rows and cols are sequences of blocks (tag, points, order): the
+    order-th derivative (0..2) of process tag ("X" or "Y") at each of
+    points, a scalar or a 1-d array.  Each pair of blocks is one
+    vectorized kernel or cross evaluation.  Sign conventions for a
+    stationary kernel: Cov(X^(a)(t), X^(b)(t')) = (-1)^a C^(a+b)(t'-t);
+    cross terms are the straight partials of r.
     """
-    specs = list(specs)
-    for tag, _, order in specs:
-        if tag not in ("X", "Y"):
-            raise ArgumentError(f"process tag must be 'X' or 'Y', got {tag!r}")
-        if order not in (0, 1, 2):
-            raise ArgumentError("derivative order in joint_cov must be 0..2")
-    n = len(specs)
-    out = np.empty((n, n))
-    for i, (tag_i, p_i, a) in enumerate(specs):
-        for j, (tag_j, p_j, b) in enumerate(specs):
-            if j < i:
-                continue
-            if tag_i == tag_j:
-                ker = model.kernel_x if tag_i == "X" else model.kernel_y
-                v = (-1.0) ** a * float(ker.deriv(p_j - p_i, a + b))
-            elif tag_i == "X":
-                v = float(model.cross.partial(p_i, p_j, a, b))
-            else:
-                v = float(model.cross.partial(p_j, p_i, b, a))
-            out[i, j] = v
-            out[j, i] = v
-    return out
-
-
-def joint_grid_cov(model: BivariateModel, grid: np.ndarray, cols=None) -> np.ndarray:
-    """Covariances of (X on grid, Y on grid) with the values in cols, a
-    sequence of (tag, point) with tag in {"X", "Y"}; shape (2n, len(cols)).
-    cols defaults to X and then Y on the grid: the joint covariance."""
-    g = np.asarray(grid, dtype=float)[:, None]
-    if cols is None:
-        cols = [(tag, t) for tag in "XY" for t in g[:, 0]]
-    on_x = np.array([tag == "X" for tag, _ in cols])
-    at = np.array([p for _, p in cols], dtype=float)
-    top = np.where(on_x, model.kernel_x.deriv(at - g, 0), model.cross.partial(g, at, 0, 0))
-    bot = np.where(on_x, model.cross.partial(at, g, 0, 0), model.kernel_y.deriv(at - g, 0))
-    return np.vstack([top, bot])
+    rows = [_block(spec) for spec in rows]
+    cols = rows if cols is None else [_block(spec) for spec in cols]
+    return np.block([[_cov_block(model, r, c) for c in cols] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +263,11 @@ class ValidationReport:
     notes: tuple[str, ...]
 
 
-def validate_model(model: BivariateModel, grid_n: int = 64) -> ValidationReport:
-    """Check positive semi-definiteness on a grid, unit variances, and
+_VALIDATE_GRID_N = 64  # grid of the PSD and unit-variance checks
+
+
+def validate_model(model: BivariateModel) -> ValidationReport:
+    """Check positive semi-definiteness on a 64-point grid, unit variances, and
     concavity of r at its maximizers in the directions where its
     gradient vanishes.
 
@@ -295,17 +275,15 @@ def validate_model(model: BivariateModel, grid_n: int = 64) -> ValidationReport:
     smooth stationary kernels give grid covariances that are numerically
     rank deficient, and pivoted LDL^T turns that null space into pivot
     noise orders of magnitude above the true smallest eigenvalue."""
-    if grid_n < 16:
-        raise ArgumentError("grid_n must be at least 16")
     notes: list[str] = []
-    grid = np.linspace(0.0, 1.0, grid_n)
-    joint = joint_grid_cov(model, grid)
+    grid = np.linspace(0.0, 1.0, _VALIDATE_GRID_N)
+    joint = joint_cov(model, [("X", grid, 0), ("Y", grid, 0)])
     min_eig = float(np.linalg.eigvalsh(joint)[0])
     psd_ok = min_eig > DEFAULT_TOL.model_psd_floor
     if not psd_ok:
         notes.append(f"joint covariance is indefinite: min eigenvalue {min_eig:.3e}")
 
-    n = grid_n
+    n = _VALIDATE_GRID_N
     for tag, block in (("X", joint[:n, :n]), ("Y", joint[n:, n:])):
         block_min = float(np.linalg.eigvalsh(block)[0])
         if block_min <= DEFAULT_TOL.model_psd_floor:

@@ -69,6 +69,7 @@ def _pivoted_cholesky(model: model_mod.BivariateModel, grid: np.ndarray):
     (first pivot / last kept pivot)^2.  Both kernels are correlation
     functions, so the diagonal starts at 1."""
     n = grid.size
+    rows = [("X", grid, 0), ("Y", grid, 0)]
     resid = np.ones(2 * n)
     factor = np.empty((2 * n, 32))
     pivots = []
@@ -79,7 +80,7 @@ def _pivoted_cholesky(model: model_mod.BivariateModel, grid: np.ndarray):
         pivot, k = float(resid[p]), len(pivots)
         if k == factor.shape[1]:
             factor = np.hstack([factor, np.empty_like(factor)])
-        col = model_mod.joint_grid_cov(model, grid, [("XY"[p // n], grid[p % n])])[:, 0]
+        col = model_mod.joint_cov(model, rows, [("XY"[p // n], grid[p % n], 0)])[:, 0]
         factor[:, k] = (col - factor[:, :k] @ factor[p, :k]) / math.sqrt(pivot)
         resid -= factor[:, k] ** 2
         pivots.append(pivot)
@@ -145,7 +146,9 @@ def _counts(paths: np.ndarray, u: float) -> np.ndarray:
 def _conditional_mean_path(model, grid, t_star, s_star, u):
     rho = model_mod.cross_eval(model, t_star, s_star, 0, 0)
     weights = np.linalg.solve([[1.0, rho], [rho, 1.0]], [u, u])
-    return model_mod.joint_grid_cov(model, grid, [("X", t_star), ("Y", s_star)]) @ weights
+    cov = model_mod.joint_cov(model, [("X", grid, 0), ("Y", grid, 0)],
+                              [("X", t_star, 0), ("Y", s_star, 0)])
+    return cov @ weights
 
 
 def _tilt(model, grid, factor, shift, u):

@@ -230,6 +230,33 @@ def test_compare_flags_band_violation(tmp_path):
     assert len(lines) == 2
 
 
+def test_compare_skips_the_ratio_check_where_a_route_underflows():
+    # exp(-u^2 / 1.5) leaves the doubles between u = 30 and 35, so at u = 35
+    # the closed form and the face-pair sum both read 0 and their ratio is
+    # undefined: compare says so on stderr and does not count a violation
+    proc = run_cli("compare", "--model", "interior-point", "--u", "30,35",
+                   "--grid", "64", "--reps", "200", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "ratio" in line] == [
+        "compare: u=35: closed_form and eec_numeric underflowed to 0; "
+        "the ratio check was skipped"]
+    rows = [line.split(",") for line in proc.stdout.strip().splitlines()[1:]]
+    assert float(rows[0][5]) > 0.0
+    assert (rows[1][1], rows[1][2], rows[1][5]) == ("0", "0", "nan")
+
+
+def test_compare_flags_band_violation_beside_an_underflowed_level():
+    # the skipped level does not hide an out-of-band ratio at a finite one
+    proc = run_cli("compare", "--model", "diagonal", "--u", "4.5,35",
+                   "--grid", "64", "--reps", "200", "--seed", "1")
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert ("compare: u=35: closed_form and eec_numeric underflowed to 0; "
+            "the ratio check was skipped") in lines
+    assert [line for line in lines if "outside" in line] == [
+        "compare: u=4.5: ratio_cf_eec 0.815069 outside [0.85, 1.15]"]
+
+
 def test_restricted_mode_rejects_ridge():
     proc = run_cli("eec", "--model", "diagonal", "--u", "3",
                    "--theorem", "3.3-restricted")

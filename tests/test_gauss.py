@@ -187,23 +187,20 @@ def test_bvn_survival_reference_values(h, k, rho, ref):
 
 
 # Far-tail cases of the vectorized kernel (64 nodes on each: the log range
-# of the path integrand exceeds 30), against
-# int_h^inf phi(x) Phi((rho x - k) / sqrt(1 - rho^2)) dx in 60-digit
-# arithmetic, panels 0.05 wide from h to h + 15.  These literals are
-# themselves off by -7.2e-13, -4.3e-13 and 1.9e-12: mpmath's quad stops on
-# an absolute tolerance, which an integrand of 1e-60 and less meets at once.
-# Against the scaled 40-digit references of tools/bvn_reference.py the
-# kernel's relative errors are 2.4e-14, 1.8e-14 and 5.2e-14.
+# of the path integrand exceeds 30), against the 40-digit references of
+# tools/bvn_reference.py, reference(h, h, rho): the theta form with the
+# integrand scaled by its peak, checked against the x form to 30 digits.
+# The kernel's relative errors are 2.4e-14, 1.8e-14 and 5.2e-14.
 BVN_FAR_TAIL = (
-    (13.0, 0.3, 5.7029544282140996919e-60),
-    (20.0, 0.7, 1.0284366707501192579e-105),
-    (20.0, 0.3, 1.6430962972676949532e-137),
+    (13.0, 0.3, 5.7029544282182114597e-60),
+    (20.0, 0.7, 1.0284366707505575068e-105),
+    (20.0, 0.3, 1.6430962972645522902e-137),
 )
 
 
 @pytest.mark.parametrize("h,rho,ref", BVN_FAR_TAIL)
 def test_bvn_survival_batch_far_tail(h, rho, ref):
-    assert gauss._bvn_survival_batch(h, h, rho)[0] == pytest.approx(ref, rel=1e-11, abs=0.0)
+    assert gauss._bvn_survival_batch(h, h, rho)[0] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # Negative correlation in the far tail: the path from rho = 0 cancels

@@ -16,8 +16,7 @@ from jointeec.model import (
     SquaredExponential,
     cross_eval,
     fixture,
-    joint_grid_cov,
-    kernel_eval,
+    joint_cov,
     load_model_file,
     transpose,
     validate_model,
@@ -60,21 +59,23 @@ def test_kernel_derivatives_match_finite_differences(kernel, order):
     h = 1e-3 if order < 3 else 5e-3
     tol = {1: 1e-6, 2: 1e-6, 3: 1e-4, 4: 1e-3}[order]
     for tau in (0.0, 0.17, -0.4, 0.93):
-        fd = central_diff(lambda x: kernel_eval(kernel, x, 0), tau, order, h)
-        # the per-order call, and the jet of every order up to four at once
-        for value in (kernel_eval(kernel, tau, order), kernel.derivs(tau, 4)[order]):
+        fd = central_diff(lambda x: kernel.derivs(x, 0)[0], tau, order, h)
+        # the jet up to this order, and the jet of every order up to four
+        for value in (kernel.derivs(tau, order)[order], kernel.derivs(tau, 4)[order]):
             assert value == pytest.approx(fd, rel=tol, abs=tol)
 
 
 def test_kernel_unit_variance_and_curvature():
     k = SquaredExponential(0.5)
-    assert kernel_eval(k, 0.0, 0) == 1.0
-    assert kernel_eval(k, 0.0, 1) == 0.0
+    c0, c1, c2 = k.derivs(0.0, 2)
+    assert c0 == 1.0
+    assert c1 == 0.0
     # -C''(0) = 1/scale^2 for the squared exponential
-    assert -kernel_eval(k, 0.0, 2) == pytest.approx(4.0, rel=1e-12)
+    assert -c2 == pytest.approx(4.0, rel=1e-12)
     km = CosineMixture((0.25, 0.75), (2.0, 1.0))
-    assert kernel_eval(km, 0.0, 0) == pytest.approx(1.0, abs=1e-15)
-    assert -kernel_eval(km, 0.0, 2) == pytest.approx(0.25 * 4.0 + 0.75 * 1.0, rel=1e-14)
+    c0, _, c2 = km.derivs(0.0, 2)
+    assert c0 == pytest.approx(1.0, abs=1e-15)
+    assert -c2 == pytest.approx(0.25 * 4.0 + 0.75 * 1.0, rel=1e-14)
 
 
 @given(st.floats(-3.0, 3.0), st.integers(0, 4))
@@ -82,26 +83,26 @@ def test_kernel_unit_variance_and_curvature():
 def test_sqexp_derivative_parity(tau, order):
     # C is even, so C^(k)(-tau) = (-1)^k C^(k)(tau)
     k = SquaredExponential(0.8)
-    left = kernel_eval(k, -tau, order)
-    right = (-1.0) ** order * kernel_eval(k, tau, order)
+    left = k.derivs(-tau, order)[order]
+    right = (-1.0) ** order * k.derivs(tau, order)[order]
     assert left == pytest.approx(right, rel=1e-12, abs=1e-15)
 
 
 def test_kernel_eval_broadcasts():
     k = SquaredExponential(1.0)
     lags = np.linspace(-1, 1, 7)
-    out = kernel_eval(k, lags, 2)
+    out = k.derivs(lags, 2)[2]
     assert out.shape == (7,)
     for i, tau in enumerate(lags):
-        assert out[i] == kernel_eval(k, float(tau), 2)
-    assert isinstance(kernel_eval(k, 0.3, 2), float)
+        assert out[i] == k.derivs(float(tau), 2)[2]
+    assert np.ndim(k.derivs(0.3, 2)[2]) == 0
 
 
 def test_kernel_eval_rejects_bad_order():
     with pytest.raises(ArgumentError):
-        kernel_eval(SquaredExponential(1.0), 0.0, 5)
+        SquaredExponential(1.0).derivs(0.0, 5)
     with pytest.raises(ArgumentError):
-        kernel_eval(SquaredExponential(1.0), 0.0, -1)
+        SquaredExponential(1.0).derivs(0.0, -1)
 
 
 def test_cosine_mixture_validation():
@@ -164,7 +165,7 @@ def test_transpose_swaps_arguments():
 def test_joint_grid_cov_shape_and_symmetry():
     mod = fixture("interior-point")
     grid = np.linspace(0.0, 1.0, 33)
-    cov = joint_grid_cov(mod, grid)
+    cov = joint_cov(mod, [("X", grid, 0), ("Y", grid, 0)])
     assert cov.shape == (66, 66)
     assert np.max(np.abs(cov - cov.T)) < 1e-14
     assert np.max(np.abs(np.diag(cov) - 1.0)) < 1e-12
@@ -172,6 +173,95 @@ def test_joint_grid_cov_shape_and_symmetry():
     k = 16
     t = grid[k]
     assert cov[k, 33 + k] == pytest.approx(cross_eval(mod, t, t, 0, 0), abs=1e-14)
+
+
+# mixed blocks: both tags, orders 0-2, scalar and array points, rows != cols
+MIXED_ROWS = (
+    ("X", 0.3, 1),
+    ("Y", np.array([0.1, 0.7, 0.95]), 2),
+    ("X", np.array([0.0, 0.5]), 0),
+    ("Y", 0.4, 1),
+)
+MIXED_COLS = (
+    ("Y", np.array([0.2, 0.6]), 0),
+    ("X", 0.8, 2),
+    ("X", np.linspace(0.0, 1.0, 5), 1),
+    ("Y", 0.4, 0),
+)
+
+
+def _entrywise(mod, rows, cols):
+    """joint_cov's definition, one scalar kernel or cross call per entry."""
+    def scalars(blocks):
+        return [(tag, float(p), k) for tag, pts, k in blocks for p in np.atleast_1d(pts)]
+
+    def entry(tag_r, p, a, tag_c, q, b):
+        if tag_r == tag_c:
+            kernel = mod.kernel_x if tag_r == "X" else mod.kernel_y
+            return (-1.0) ** a * kernel.derivs(q - p, a + b)[a + b]
+        if tag_r == "X":
+            return mod.cross.partials(p, q, ((a, b),))[0]
+        return mod.cross.partials(q, p, ((b, a),))[0]
+
+    return np.array([[entry(*r, *c) for c in scalars(cols)] for r in scalars(rows)])
+
+
+_KX, _KY = SquaredExponential(0.9), SquaredExponential(0.6)
+_SE_MIXED = BivariateModel(_KX, _KY, PointAnchor(0.4, 0.3, 0.8, _KX, _KY))
+
+
+@pytest.mark.parametrize("mod", [fixture(name) for name in FIXTURES] + [_SE_MIXED],
+                         ids=list(FIXTURES) + ["se-mixed"])
+def test_joint_cov_equals_entrywise_definition(mod):
+    # one vectorized evaluation per pair of blocks gives every entry bit for
+    # bit, rows != cols and the square default alike
+    cov = joint_cov(mod, MIXED_ROWS, MIXED_COLS)
+    assert cov.shape == (7, 9)
+    assert np.array_equal(cov, _entrywise(mod, MIXED_ROWS, MIXED_COLS))
+    square = joint_cov(mod, MIXED_ROWS)
+    assert np.array_equal(square, _entrywise(mod, MIXED_ROWS, MIXED_ROWS))
+    # symmetric to rounding only: the fourth derivative of the squared
+    # exponential at tau and at -tau may differ in the last bit
+    np.testing.assert_allclose(square, square.T, rtol=1e-15, atol=0.0)
+
+
+def test_joint_cov_cosine_kernel_matches_entrywise():
+    # the cosine jet sums its atoms with a matrix product whose rounding
+    # depends on the shape of the lag array, so agreement is to rounding
+    ky = CosineMixture((0.4, 0.6), (1.3, 2.1))
+    mod = BivariateModel(_KX, ky, PointAnchor(0.3, 0.25, 0.75, _KX, ky))
+    cov = joint_cov(mod, MIXED_ROWS, MIXED_COLS)
+    np.testing.assert_allclose(cov, _entrywise(mod, MIXED_ROWS, MIXED_COLS),
+                               rtol=0.0, atol=1e-15)
+
+
+def test_joint_cov_rejects_bad_blocks():
+    mod = fixture("interior-point")
+    for bad in (("Z", 0.5, 0), ("X", 0.5, 3), ("Y", 0.5, -1), ("X", np.eye(2), 0)):
+        with pytest.raises(ArgumentError):
+            joint_cov(mod, [("X", 0.5, 0), bad])
+        with pytest.raises(ArgumentError):
+            joint_cov(mod, [("X", 0.5, 0)], [bad])
+
+
+def test_spectral_moments_are_read_once(monkeypatch):
+    calls = []
+    derivs = SquaredExponential.derivs
+
+    def counting(self, lag, top):
+        calls.append((np.ndim(lag), top))
+        return derivs(self, lag, top)
+
+    monkeypatch.setattr(SquaredExponential, "derivs", counting)
+    k = SquaredExponential(0.5)
+    mod = BivariateModel(k, SquaredExponential(1.0), ShiftMixture(0.3, 0.0, k))
+    # one jet at lag 0 per kernel, when the model is made
+    assert calls == [(0, 4), (0, 4)]
+    for _ in range(3):
+        moments = (mod.lambda1, mod.lambda2, mod.fourth1, mod.fourth2)
+    assert len(calls) == 2
+    # lambda = -C''(0) = 1/scale^2 and C''''(0) = 3/scale^4
+    assert moments == (4.0, 1.0, 48.0, 3.0)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -226,7 +316,8 @@ def test_load_model_file_round_trip(tmp_path):
     assert mod.label == "custom-diagonal"
     ref = fixture("diagonal")
     grid = np.linspace(0.0, 1.0, 17)
-    assert np.max(np.abs(joint_grid_cov(mod, grid) - joint_grid_cov(ref, grid))) < 1e-15
+    blocks = [("X", grid, 0), ("Y", grid, 0)]
+    assert np.max(np.abs(joint_cov(mod, blocks) - joint_cov(ref, blocks))) < 1e-15
 
 
 def test_load_model_file_rejects_bad_input(tmp_path):

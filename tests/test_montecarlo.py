@@ -14,7 +14,7 @@ from jointeec.model import (
     SquaredExponential,
     fixture,
     independent_model,
-    joint_grid_cov,
+    joint_cov,
 )
 from jointeec import montecarlo as mc
 
@@ -190,7 +190,8 @@ def test_factor_reproduces_grid_covariance(mod, grid_n):
     # full covariance it must reproduce comes from the one grid builder
     grid = np.linspace(0.0, 1.0, grid_n)
     factor, cond = mc._pivoted_cholesky(mod, grid)
-    assert np.max(np.abs(factor @ factor.T - joint_grid_cov(mod, grid))) <= 1e-10
+    cov = joint_cov(mod, [("X", grid, 0), ("Y", grid, 0)])
+    assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-10
     assert cond >= 1.0
     if mod.kernel_x == mod.kernel_y == SquaredExponential(1.0):
         # unit length scale: numerical rank far below the 2n grid values
@@ -230,9 +231,9 @@ class _NearOne(CrossCorrelation):
     correlation 0.99 with Y(0), which forces corr(X(0), X(1)) >= 2 * 0.99^2
     - 1 = 0.96, while SE(1) marginals give exp(-1/2) = 0.61."""
 
-    def partial(self, t, s, a, b):
+    def partials(self, t, s, orders):
         shape = np.broadcast(np.asarray(t), np.asarray(s)).shape
-        return np.full(shape, 0.99 if a == b == 0 else 0.0)
+        return [np.full(shape, 0.99 if a == b == 0 else 0.0) for a, b in orders]
 
 
 def test_indefinite_model_raises_degeneracy():

@@ -12,23 +12,30 @@ mpmath is needed here only; the package never imports it.  Run from the
 repository root:
 
     python3 tools/mills_coefficients.py           # print the table
-    python3 tools/mills_coefficients.py --check   # also report the error
+    python3 tools/mills_coefficients.py --check   # also check gauss against it
 
 The printed block is `_MILLS` in src/jointeec/gauss.py.  `--check`
-evaluates the tail with the same double-precision steps as gauss (the
-exponent split included) on a dense grid of [0, 37.5] and prints the
-largest relative error against 40-digit mpmath.
+evaluates the tail Q(h) = gauss.ndtr(-h) itself, on its array path and on
+its scalar path, on a dense grid of [0, 37.5], and prints the largest
+relative error of each against 40-digit mpmath.  It exits 1 if either
+error reaches ERR_TOL or the regenerated table differs from the shipped
+gauss._MILLS.
 """
 
 from __future__ import annotations
 
-import math
+import os
 import sys
 
 import mpmath as mp
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+from jointeec import gauss  # noqa: E402
 
 PIECES = 8
 DEGREE = 12
+ERR_TOL = 6e-16
 mp.mp.dps = 60
 
 
@@ -65,17 +72,26 @@ def table():
     return [piece_coefficients(i) for i in range(PIECES)]
 
 
-def tail(h, coefs):
-    """Q(h) in double precision, step for step as gauss evaluates it."""
-    i = sum(h >= 4.0 * j / (PIECES - j) for j in range(1, PIECES))
-    # t = PIECES * (y - centre of piece i), with one rounding in the product
-    t = ((2 * PIECES - 2 * i - 1) * h - 4.0 * (2 * i + 1)) / (h + 4.0)
-    p = 0.0
-    for c in reversed(coefs[i]):
-        p = p * t + c
-    hi = math.floor(h * 64.0) / 64.0
-    lo = h - hi
-    return math.exp(-0.5 * hi * hi) * math.exp(-lo * (hi + 0.5 * lo)) * p
+def check(coefs) -> bool:
+    """Print gauss.ndtr's largest tail error on each path and whether the
+    shipped table is the regenerated one; True when all is in bounds."""
+    mp.mp.dps = 40
+    hs = [37.5 * k / 75_000 for k in range(75_001)]
+    refs = [mp.erfc(mp.mpf(h) / mp.sqrt(2)) / 2 for h in hs]
+    paths = {
+        "array": gauss.ndtr(-np.array(hs)),
+        "scalar": [gauss.ndtr(-h) for h in hs],
+    }
+    ok = True
+    for name, values in paths.items():
+        errs = [abs(float(mp.mpf(float(q)) / ref - 1)) for q, ref in zip(values, refs)]
+        worst = max(range(len(hs)), key=errs.__getitem__)
+        print(f"# {name} path: largest relative error on [0, 37.5]: "
+              f"{errs[worst]:.3g} at h = {hs[worst]:.6g}")
+        ok &= errs[worst] < ERR_TOL
+    same = tuple(tuple(row) for row in coefs) == gauss._MILLS
+    print(f"# gauss._MILLS {'equals' if same else 'differs from'} the regenerated table")
+    return ok and same
 
 
 def main(argv):
@@ -85,17 +101,11 @@ def main(argv):
         lines = [", ".join(repr(c) for c in row[k:k + 3]) for k in range(0, len(row), 3)]
         print("    (" + ",\n     ".join(lines) + "),")
     print(")")
-    if "--check" in argv:
-        mp.mp.dps = 40
-        worst, at = 0.0, None
-        for k in range(75_001):
-            h = 37.5 * k / 75_000
-            ref = mp.erfc(mp.mpf(h) / mp.sqrt(2)) / 2
-            err = abs(float(mp.mpf(tail(h, coefs)) / ref - 1))
-            if err > worst:
-                worst, at = err, h
-        print(f"# largest relative error on [0, 37.5]: {worst:.3g} at h = {at:.6g}")
+    if "--check" in argv and not check(coefs):
+        print("# an error is out of bounds or the table is stale", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
