@@ -227,13 +227,20 @@ def classify(model: model_mod.BivariateModel) -> CaseClassification:
     big_r = max(v for _, _, v in refined)
     keep = [(t, s) for t, s, v in refined if v >= big_r - DEFAULT_TOL.cluster_tol]
 
+    # greedy merge in sorted order, each point against the kept points of
+    # its own and the 8 neighbouring cells of a grid 2 merge_tol wide: a
+    # point within merge_tol of a kept one lies there, rounding included
+    tol = DEFAULT_TOL.merge_tol
     merged: list[tuple[float, float]] = []
+    cells: dict[tuple[int, int], list] = {}
     for t, s in sorted(keep):
-        if any(
-            math.hypot(t - t2, s - s2) < DEFAULT_TOL.merge_tol for t2, s2 in merged
-        ):
+        i, j = math.floor(t / (2.0 * tol)), math.floor(s / (2.0 * tol))
+        near = [p for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                for p in cells.get((i + di, j + dj), ())]
+        if any(math.hypot(t - t2, s - s2) < tol for t2, s2 in near):
             continue
         merged.append((t, s))
+        cells.setdefault((i, j), []).append((t, s))
     maximizers = tuple(merged)
 
     notes: tuple[str, ...] = ()

@@ -575,12 +575,8 @@ def truncated_moment(cov, lower, monomial) -> Estimate:
     m = tuple(int(p) for p in monomial)
     if len(m) != n or any(p < 0 for p in m) or sum(m) > 2:
         raise ArgumentError(f"bad monomial {m} for dimension {n}")
-    res = _route_quadrature(cov, lower, m)
-    if not res.converged:
-        raise AccuracyError(
-            f"direct-quadrature route for moment {m} did not converge",
-            best_value=res.value, achieved_error=res.error)
-    return Estimate(res.value, res.error, res.n_evals, QUADRATURE)
+    return _route_quadrature(cov, lower, m).estimate(
+        f"direct-quadrature route for moment {m}")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from . import model as model_mod
 from .common import (
     DEFAULT_TOL,
     QUADRATURE,
-    AccuracyError,
     ArgumentError,
     ConsistencyError,
     Estimate,
@@ -430,7 +429,7 @@ def face_pair_integral(
         else:
             # Y varies: swap the processes and integrate the same form
             work, s0, constrain = model_mod.transpose(model), _POINT[face_x], constrain_x
-        res = quadrature.integrate_1d(
+        est = quadrature.integrate_1d(
             _keeping_first_batch(
                 lambda t: edge_point_integrand(work, t, s0, u, constrain), first),
             0.0,
@@ -438,18 +437,11 @@ def face_pair_integral(
             rel_tol=rel_tol,
             abs_tol=0.0,
             max_evals=DEFAULT_TOL.quad_max_evals,
-        )
-        if not res.converged:
-            raise AccuracyError(
-                f"face pair ({face_x},{face_y}) quadrature did not converge",
-                best_value=res.value,
-                achieved_error=res.error,
-            )
+        ).estimate(f"face pair ({face_x},{face_y}) quadrature")
         _spot_check_edge(work, s0, u, constrain, first)
-        est = Estimate(res.value, res.error, res.n_evals, QUADRATURE)
         return FacePairTerm(face_x, face_y, sign, est)
 
-    res = quadrature.integrate_nd(
+    est = quadrature.integrate_nd(
         _keeping_first_batch(
             lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u), first),
         np.zeros(2),
@@ -457,15 +449,8 @@ def face_pair_integral(
         rel_tol=rel_tol,
         abs_tol=0.0,
         max_evals=DEFAULT_TOL.quad_max_evals,
-    )
-    if not res.converged:
-        raise AccuracyError(
-            "interior x interior quadrature did not converge",
-            best_value=res.value,
-            achieved_error=res.error,
-        )
+    ).estimate("interior x interior quadrature")
     _spot_check_interior(model, u, first)
-    est = Estimate(res.value, res.error, res.n_evals, QUADRATURE)
     return FacePairTerm(face_x, face_y, sign, est)
 
 

@@ -1,27 +1,46 @@
 """Adaptive quadrature engines.
 
-Two drivers live here: a globally adaptive Gauss-Kronrod 7/15 scheme for
-intervals and a globally adaptive Genz-Malik degree-7 embedded rule for
-hyperrectangles in dimensions 2 to 4.  Integrands are vectorized: a 1-d
-integrand maps an array of abscissae to an array of values, an n-d
-integrand maps an (m, d) point array to an (m,) value array.
+One globally adaptive driver (_adapt, after QUADPACK's QAG and DCUHRE)
+refines a set of cells under a rule supplied per kind of region: the
+Gauss-Kronrod 7/15 pair on panels (integrate_1d, from [a, b]) and the
+Genz-Malik degree-7/5 embedded rule on boxes of dimension 2 to 4
+(integrate_nd, from the box split 3 per axis: one rule application can
+miss a concentrated integrand and certify a spurious zero).  Integrands
+are vectorized: a 1-d integrand maps an array of abscissae to an array of
+values, an n-d integrand maps an (m, d) point array to an (m,) array.
+
+Each pass pops up to a batch of the worst cells and splits every one
+whose error is not at most share * target / (number of cells), NaN
+included, or else the worst one.  A cell leaves the heap only by being
+split, so no cell is dropped: a non-finite value or error stays in the
+totals, and a result is converged only when the total error is at most
+the target.  Each rule keeps its own batch and share, as measured:
+- GK15, 32 and 1/4.  With GM's 16 and 0, gauss._bvn_survival needs 2.4
+  times the evaluations (206,070 -> 487,290 over h, k in {-2, ..., 10}
+  and rho in +-{0.951, 0.97, 0.99, 0.999}; 556,710 with share 0 alone).
+- GM, 16 and 0.  With share 1/4, 20 of the 54 face-pair sums of the
+  perfbench workloads move, and edge-point-degenerate at u = 9
+  (restricted) misses its accuracy bound: 6.35e-9 against 6.12e-9.
 
 Refinement order is deterministic (worst-error first with a fixed
-tie-break), and the totals over the regions are kept exact as regions
-enter and leave and rounded once (_exact_parts), so they do not depend on
-the order of the regions and repeated runs produce identical bits.
-
-Neither driver raises on budget exhaustion; they return their best value
-with ``converged=False`` and leave contract enforcement to callers.
+tie-break), and the totals over the cells are kept exact as cells enter
+and leave and rounded once (_exact_parts), so they do not depend on the
+order of the cells and repeated runs produce identical bits.  The driver
+never raises on budget exhaustion: it returns its best value with
+``converged=False``; QuadratureResult.estimate raises AccuracyError then.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .common import QUADRATURE, AccuracyError, Estimate
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights,
 # with the embedded 7-point Gauss weights.  Standard QUADPACK constants.
@@ -55,12 +74,9 @@ _WG = np.array([
 # full 15-node layout: negative nodes, center, positive nodes
 _NODES_1D = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _W_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_w_gauss_full = np.zeros(15)
-# Gauss nodes are the odd-indexed Kronrod nodes (1, 3, 5 in the positive half)
-_w_gauss_full[[1, 3, 5]] = _WG[:3]
-_w_gauss_full[7] = _WG[3]
-_w_gauss_full[[13, 11, 9]] = _WG[:3]
-_W_G = _w_gauss_full
+# the Gauss nodes are the odd-indexed Kronrod nodes
+_W_G = np.zeros(15)
+_W_G[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 
 
 @dataclass(frozen=True)
@@ -70,77 +86,45 @@ class QuadratureResult:
     n_evals: int
     converged: bool
 
-
-def _gk15_batch(f, lo: np.ndarray, hi: np.ndarray):
-    """Apply GK15 to a batch of panels with a single integrand call.
-
-    Returns per-panel Kronrod values and error estimates.
-    """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * _NODES_1D[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    k15 = half * (vals @ _W_K)
-    g7 = half * (vals @ _W_G)
-    return k15, np.abs(k15 - g7)
+    def estimate(self, what: str) -> Estimate:
+        """This result as an Estimate; AccuracyError if it did not converge."""
+        if not self.converged:
+            raise AccuracyError(f"{what} did not converge",
+                                best_value=self.value, achieved_error=self.error)
+        return Estimate(self.value, self.error, self.n_evals, QUADRATURE)
 
 
-def integrate_1d(f, a: float, b: float, rel_tol: float = 1e-6,
-                 abs_tol: float = 0.0, max_evals: int = 1_000_000,
-                 batch: int = 32) -> QuadratureResult:
-    """Globally adaptive GK15 on [a, b].
-
-    f must accept a 1-d numpy array and return matching values.
-    """
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0, True)
-    k15, err = _gk15_batch(f, np.array([a]), np.array([b]))
-    n_evals = 15
-    # heap entries: (-error, tiebreak, lo, hi, value, error)
-    counter = 0
-    heap = [(-err[0], counter, a, b, k15[0], err[0])]
-    totals = _retotal(_ZERO, [k15[0]], [err[0]], [], heap)
+def _adapt(f, rule, lo, hi, rel_tol: float, abs_tol: float,
+           max_evals: int) -> QuadratureResult:
+    """Globally adaptive refinement from the cells lo, hi (see the module
+    docstring).  rule is (apply, halves, nodes per cell, batch, share):
+    apply(f, lo, hi) gives (values, errors, *extra) arrays per cell, and
+    halves(entries) the (lo, hi) of the halves of the entries' cells.
+    Heap entries are (-error, tiebreak, lo, hi, value, error, *extra)."""
+    apply, halves, nodes, most, share = rule
+    heap, split, n_evals, tiebreak = [], [], 0, itertools.count()
+    totals = ([0.0], [0.0])  # the exact totals of an empty heap
     while True:
-        total_val, total_err = totals[0][0], totals[1][0]
-        target = max(abs_tol, rel_tol * abs(total_val))
-        if total_err <= target:
-            return _finish(totals, n_evals, True)
-        if n_evals >= max_evals:
-            return _finish(totals, n_evals, False)
-        n_pop = min(batch, len(heap))
-        worst = [heapq.heappop(heap) for _ in range(n_pop)]
-        # keep panels whose own error is already negligible; refine the rest
-        refine = []
-        for h in worst:
-            if h[5] <= 0.25 * target / max(len(heap) + n_pop, 1):
-                heapq.heappush(heap, h)
-            else:
-                refine.append(h)
-        if not refine:
-            # everything popped was fine individually; refine the single worst
-            refine = [worst[0]]
-            worst = worst[1:]
-            for h in worst:
-                heapq.heappush(heap, h)
-        los, his = [], []
-        for _, _, lo_i, hi_i, _, _ in refine:
-            m = 0.5 * (lo_i + hi_i)
-            los.extend([lo_i, m])
-            his.extend([m, hi_i])
-        k15, err = _gk15_batch(f, np.array(los), np.array(his))
-        n_evals += 15 * len(los)
-        for i in range(len(los)):
-            counter += 1
-            heapq.heappush(heap, (-err[i], counter, los[i], his[i], k15[i], err[i]))
-        totals = _retotal(totals, k15.tolist(), err.tolist(), refine, heap)
-
-
-def _finish(totals, n_evals: int, converged: bool) -> QuadratureResult:
-    return QuadratureResult(totals[0][0], totals[1][0], n_evals, converged)
-
-
-# the exact totals of an empty heap, as _exact_parts gives them
-_ZERO = ([0.0], [0.0])
+        val, err, *extra = apply(f, lo, hi)
+        vals, errs = val.tolist(), err.tolist()
+        n_evals += nodes * len(vals)
+        for entry in zip((-err).tolist(), tiebreak, lo.tolist(), hi.tolist(),
+                         vals, errs, *(e.tolist() for e in extra)):
+            heapq.heappush(heap, entry)
+        totals = _retotal(totals, vals, errs, split, heap)
+        value, error = totals[0][0], totals[1][0]
+        target = max(abs_tol, rel_tol * abs(value))
+        if error <= target or n_evals >= max_evals:
+            return QuadratureResult(value, error, n_evals, error <= target)
+        popped = [heapq.heappop(heap) for _ in range(min(most, len(heap)))]
+        floor = share * target / (len(heap) + len(popped))
+        split = [h for h in popped if not h[5] <= floor]
+        keep = [h for h in popped if h[5] <= floor]
+        if not split:
+            split, keep = keep[:1], keep[1:]
+        for h in keep:
+            heapq.heappush(heap, h)
+        lo, hi = halves(split)
 
 
 def _exact_parts(values: list) -> list:
@@ -157,7 +141,7 @@ def _exact_parts(values: list) -> list:
 
 def _retotal(totals, vals: list, errs: list, leaving, heap):
     """The exact (value, error) totals of the heap, as _exact_parts, after
-    the regions with vals and errs entered it and the entries in leaving
+    the cells with vals and errs entered it and the entries in leaving
     (value at index 4, error at 5) left: only what moved is summed, not
     the whole heap.  Past a non-finite total nothing cancels exactly any
     more, and the heap is summed again."""
@@ -169,60 +153,86 @@ def _retotal(totals, vals: list, errs: list, leaving, heap):
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Kronrod 7/15 on panels of an interval.
+
+def _gk15_batch(f, lo: np.ndarray, hi: np.ndarray):
+    """Per-panel Kronrod values and error estimates of a batch of panels,
+    from a single integrand call."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    pts = mid[:, None] + half[:, None] * _NODES_1D[None, :]
+    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    k15 = half * (vals @ _W_K)
+    g7 = half * (vals @ _W_G)
+    return k15, np.abs(k15 - g7)
+
+
+def _gk15_halves(entries):
+    """Bisect each panel."""
+    los, his = [], []
+    for h in entries:
+        mid = 0.5 * (h[2] + h[3])
+        los += h[2], mid
+        his += mid, h[3]
+    return np.array(los), np.array(his)
+
+
+_GK15 = (_gk15_batch, _gk15_halves, 15, 32, 0.25)  # batch and share: see top
+
+
+def integrate_1d(f, a: float, b: float, rel_tol: float = 1e-6,
+                 abs_tol: float = 0.0, max_evals: int = 1_000_000) -> QuadratureResult:
+    """Globally adaptive GK15 on [a, b].
+
+    f must accept a 1-d numpy array and return matching values.
+    """
+    if a == b:
+        return QuadratureResult(0.0, 0.0, 0, True)
+    return _adapt(f, _GK15, np.array([a], dtype=float), np.array([b], dtype=float),
+                  rel_tol, abs_tol, max_evals)
+
+
+# ---------------------------------------------------------------------------
 # Genz-Malik degree-7 rule with embedded degree-5 error estimate.
 
-_GM_CACHE: dict[int, tuple] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gm_rule(d: int):
-    """Build the degree-7/5 Genz-Malik point set on [-1,1]^d.
+    """The degree-7/5 Genz-Malik point set on [-1,1]^d and its weights.
 
-    Returns (points, w7, w5, axis_slices) where axis_slices locates the
+    Returns (points, w7, w5, ax2, ax3), where ax2 and ax3 locate the
     +/-lambda2 and +/-lambda3 evaluations per axis for the
     fourth-difference direction heuristic.
     """
-    if d in _GM_CACHE:
-        return _GM_CACHE[d]
-    l2 = math.sqrt(9.0 / 70.0)
-    l3 = math.sqrt(9.0 / 10.0)
+    l2, l3, l5 = math.sqrt(9.0 / 70.0), math.sqrt(9.0 / 10.0), math.sqrt(9.0 / 19.0)
     l4 = l3
-    l5 = math.sqrt(9.0 / 19.0)
     pts = [np.zeros(d)]
-    for i in range(d):
-        for s in (-1.0, 1.0):
-            p = np.zeros(d)
-            p[i] = s * l2
-            pts.append(p)
-    for i in range(d):
-        for s in (-1.0, 1.0):
-            p = np.zeros(d)
-            p[i] = s * l3
-            pts.append(p)
+    for lam in (l2, l3):
+        for i in range(d):
+            for s in (-1.0, 1.0):
+                p = np.zeros(d)
+                p[i] = s * lam
+                pts.append(p)
     start_pairs = len(pts)
     for i in range(d):
         for j in range(i + 1, d):
             for si in (-1.0, 1.0):
                 for sj in (-1.0, 1.0):
                     p = np.zeros(d)
-                    p[i] = si * l4
-                    p[j] = sj * l4
+                    p[i], p[j] = si * l4, sj * l4
                     pts.append(p)
     start_corners = len(pts)
     for mask in range(1 << d):
-        p = np.array([l5 if (mask >> i) & 1 else -l5 for i in range(d)])
-        pts.append(p)
+        pts.append(np.array([l5 if (mask >> i) & 1 else -l5 for i in range(d)]))
     pts = np.array(pts)
     n = len(pts)
 
     two_d = float(2 ** d)
-    w7 = np.zeros(n)
-    w5 = np.zeros(n)
+    w7, w5 = np.zeros(n), np.zeros(n)
     w7[0] = two_d * (12824.0 - 9120.0 * d + 400.0 * d * d) / 19683.0
     w5[0] = two_d * (729.0 - 950.0 * d + 50.0 * d * d) / 729.0
-    for i in range(d):
-        w7[1 + 2 * i:3 + 2 * i] = two_d * 980.0 / 6561.0
-        w5[1 + 2 * i:3 + 2 * i] = two_d * 245.0 / 486.0
     lo3 = 1 + 2 * d
+    w7[1:lo3] = two_d * 980.0 / 6561.0
+    w5[1:lo3] = two_d * 245.0 / 486.0
     w7[lo3:lo3 + 2 * d] = two_d * (1820.0 - 400.0 * d) / 19683.0
     w5[lo3:lo3 + 2 * d] = two_d * (265.0 - 100.0 * d) / 1458.0
     w7[start_pairs:start_corners] = two_d * 200.0 / 19683.0
@@ -232,9 +242,7 @@ def _gm_rule(d: int):
 
     ax2 = [(1 + 2 * i, 2 + 2 * i) for i in range(d)]
     ax3 = [(lo3 + 2 * i, lo3 + 2 * i + 1) for i in range(d)]
-    rule = (pts, w7, w5, ax2, ax3)
-    _GM_CACHE[d] = rule
-    return rule
+    return pts, w7, w5, ax2, ax3
 
 
 _GM_RATIO = (9.0 / 70.0) / (9.0 / 10.0)  # lambda2^2 / lambda3^2
@@ -275,75 +283,32 @@ def _gm_batch(f, lo: np.ndarray, hi: np.ndarray):
     return i7, err, split_axis
 
 
+def _gm_halves(entries):
+    """Bisect each cell on its split axis (entry index 6)."""
+    lo, hi = np.array([h[2] for h in entries]), np.array([h[3] for h in entries])
+    rows, ax = np.arange(len(entries)), np.array([h[6] for h in entries])
+    left_hi, right_lo = hi.copy(), lo.copy()
+    left_hi[rows, ax] = right_lo[rows, ax] = 0.5 * (lo[rows, ax] + hi[rows, ax])
+    d = lo.shape[1]
+    return (np.stack([lo, right_lo], axis=1).reshape(-1, d),
+            np.stack([left_hi, hi], axis=1).reshape(-1, d))
+
+
 def integrate_nd(f, lo, hi, rel_tol: float = 1e-6, abs_tol: float = 0.0,
-                 max_evals: int = 1_000_000, batch: int = 16,
-                 initial_splits: int = 3) -> QuadratureResult:
+                 max_evals: int = 1_000_000) -> QuadratureResult:
     """Globally adaptive Genz-Malik cubature over the box [lo, hi].
 
     f must accept an (m, d) array and return (m,) values; d = len(lo)
-    must be 2, 3 or 4.  The box starts uniformly partitioned into
-    initial_splits cells per axis: a single rule application can miss a
-    concentrated integrand entirely and certify a spurious zero, so
-    convergence is never judged from one cell.
+    must be 2, 3 or 4.  The box starts split into 3 cells per axis.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     d = lo.size
     if d < 2 or d > 4:
         raise ValueError(f"integrate_nd supports dims 2..4, got {d}")
-    if initial_splits < 1:
-        raise ValueError("initial_splits must be at least 1")
-    n_rule = len(_gm_rule(d)[0])
     # cells in np.ndindex order: the last axis varies fastest
-    edges = [np.linspace(lo[i], hi[i], initial_splits + 1) for i in range(d)]
-    cells_lo = np.stack([g.ravel() for g in np.meshgrid(*[e[:-1] for e in edges],
-                                                        indexing="ij")], axis=1)
-    cells_hi = np.stack([g.ravel() for g in np.meshgrid(*[e[1:] for e in edges],
-                                                        indexing="ij")], axis=1)
-    val, err, axis = _gm_batch(f, cells_lo, cells_hi)
-    n_evals = n_rule * len(cells_lo)
-    counter = len(cells_lo)
-    heap = _cell_entries(1, cells_lo, cells_hi, val, err, axis)
-    heapq.heapify(heap)
-    totals = _retotal(_ZERO, val.tolist(), err.tolist(), [], heap)
-    while True:
-        total_val, total_err = totals[0][0], totals[1][0]
-        target = max(abs_tol, rel_tol * abs(total_val))
-        if total_err <= target:
-            return _finish(totals, n_evals, True)
-        if n_evals >= max_evals:
-            return _finish(totals, n_evals, False)
-        n_pop = min(batch, len(heap))
-        popped = [heapq.heappop(heap) for _ in range(n_pop)]
-        refine = [h for h in popped if h[5] > 0.0]
-        for h in popped:
-            if h[5] <= 0.0:
-                heapq.heappush(heap, h)
-        if not refine:
-            return _finish(totals, n_evals, True)
-        # bisect each cell on its axis; the halves go in as (lower, upper) pairs
-        c_lo = np.array([h[2] for h in refine])
-        c_hi = np.array([h[3] for h in refine])
-        rows = np.arange(len(refine))
-        ax = np.array([h[6] for h in refine])
-        m_ax = 0.5 * (c_lo[rows, ax] + c_hi[rows, ax])
-        left_hi = c_hi.copy()
-        left_hi[rows, ax] = m_ax
-        right_lo = c_lo.copy()
-        right_lo[rows, ax] = m_ax
-        los = np.stack([c_lo, right_lo], axis=1).reshape(-1, d)
-        his = np.stack([left_hi, c_hi], axis=1).reshape(-1, d)
-        val, err, axis = _gm_batch(f, los, his)
-        n_evals += n_rule * len(los)
-        for entry in _cell_entries(counter + 1, los, his, val, err, axis):
-            heapq.heappush(heap, entry)
-        counter += len(los)
-        totals = _retotal(totals, val.tolist(), err.tolist(), refine, heap)
-
-
-def _cell_entries(first, lo, hi, val, err, axis):
-    """Heap entries (-error, tiebreak, lo, hi, value, error, split axis) for
-    a batch of cells, with tiebreaks counting up from first."""
-    return list(zip((-err).tolist(), range(first, first + len(lo)),
-                    map(tuple, lo.tolist()), map(tuple, hi.tolist()),
-                    val.tolist(), err.tolist(), axis.tolist()))
+    edges = [np.linspace(lo[i], hi[i], 4) for i in range(d)]
+    cells_lo = np.array(list(itertools.product(*[e[:-1] for e in edges])))
+    cells_hi = np.array(list(itertools.product(*[e[1:] for e in edges])))
+    rule = (_gm_batch, _gm_halves, len(_gm_rule(d)[0]), 16, 0.0)  # see top
+    return _adapt(f, rule, cells_lo, cells_hi, rel_tol, abs_tol, max_evals)

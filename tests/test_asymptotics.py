@@ -126,6 +126,19 @@ def test_classification_shifted_ridge_falls_back():
     assert len(cls.maximizers) > 10
 
 
+def test_classification_flat_r_merges_every_lattice_point():
+    # r = 0 makes all 10,201 lattice points maximal and none coincident; the
+    # merge compares each only with its neighbours, not with every kept one
+    from test_acceptance import elapsed_under
+    from jointeec.model import independent_model
+
+    with elapsed_under(5.0):
+        cls = asy.classify(independent_model())
+    ax = np.linspace(0.0, 1.0, 101).tolist()
+    assert cls.maximizers == tuple(sorted((t, s) for t in ax for s in ax))
+    assert cls.tag == "GeneralFallback"
+
+
 # ---------------------------------------------------------------------------
 # conditional covariance and the exponent function
 
