@@ -86,15 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma separated levels, e.g. 3,3.5,4",
     )
 
-    quad = argparse.ArgumentParser(add_help=False)
-    quad.add_argument(
-        "--tol-quad",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="relative tolerance for the face-pair quadratures",
-    )
-    quad.add_argument(
+    theorem = argparse.ArgumentParser(add_help=False)
+    theorem.add_argument(
         "--theorem",
         choices=("3.1", "3.3-restricted"),
         default="3.1",
@@ -114,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[source], help="covariance structure checks")
     sub.add_parser("classify", parents=[source], help="maximizer layout of r(t,s)")
-    sub.add_parser("eec", parents=[source, levels, quad], help="numeric face-pair sum")
+    sub.add_parser("eec", parents=[source, levels, theorem], help="numeric face-pair sum")
     sub.add_parser(
         "closed-form", parents=[source, levels], help="leading-order asymptotics"
     )
@@ -123,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_parser(
         "compare",
-        parents=[source, levels, quad, sampling],
+        parents=[source, levels, theorem, sampling],
         help="closed form vs numeric sum vs Monte Carlo, with agreement bands",
     )
     return parser
@@ -205,7 +198,7 @@ def _cmd_eec(args):
     header = ("u", "eec_numeric", "quad_error", "low_confidence")
     rows = []
     for u in args.u:
-        result = kacrice.eec(mod, u, restricted=restricted, rel_tol=args.tol_quad)
+        result = kacrice.eec(mod, u, restricted=restricted)
         rows.append((u, result.total.value, result.total.error, result.total.low_confidence))
     return header, rows, 0
 
@@ -293,7 +286,7 @@ def _cmd_compare(args):
     violations = []
     for u, lv in zip(args.u, sim.levels):
         cf = term.evaluate(u)
-        ee = kacrice.eec(mod, u, restricted=restricted, rel_tol=args.tol_quad).total.value
+        ee = kacrice.eec(mod, u, restricted=restricted).total.value
         mc = lv.eec
         ratio_cf = cf / ee if ee != 0.0 else math.nan
         ratio_mc = ee / mc.value if mc.value != 0.0 else math.nan

@@ -9,13 +9,13 @@ double integral, and its closed asymptotic form.
 The normal CDF is written as Phi(-h) = exp(-h^2 / 2) R(h) for h >= 0,
 with R the Mills ratio over sqrt(2 pi) taken from piecewise polynomials
 (tools/mills_coefficients.py), so it keeps its relative accuracy, about
-6e-16, down to Phi(-37.5).  Dimension 1 is that closed form and
-dimension 2 reduces to a single smooth 1-d integral over an arcsine
-substitution.  Dimensions 3-4 condition on the coordinates with the
+6e-16, down to Phi(-37.5).  Dimension 1 is that closed form.  Dimension
+2 is one bivariate kernel, a 1-d integral along the correlation path
+rho = sin(theta) by a Gauss-Legendre rule sized per point, which every
+caller uses.  Dimensions 3-4 condition on the coordinates with the
 lowest thresholds and integrate them with a fixed tensor Gauss-Legendre
-rule against the vectorized bivariate kernel for the other two (the
-reduction of Genz 2004), so every result is deterministic by
-construction.
+rule against that kernel for the other two (the reduction of Genz 2004),
+so every result is deterministic by construction.
 """
 
 from __future__ import annotations
@@ -213,41 +213,6 @@ def _from_minus_one(h, k, rho):
     return (rho < 0.0) & (h + k >= np.sqrt(np.maximum(1.0 - rho * rho, 0.0)))
 
 
-def _bvn_survival(h: float, k: float, rho: float) -> tuple[float, float, int]:
-    """P{Z1 >= h, Z2 >= k} for standard bivariate normal, correlation rho,
-    with its error and the number of integrand evaluations.
-
-    The probability at one end of the correlation path rho = sin(theta)
-    plus the integral of the bivariate density along the path.  The path
-    starts at rho = 0, where the probability is Phi(-h) Phi(-k), or, for
-    rho < 0 and h + k >= sqrt(1 - rho^2) (see _from_minus_one), at
-    rho = -1, where it is 0.  The error is relative to the value, so it
-    stays meaningful in the far tail; a rule that misses its tolerance
-    raises AccuracyError.
-    """
-    if _from_minus_one(h, k, rho):
-        base, start = 0.0, -0.5 * math.pi
-    else:
-        base, start = ndtr(-h) * ndtr(-k), 0.0
-    if rho == 0.0:
-        return base, 1e-14 * base, 1
-    asr = math.asin(max(-1.0, min(1.0, rho)))
-    hk2 = 2.0 * h * k
-    hh_kk = h * h + k * k
-
-    def f(theta):
-        sn = np.sin(theta)
-        return np.exp(-(hh_kk - hk2 * sn) / (2.0 * (1.0 - sn * sn)))
-
-    res = quadrature.integrate_1d(f, start, asr, rel_tol=1e-11, abs_tol=0.0,
-                                  max_evals=60_000)
-    value = base + res.value / (2.0 * math.pi)
-    if not res.converged:
-        raise AccuracyError("bivariate normal survival integral did not converge",
-                            best_value=value, achieved_error=res.error / (2.0 * math.pi))
-    return value, res.error / (2.0 * math.pi) + 1e-14 * abs(value), res.n_evals
-
-
 @functools.lru_cache(maxsize=None)
 def _gl(n: int):
     """n-node Gauss-Legendre rule mapped to [0, 1]."""
@@ -260,10 +225,17 @@ def _gl(n: int):
 # 64 otherwise.
 _PATH_TIER_BOUNDS = np.array([10.0, 30.0])
 _PATH_TIER_NODES = np.array([24, 32, 64])
-# From rho = -1 with (h + k) / sqrt(1 - rho^2) above _FAR_TAIL_RATIO the
-# integrand is a spike at the top of the path, which takes 128 nodes.
+# 128 nodes for two integrands: from rho = -1 with (h + k) / sqrt(1 - rho^2)
+# above _FAR_TAIL_RATIO, a spike at the top of the path; and past
+# |rho| = _NEAR_ONE, a boundary layer at its end, where the tiers miss by
+# up to 1.8e-10 on the grid of `tools/bvn_reference.py --check`.
 _FAR_TAIL_RATIO = 14.0
-_FAR_TAIL_NODES = 128
+_NEAR_ONE = 0.95
+_MOST_NODES = 128
+# The relative error mvn_cdf reports in dimension 2, and the bound that
+# `tools/bvn_reference.py --check` holds the kernel to against 40-digit
+# references (its largest there: 8.4e-12 at (h, k, rho) = (18, 18, 0.9999)).
+_BVN_REL_ERR = 9e-12
 
 
 def _path_nodes(h, k, rho, from_minus_one):
@@ -287,21 +259,28 @@ def _path_nodes(h, k, rho, from_minus_one):
     nodes[from_minus_one] = _PATH_TIER_NODES[-1]
     # h + k >= 0 on a path from rho = -1, so the ratio compares as a square
     far = from_minus_one & ((h + k) ** 2 > _FAR_TAIL_RATIO ** 2 * (1.0 - rho * rho))
-    nodes[far] = _FAR_TAIL_NODES
+    nodes[far | (np.abs(rho) > _NEAR_ONE)] = _MOST_NODES
     return nodes
 
 
 def _bvn_survival_batch(h, k, rho) -> np.ndarray:
-    """Vectorized P{Z1 >= h, Z2 >= k}: same identity and path starts as the
-    scalar version, with one normal-tail call for h and k together.  For
-    |rho| <= 0.95 the path integral takes a Gauss-Legendre rule sized per
-    point (_path_nodes): 24, 32 or 64 nodes as the log range of the
-    integrand grows, and 128 far out from rho = -1.  On the grid h, k in
-    [-2, 20] step 0.5, |rho| in {0.05, ..., 0.95}, against a 1024-node rule
-    on the same path, the relative error is below 1e-12 (at most 4.7e-13
-    for rho > 0, 8.1e-13 for rho < 0; `tools/bvn_reference.py --check`).
-    More extreme correlations (a boundary layer forms in the integrand)
-    fall back to the adaptive path."""
+    """Vectorized P{Z1 >= h, Z2 >= k} for standard bivariate normals with
+    correlation rho.
+
+    The probability at one end of the correlation path rho = sin(theta)
+    plus the integral of the bivariate density along the path.  The path
+    starts at rho = 0, where the probability is Phi(-h) Phi(-k), or, for
+    rho < 0 and h + k >= sqrt(1 - rho^2) (see _from_minus_one), at
+    rho = -1, where it is 0; at rho = +-1 the value is closed.  The path
+    integral takes a Gauss-Legendre rule sized per point (_path_nodes).
+    On the grid h, k in [-2, 20] step 0.5, |rho| in {0.05, ..., 0.95} its
+    relative error against a 1024-node rule on the same path is below
+    1e-12, and at the worst points of that grid and of |rho| up to 0.9999
+    below _BVN_REL_ERR against 40 digits (`tools/bvn_reference.py
+    --check`).  Off the grid, where h + k (rho < 0) or h - k (rho > 0) is
+    near sqrt(1 - rho^2), rounding in 1 - sin^2 theta and h^2 + k^2 -
+    2hk sin theta costs more as |h| grows and |rho| nears 1: 5.2e-11 at
+    rho = -0.9999, h = 5; 7.5e-6 at rho = -(1 - 1e-6)."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
     k = np.atleast_1d(np.asarray(k, dtype=float))
     rho = np.clip(np.atleast_1d(np.asarray(rho, dtype=float)), -1.0, 1.0)
@@ -310,21 +289,24 @@ def _bvn_survival_batch(h, k, rho) -> np.ndarray:
     out = (tails[:h.size] * tails[h.size:]).reshape(h.shape)
     from_minus_one = _from_minus_one(h, k, rho)
     out[from_minus_one] = 0.0
-    easy = (rho != 0.0) & (np.abs(rho) <= 0.95)
-    if np.any(easy):
-        he, ke, re, fe = h[easy], k[easy], rho[easy], from_minus_one[easy]
-        nodes = _path_nodes(he, ke, re, fe)
-        part = np.empty(len(he))
+    path = (rho != 0.0) & (np.abs(rho) < 1.0)
+    if np.any(path):
+        hp, kp, rp, fp = h[path], k[path], rho[path], from_minus_one[path]
+        nodes = _path_nodes(hp, kp, rp, fp)
+        part = np.empty(len(hp))
         for n in np.flatnonzero(np.bincount(nodes)):  # the counts in use
             tier = nodes == n
-            part[tier] = _path_integral(he[tier], ke[tier], re[tier], fe[tier], int(n))
-        out[easy] += part
-    hard = np.abs(rho) > 0.95
-    for idx in np.nonzero(hard)[0]:
-        out[idx] = _bvn_survival(float(h[idx]), float(k[idx]), float(rho[idx]))[0]
+            part[tier] = _path_integral(hp[tier], kp[tier], rp[tier], fp[tier], int(n))
+        out[path] += part
+    ends = np.abs(rho) == 1.0
+    if np.any(ends):
+        top = ndtr(-np.maximum(h[ends], k[ends]))
+        out[ends] = np.where(rho[ends] > 0.0, top,
+                             np.maximum(top - ndtr(np.minimum(h[ends], k[ends])), 0.0))
     return out
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # the nodes at rho = -1: see below
 def _path_integral(h, k, rho, from_minus_one, n: int) -> np.ndarray:
     """The n-node Gauss-Legendre rule for the integral along the
     correlation path of _bvn_survival_batch, over 2 pi, per point."""
@@ -346,7 +328,14 @@ def _path_integral(h, k, rho, from_minus_one, n: int) -> np.ndarray:
     expo = (2.0 * h * k) * sn
     expo -= (h * h + k * k) * c
     np.exp(expo, out=expo)
-    return (expo @ w) * span[:, 0] / (2.0 * math.pi)
+    part = expo @ w
+    # A path from rho = -1 that ends within about 1e-9 of it has sn = -1 at
+    # its first nodes, where the exponent above is inf - inf; the integrand
+    # tends to exp(-inf) = 0 there, as h + k > 0 on such a path.
+    bad = np.isnan(part)
+    if np.any(bad):
+        part[bad] = np.nan_to_num(expo[bad], nan=0.0) @ w
+    return part * span[:, 0] / (2.0 * math.pi)
 
 
 @functools.lru_cache(maxsize=None)
@@ -467,10 +456,11 @@ def _orthant_region(cov, lower):
 def mvn_cdf(cov, lower) -> Estimate:
     """P{xi_i >= lower_i for all i} for centered xi ~ N(0, cov), dim <= 4.
 
-    Dims 3-4 condition on all but two coordinates (see
-    _orthant_conditioned) and hold for any thresholds; the value is the
-    32-node rule, the error the gap to the 16-node rule plus a rounding
-    floor."""
+    Dimension 2 is _bvn_survival_batch, with error _BVN_REL_ERR times the
+    value and its node count as the evaluations.  Dims 3-4 condition on
+    all but two coordinates (see _orthant_conditioned) and hold for any
+    thresholds; the value is the 32-node rule, the error the gap to the
+    16-node rule plus a rounding floor."""
     region = _orthant_region(cov, lower)
     if isinstance(region, Estimate):
         return region
@@ -480,7 +470,11 @@ def mvn_cdf(cov, lower) -> Estimate:
         value = ndtr(-a[0])
         return Estimate(value, 1e-14 * value, 1, QUADRATURE)
     if n == 2:
-        return Estimate(*_bvn_survival(a[0], a[1], corr[0, 1]), QUADRATURE)
+        h, k, rho = a[:1], a[1:], corr[0, 1:]
+        value = float(_bvn_survival_batch(h, k, rho)[0])
+        nodes = (int(_path_nodes(h, k, rho, _from_minus_one(h, k, rho))[0])
+                 if rho[0] else 1)  # rho = 0 is closed; the gate above keeps |rho| < 1
+        return Estimate(value, _BVN_REL_ERR * value, nodes, QUADRATURE)
     value, gap, evals = _orthant_conditioned(corr, a)
     return Estimate(value, gap + 1e-14 * value, evals, QUADRATURE)
 

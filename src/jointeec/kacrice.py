@@ -373,24 +373,24 @@ def _check_against_cubature(what, value_at_probe, ref):
         )
 
 
-def _spot_check_edge(model, s0, u, constrain, first_batch, probe_t=0.5):
+def _spot_check_edge(model, s0, u, constrain, first_batch):
     es = _EPS["Left"] if s0 == 0.0 else _EPS["Right"]
-    cov4 = _dense(_edge_conditional(model, probe_t, s0, es))
+    cov4 = _dense(_edge_conditional(model, 0.5, s0, es))
     lower = np.array([u, u, 0.0, -np.inf]) if constrain else np.array(
         [u, u, -np.inf, -np.inf]
     )
     mom = gauss.truncated_moment(cov4, lower, (0, 0, 0, 1))
-    _check_against_cubature(f"edge integrand at t={probe_t}",
-                            _value_at(first_batch, probe_t),
+    _check_against_cubature("edge integrand at t=0.5",
+                            _value_at(first_batch, 0.5),
                             mom.value / math.sqrt(2.0 * math.pi * model.lambda1))
 
 
-def _spot_check_interior(model, u, first_batch, probe=(0.5, 0.5)):
-    c, dens0 = _interior_conditional(model, probe[0], probe[1])
+def _spot_check_interior(model, u, first_batch):
+    c, dens0 = _interior_conditional(model, 0.5, 0.5)
     lower = np.array([u, u, -np.inf, -np.inf])
     mom = gauss.truncated_moment(_dense(c), lower, (0, 0, 1, 1))
-    _check_against_cubature(f"interior integrand at (t,s)={probe}",
-                            _value_at(first_batch, probe),
+    _check_against_cubature("interior integrand at (t,s)=(0.5, 0.5)",
+                            _value_at(first_batch, (0.5, 0.5)),
                             float(dens0[0]) * mom.value)
 
 
@@ -404,15 +404,12 @@ def face_pair_integral(
     u: float,
     constrain_x: bool = True,
     constrain_y: bool = True,
-    rel_tol: float | None = None,
 ) -> FacePairTerm:
     """One term of the face-pair sum, with its sign (-1)^(k+l).
 
     Every integrated term must converge and is spot-checked at the centre
     node of the rule's first batch against the direct cubature of its
     truncated moment (gauss.truncated_moment)."""
-    if rel_tol is None:
-        rel_tol = DEFAULT_TOL.quad_rel_tol
     k = int(face_x == "Interior") + int(face_y == "Interior")
     sign = (-1) ** k
 
@@ -434,7 +431,7 @@ def face_pair_integral(
                 lambda t: edge_point_integrand(work, t, s0, u, constrain), first),
             0.0,
             1.0,
-            rel_tol=rel_tol,
+            rel_tol=DEFAULT_TOL.quad_rel_tol,
             abs_tol=0.0,
             max_evals=DEFAULT_TOL.quad_max_evals,
         ).estimate(f"face pair ({face_x},{face_y}) quadrature")
@@ -446,7 +443,7 @@ def face_pair_integral(
             lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u), first),
         np.zeros(2),
         np.ones(2),
-        rel_tol=rel_tol,
+        rel_tol=DEFAULT_TOL.quad_rel_tol,
         abs_tol=0.0,
         max_evals=DEFAULT_TOL.quad_max_evals,
     ).estimate("interior x interior quadrature")
@@ -489,7 +486,6 @@ def eec(
     model: model_mod.BivariateModel,
     u: float,
     restricted: bool = False,
-    rel_tol: float | None = None,
 ) -> EecResult:
     """Sum the face-pair terms in a fixed order; exposes the per-term
     breakdown.
@@ -514,7 +510,6 @@ def eec(
             u,
             constrain_x=constrain_x,
             constrain_y=constrain_y,
-            rel_tol=rel_tol,
         )
         for fx, fy in pairs
     )

@@ -49,13 +49,16 @@ class Kernel:
         raise NotImplementedError
 
 
-# C^(k) / C for the squared exponential, as polynomials in (tau, ell^2)
+# C^(k) / C for the squared exponential, as polynomials in (tau, ell^2).
+# Powers of tau are products, not numpy's power, so that the odd ones are
+# exactly odd in tau and the even ones exactly even.
 _SQEXP_POLYS = (
     lambda tau, ell2: 1.0,
     lambda tau, ell2: -tau / ell2,
     lambda tau, ell2: tau * tau / ell2 ** 2 - 1.0 / ell2,
-    lambda tau, ell2: 3.0 * tau / ell2 ** 2 - tau ** 3 / ell2 ** 3,
-    lambda tau, ell2: 3.0 / ell2 ** 2 - 6.0 * tau * tau / ell2 ** 3 + tau ** 4 / ell2 ** 4,
+    lambda tau, ell2: 3.0 * tau / ell2 ** 2 - tau * tau * tau / ell2 ** 3,
+    lambda tau, ell2: (3.0 / ell2 ** 2 - 6.0 * tau * tau / ell2 ** 3
+                       + (tau * tau) * (tau * tau) / ell2 ** 4),
 )
 
 

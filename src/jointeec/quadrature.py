@@ -9,18 +9,15 @@ miss a concentrated integrand and certify a spurious zero).  Integrands
 are vectorized: a 1-d integrand maps an array of abscissae to an array of
 values, an n-d integrand maps an (m, d) point array to an (m,) array.
 
-Each pass pops up to a batch of the worst cells and splits every one
-whose error is not at most share * target / (number of cells), NaN
-included, or else the worst one.  A cell leaves the heap only by being
-split, so no cell is dropped: a non-finite value or error stays in the
-totals, and a result is converged only when the total error is at most
-the target.  Each rule keeps its own batch and share, as measured:
-- GK15, 32 and 1/4.  With GM's 16 and 0, gauss._bvn_survival needs 2.4
-  times the evaluations (206,070 -> 487,290 over h, k in {-2, ..., 10}
-  and rho in +-{0.951, 0.97, 0.99, 0.999}; 556,710 with share 0 alone).
-- GM, 16 and 0.  With share 1/4, 20 of the 54 face-pair sums of the
-  perfbench workloads move, and edge-point-degenerate at u = 9
-  (restricted) misses its accuracy bound: 6.35e-9 against 6.12e-9.
+Each pass pops up to _BATCH of the worst cells and splits every one
+whose error is not 0, NaN included, or else the worst one.  A cell leaves
+the heap only by being split, so no cell is dropped: a non-finite value
+or error stays in the totals, and a result is converged only when the
+total error is at most the target.  Both rules share this policy.  GK15
+gives every perfbench eec-sweep and high-u sum with it to the bit, with
+the same evaluation counts, as with the batch of 32 and the share 1/4 it
+once had (splitting only cells above share * target / cells); that share
+under GM moves 20 of the 54 sums and fails an accuracy bound.
 
 Refinement order is deterministic (worst-error first with a fixed
 tie-break), and the totals over the cells are kept exact as cells enter
@@ -94,14 +91,17 @@ class QuadratureResult:
         return Estimate(self.value, self.error, self.n_evals, QUADRATURE)
 
 
+_BATCH = 16  # cells popped per pass
+
+
 def _adapt(f, rule, lo, hi, rel_tol: float, abs_tol: float,
            max_evals: int) -> QuadratureResult:
     """Globally adaptive refinement from the cells lo, hi (see the module
-    docstring).  rule is (apply, halves, nodes per cell, batch, share):
-    apply(f, lo, hi) gives (values, errors, *extra) arrays per cell, and
-    halves(entries) the (lo, hi) of the halves of the entries' cells.
-    Heap entries are (-error, tiebreak, lo, hi, value, error, *extra)."""
-    apply, halves, nodes, most, share = rule
+    docstring).  rule is (apply, halves, nodes per cell): apply(f, lo, hi)
+    gives (values, errors, *extra) arrays per cell, and halves(entries)
+    the (lo, hi) of the halves of the entries' cells.  Heap entries are
+    (-error, tiebreak, lo, hi, value, error, *extra)."""
+    apply, halves, nodes = rule
     heap, split, n_evals, tiebreak = [], [], 0, itertools.count()
     totals = ([0.0], [0.0])  # the exact totals of an empty heap
     while True:
@@ -116,10 +116,9 @@ def _adapt(f, rule, lo, hi, rel_tol: float, abs_tol: float,
         target = max(abs_tol, rel_tol * abs(value))
         if error <= target or n_evals >= max_evals:
             return QuadratureResult(value, error, n_evals, error <= target)
-        popped = [heapq.heappop(heap) for _ in range(min(most, len(heap)))]
-        floor = share * target / (len(heap) + len(popped))
-        split = [h for h in popped if not h[5] <= floor]
-        keep = [h for h in popped if h[5] <= floor]
+        popped = [heapq.heappop(heap) for _ in range(min(_BATCH, len(heap)))]
+        split = [h for h in popped if not h[5] <= 0.0]
+        keep = [h for h in popped if h[5] <= 0.0]
         if not split:
             split, keep = keep[:1], keep[1:]
         for h in keep:
@@ -177,7 +176,7 @@ def _gk15_halves(entries):
     return np.array(los), np.array(his)
 
 
-_GK15 = (_gk15_batch, _gk15_halves, 15, 32, 0.25)  # batch and share: see top
+_GK15 = (_gk15_batch, _gk15_halves, 15)
 
 
 def integrate_1d(f, a: float, b: float, rel_tol: float = 1e-6,
@@ -310,5 +309,5 @@ def integrate_nd(f, lo, hi, rel_tol: float = 1e-6, abs_tol: float = 0.0,
     edges = [np.linspace(lo[i], hi[i], 4) for i in range(d)]
     cells_lo = np.array(list(itertools.product(*[e[:-1] for e in edges])))
     cells_hi = np.array(list(itertools.product(*[e[1:] for e in edges])))
-    rule = (_gm_batch, _gm_halves, len(_gm_rule(d)[0]), 16, 0.0)  # see top
+    rule = (_gm_batch, _gm_halves, len(_gm_rule(d)[0]))
     return _adapt(f, rule, cells_lo, cells_hi, rel_tol, abs_tol, max_evals)

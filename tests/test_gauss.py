@@ -183,7 +183,7 @@ def test_bvn_survival_reference_values(h, k, rho, ref):
     cov = np.array([[1.0, rho], [rho, 1.0]])
     est = mvn_cdf(cov, [h, k])
     assert est.value == pytest.approx(ref, rel=1e-9)
-    assert est.n > 2  # the adaptive rule's count: at least one 15-node panel
+    assert est.n >= 24  # the path rule's node count
 
 
 # Far-tail cases of the vectorized kernel (64 nodes on each: the log range
@@ -218,7 +218,7 @@ BVN_NEGATIVE_TAIL = (
 @pytest.mark.parametrize("h,k,rho,ref", BVN_NEGATIVE_TAIL)
 def test_bvn_negative_correlation_far_tail(h, k, rho, ref):
     cov = np.array([[1.0, rho], [rho, 1.0]])
-    est = mvn_cdf(cov, [h, k])  # the adaptive kernel
+    est = mvn_cdf(cov, [h, k])  # through the kernel, with its reported error
     assert est.value == pytest.approx(ref, rel=1e-11, abs=0.0)
     assert est.error < 1e-11 * ref
     assert gauss._bvn_survival_batch(h, k, rho)[0] == pytest.approx(ref, rel=1e-11, abs=0.0)
@@ -290,14 +290,52 @@ def test_path_nodes_follow_the_log_range():
 
 
 def test_bvn_survival_nonnegative():
-    # both kernels, across the switch between the two path starts
+    # across the switch between the two path starts
     vals = np.array([-3.0, -1.0, -0.3, 0.0, 0.2, 0.5, 0.9, 1.5, 3.0, 6.0, 9.0, 13.0])
     rhos = np.array([-0.999, -0.97, -0.9, -0.5, -0.1, 0.1, 0.5, 0.9, 0.97])
     h, k, rho = (a.ravel() for a in np.meshgrid(vals, vals, rhos, indexing="ij"))
     batch = gauss._bvn_survival_batch(h, k, rho)
     assert np.all(batch >= 0.0)
-    for i in range(0, len(h), 7):
-        assert gauss._bvn_survival(h[i], k[i], rho[i])[0] >= 0.0
+
+
+# |rho| = 0.9999, where a boundary layer forms at the end of the path and
+# the kernel takes 128 nodes.  References: tools/bvn_reference.py,
+# reference(h, k, rho), 40 digits.  The first case raised AccuracyError
+# through an adaptive Gauss-Kronrod route that mvn_cdf used before; the
+# fourth is the kernel's worst point on the grid of `--check` (8.4e-12).
+BVN_NEAR_ONE = (
+    (0.0, 0.5, -0.9999, 6.408744882155353624e-278),
+    (-2.0, 2.5, -0.9999, 5.25996162552992744e-279),
+    (2.0, 3.0, 0.9999, 0.0013498980316300945267),
+    (18.0, 18.0, 0.9999, 8.7513452241632364761e-73),
+)
+
+
+@pytest.mark.parametrize("h,k,rho,ref", BVN_NEAR_ONE)
+def test_bvn_survival_near_unit_correlation(h, k, rho, ref):
+    cov = np.array([[1.0, rho], [rho, 1.0]])
+    est = mvn_cdf(cov, [h, k])
+    assert est.n == 128
+    assert abs(est.value - ref) <= est.error < 1e-11 * ref
+
+
+@pytest.mark.filterwarnings("error")
+def test_bvn_survival_at_unit_correlation():
+    # rho = 1 puts the mass on Z1 = Z2 and rho = -1 on Z1 = -Z2, so the
+    # probabilities are Phi(-max(h, k)) and max(0, Phi(-h) - Phi(k))
+    vals = np.array([-9.0, -2.0, -1.0, -0.5, 0.0, 0.3, 0.5, 1.0, 2.5, 6.0])
+    h, k = (a.ravel() for a in np.meshgrid(vals, vals, indexing="ij"))
+    np.testing.assert_allclose(gauss._bvn_survival_batch(h, k, 1.0),
+                               ndtr(-np.maximum(h, k)), rtol=1e-14, atol=0.0)
+    # absolute to rounding only where Phi(-h) and Phi(k) are both near 1
+    minus = gauss._bvn_survival_batch(h, k, -1.0)
+    np.testing.assert_allclose(minus, np.maximum(ndtr(-h) - ndtr(k), 0.0),
+                               rtol=1e-14, atol=5e-16)
+    assert np.all(minus[h + k >= 0.0] == 0.0)
+    # within 1e-12 of rho = -1 the path rule tends to that limit; its first
+    # nodes have sin(theta) = -1 there, where the exponent is inf - inf
+    near = gauss._bvn_survival_batch(h, k, -1.0 + 1e-12)
+    np.testing.assert_allclose(near, minus, rtol=0.0, atol=1e-5)
 
 
 def test_orthant_equicorrelated_closed_form():

@@ -88,6 +88,19 @@ def test_sqexp_derivative_parity(tau, order):
     assert left == pytest.approx(right, rel=1e-12, abs=1e-15)
 
 
+def test_sqexp_derivative_parity_is_exact():
+    # odd orders exactly odd in tau and even ones exactly even, so covariance
+    # blocks of derivatives come out exactly symmetric; tau^3 and tau^4
+    # through numpy's power broke both, here by up to 1.8e-15
+    k = SquaredExponential(0.6)
+    lags = np.linspace(0.0, 2.0, 401)[1:]
+    plus, minus = k.derivs(lags, 4), k.derivs(-lags, 4)
+    for order in range(5):
+        assert np.array_equal(minus[order], (-1.0) ** order * plus[order])
+    block = joint_cov(BivariateModel(k, k, ShiftMixture(0.5, 0.0, k)), [("X", [0.0, 0.6], 2)])
+    assert np.array_equal(block, block.T)
+
+
 def test_kernel_eval_broadcasts():
     k = SquaredExponential(1.0)
     lags = np.linspace(-1, 1, 7)
@@ -220,9 +233,7 @@ def test_joint_cov_equals_entrywise_definition(mod):
     assert np.array_equal(cov, _entrywise(mod, MIXED_ROWS, MIXED_COLS))
     square = joint_cov(mod, MIXED_ROWS)
     assert np.array_equal(square, _entrywise(mod, MIXED_ROWS, MIXED_ROWS))
-    # symmetric to rounding only: the fourth derivative of the squared
-    # exponential at tau and at -tau may differ in the last bit
-    np.testing.assert_allclose(square, square.T, rtol=1e-15, atol=0.0)
+    assert np.array_equal(square, square.T)
 
 
 def test_joint_cov_cosine_kernel_matches_entrywise():
