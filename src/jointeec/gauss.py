@@ -227,14 +227,14 @@ _PATH_TIER_BOUNDS = np.array([10.0, 30.0])
 _PATH_TIER_NODES = np.array([24, 32, 64])
 # 128 nodes for two integrands: from rho = -1 with (h + k) / sqrt(1 - rho^2)
 # above _FAR_TAIL_RATIO, a spike at the top of the path; and past
-# |rho| = _NEAR_ONE, a boundary layer at its end, where the tiers miss by
-# up to 1.8e-10 on the grid of `tools/bvn_reference.py --check`.
+# |rho| = _NEAR_ONE, a boundary layer at its end (see _near_one_integral),
+# where the tiers miss by up to 1.8e-10 on the grid of
+# `tools/bvn_reference.py --check`.
 _FAR_TAIL_RATIO = 14.0
 _NEAR_ONE = 0.95
 _MOST_NODES = 128
-# The relative error mvn_cdf reports in dimension 2, and the bound that
-# `tools/bvn_reference.py --check` holds the kernel to against 40-digit
-# references (its largest there: 8.4e-12 at (h, k, rho) = (18, 18, 0.9999)).
+# The relative error of each part of the kernel's sum (see _bvn_parts),
+# the bound `tools/bvn_reference.py --check` holds it to against 40 digits.
 _BVN_REL_ERR = 9e-12
 
 
@@ -265,51 +265,60 @@ def _path_nodes(h, k, rho, from_minus_one):
 
 def _bvn_survival_batch(h, k, rho) -> np.ndarray:
     """Vectorized P{Z1 >= h, Z2 >= k} for standard bivariate normals with
-    correlation rho.
+    correlation rho: the sum of _bvn_parts."""
+    start, path, _ = _bvn_parts(h, k, rho)
+    return start + path
 
-    The probability at one end of the correlation path rho = sin(theta)
-    plus the integral of the bivariate density along the path.  The path
-    starts at rho = 0, where the probability is Phi(-h) Phi(-k), or, for
-    rho < 0 and h + k >= sqrt(1 - rho^2) (see _from_minus_one), at
-    rho = -1, where it is 0; at rho = +-1 the value is closed.  The path
-    integral takes a Gauss-Legendre rule sized per point (_path_nodes).
-    On the grid h, k in [-2, 20] step 0.5, |rho| in {0.05, ..., 0.95} its
-    relative error against a 1024-node rule on the same path is below
-    1e-12, and at the worst points of that grid and of |rho| up to 0.9999
-    below _BVN_REL_ERR against 40 digits (`tools/bvn_reference.py
-    --check`).  Off the grid, where h + k (rho < 0) or h - k (rho > 0) is
-    near sqrt(1 - rho^2), rounding in 1 - sin^2 theta and h^2 + k^2 -
-    2hk sin theta costs more as |h| grows and |rho| nears 1: 5.2e-11 at
-    rho = -0.9999, h = 5; 7.5e-6 at rho = -(1 - 1e-6)."""
+
+def _bvn_parts(h, k, rho):
+    """Per point (start, path, nodes): the probability at the start of the
+    correlation path rho = sin(theta), Phi(-h) Phi(-k) at rho = 0 or, for
+    rho < 0 and h + k >= sqrt(1 - rho^2) (_from_minus_one), 0 at rho = -1;
+    the integral of the density along the path by a Gauss-Legendre rule
+    sized per point (_path_nodes, and _near_one_integral past _NEAR_ONE);
+    and its node count.  rho = 0 and +-1 are closed (path 0, one node).
+    Against 40 digits the sum is within _BVN_REL_ERR relative at the worst
+    points of the grid of `tools/bvn_reference.py --check`, |rho| up to
+    0.9999, and on its lines where h -+ k is a fraction of sqrt(1 - rho^2).
+    There, as rho nears -1, a negative path cancels all but about
+    sqrt(1 - rho^2) of the start: the sum keeps the error of its parts."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
     k = np.atleast_1d(np.asarray(k, dtype=float))
     rho = np.clip(np.atleast_1d(np.asarray(rho, dtype=float)), -1.0, 1.0)
     h, k, rho = np.broadcast_arrays(h, k, rho)
     tails = ndtr(-np.concatenate([h.ravel(), k.ravel()]))
-    out = (tails[:h.size] * tails[h.size:]).reshape(h.shape)
+    start = (tails[:h.size] * tails[h.size:]).reshape(h.shape)
+    path = np.zeros(h.shape)
+    nodes = np.ones(h.shape, dtype=np.intp)
     from_minus_one = _from_minus_one(h, k, rho)
-    out[from_minus_one] = 0.0
-    path = (rho != 0.0) & (np.abs(rho) < 1.0)
-    if np.any(path):
-        hp, kp, rp, fp = h[path], k[path], rho[path], from_minus_one[path]
-        nodes = _path_nodes(hp, kp, rp, fp)
+    start[from_minus_one] = 0.0
+    on_path = (rho != 0.0) & (np.abs(rho) < 1.0)
+    if np.any(on_path):
+        hp, kp, rp, fp = h[on_path], k[on_path], rho[on_path], from_minus_one[on_path]
+        nodes[on_path] = count = _path_nodes(hp, kp, rp, fp)
         part = np.empty(len(hp))
-        for n in np.flatnonzero(np.bincount(nodes)):  # the counts in use
-            tier = nodes == n
-            part[tier] = _path_integral(hp[tier], kp[tier], rp[tier], fp[tier], int(n))
-        out[path] += part
+        near = np.abs(rp) > _NEAR_ONE
+        if np.any(near):
+            part[near] = _near_one_integral(hp[near], kp[near], rp[near], fp[near],
+                                            _MOST_NODES)
+            count = np.where(near, 0, count)
+        for n in np.flatnonzero(np.bincount(count)):  # the counts in use
+            if n:  # 0: done above
+                tier = count == n
+                part[tier] = _path_integral(hp[tier], kp[tier], rp[tier], fp[tier], int(n))
+        path[on_path] = part
     ends = np.abs(rho) == 1.0
     if np.any(ends):
         top = ndtr(-np.maximum(h[ends], k[ends]))
-        out[ends] = np.where(rho[ends] > 0.0, top,
-                             np.maximum(top - ndtr(np.minimum(h[ends], k[ends])), 0.0))
-    return out
+        start[ends] = np.where(rho[ends] > 0.0, top,
+                               np.maximum(top - ndtr(np.minimum(h[ends], k[ends])), 0.0))
+    return start, path, nodes
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # the nodes at rho = -1: see below
 def _path_integral(h, k, rho, from_minus_one, n: int) -> np.ndarray:
     """The n-node Gauss-Legendre rule for the integral along the
-    correlation path of _bvn_survival_batch, over 2 pi, per point."""
+    correlation path of _bvn_parts, over 2 pi, per point, for
+    |rho| <= _NEAR_ONE."""
     x, w = _gl(n)
     start = np.where(from_minus_one, -0.5 * math.pi, 0.0)[:, None]
     span = np.arcsin(rho)[:, None] - start
@@ -328,14 +337,29 @@ def _path_integral(h, k, rho, from_minus_one, n: int) -> np.ndarray:
     expo = (2.0 * h * k) * sn
     expo -= (h * h + k * k) * c
     np.exp(expo, out=expo)
-    part = expo @ w
-    # A path from rho = -1 that ends within about 1e-9 of it has sn = -1 at
-    # its first nodes, where the exponent above is inf - inf; the integrand
-    # tends to exp(-inf) = 0 there, as h + k > 0 on such a path.
-    bad = np.isnan(part)
-    if np.any(bad):
-        part[bad] = np.nan_to_num(expo[bad], nan=0.0) @ w
-    return part * span[:, 0] / (2.0 * math.pi)
+    return (expo @ w) * span[:, 0] / (2.0 * math.pi)
+
+
+def _near_one_integral(h, k, rho, from_minus_one, n: int) -> np.ndarray:
+    """_path_integral for |rho| > _NEAR_ONE, on the offset phi = pi/2 -
+    |theta| from the pole theta = s pi/2, s = sign(rho), the path ends near.
+    There 1 - sin^2 theta and h^2 + k^2 - 2hk sin theta cancel; on phi,
+    with d = h - s k, the exponent -d^2 / (2 sin^2 phi) - s hk / (1 + cos
+    phi) has two terms that do not (where their signs differ, the second
+    is at most half the first).  A path from rho = -1 covers [0, phi1],
+    phi1 = arccos |rho|, with nodes uniform in phi; one from rho = 0 covers
+    [phi1, pi/2] with nodes uniform in log phi, for a layer phi1 wide at
+    phi1."""
+    x, w = _gl(n)
+    sign = np.where(rho > 0.0, 1.0, -1.0)[:, None]
+    end = np.arccos(np.abs(rho))[:, None]
+    log_span = np.log(0.5 * math.pi / end)
+    phi = np.where(from_minus_one[:, None], end * x, end * np.exp(log_span * x))
+    weight = np.where(from_minus_one[:, None], end, sign * log_span * phi) * w
+    sn = np.sin(phi)
+    d = h[:, None] - sign * k[:, None]
+    expo = -(d * d) / (2.0 * sn * sn) - (sign * (h * k)[:, None]) / (1.0 + np.cos(phi))
+    return np.sum(np.exp(expo) * weight, axis=1) / (2.0 * math.pi)
 
 
 @functools.lru_cache(maxsize=None)
@@ -456,11 +480,11 @@ def _orthant_region(cov, lower):
 def mvn_cdf(cov, lower) -> Estimate:
     """P{xi_i >= lower_i for all i} for centered xi ~ N(0, cov), dim <= 4.
 
-    Dimension 2 is _bvn_survival_batch, with error _BVN_REL_ERR times the
-    value and its node count as the evaluations.  Dims 3-4 condition on
-    all but two coordinates (see _orthant_conditioned) and hold for any
-    thresholds; the value is the 32-node rule, the error the gap to the
-    16-node rule plus a rounding floor."""
+    Dimension 2 is _bvn_parts, with error _BVN_REL_ERR times the sum of
+    the magnitudes of its parts and its node count as the evaluations.
+    Dims 3-4 condition on all but two coordinates (_orthant_conditioned)
+    and hold for any thresholds; the value is the 32-node rule, the error
+    the gap to the 16-node rule plus a rounding floor."""
     region = _orthant_region(cov, lower)
     if isinstance(region, Estimate):
         return region
@@ -470,11 +494,9 @@ def mvn_cdf(cov, lower) -> Estimate:
         value = ndtr(-a[0])
         return Estimate(value, 1e-14 * value, 1, QUADRATURE)
     if n == 2:
-        h, k, rho = a[:1], a[1:], corr[0, 1:]
-        value = float(_bvn_survival_batch(h, k, rho)[0])
-        nodes = (int(_path_nodes(h, k, rho, _from_minus_one(h, k, rho))[0])
-                 if rho[0] else 1)  # rho = 0 is closed; the gate above keeps |rho| < 1
-        return Estimate(value, _BVN_REL_ERR * value, nodes, QUADRATURE)
+        start, path, nodes = _bvn_parts(a[0], a[1], corr[0, 1])
+        error = _BVN_REL_ERR * (start[0] + abs(path[0]))
+        return Estimate(float(start[0] + path[0]), float(error), int(nodes[0]), QUADRATURE)
     value, gap, evals = _orthant_conditioned(corr, a)
     return Estimate(value, gap + 1e-14 * value, evals, QUADRATURE)
 

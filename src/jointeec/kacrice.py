@@ -420,6 +420,8 @@ def face_pair_integral(
         return FacePairTerm(face_x, face_y, sign, est)
 
     first: list = []
+    tols = dict(rel_tol=DEFAULT_TOL.quad_rel_tol, abs_tol=0.0,
+                max_evals=DEFAULT_TOL.quad_max_evals)
     if k == 1:
         if face_x == "Interior":
             work, s0, constrain = model, _POINT[face_y], constrain_y
@@ -429,11 +431,7 @@ def face_pair_integral(
         est = quadrature.integrate_1d(
             _keeping_first_batch(
                 lambda t: edge_point_integrand(work, t, s0, u, constrain), first),
-            0.0,
-            1.0,
-            rel_tol=DEFAULT_TOL.quad_rel_tol,
-            abs_tol=0.0,
-            max_evals=DEFAULT_TOL.quad_max_evals,
+            0.0, 1.0, **tols,
         ).estimate(f"face pair ({face_x},{face_y}) quadrature")
         _spot_check_edge(work, s0, u, constrain, first)
         return FacePairTerm(face_x, face_y, sign, est)
@@ -441,11 +439,7 @@ def face_pair_integral(
     est = quadrature.integrate_nd(
         _keeping_first_batch(
             lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u), first),
-        np.zeros(2),
-        np.ones(2),
-        rel_tol=DEFAULT_TOL.quad_rel_tol,
-        abs_tol=0.0,
-        max_evals=DEFAULT_TOL.quad_max_evals,
+        np.zeros(2), np.ones(2), **tols,
     ).estimate("interior x interior quadrature")
     _spot_check_interior(model, u, first)
     return FacePairTerm(face_x, face_y, sign, est)

@@ -9,15 +9,14 @@ miss a concentrated integrand and certify a spurious zero).  Integrands
 are vectorized: a 1-d integrand maps an array of abscissae to an array of
 values, an n-d integrand maps an (m, d) point array to an (m,) array.
 
-Each pass pops up to _BATCH of the worst cells and splits every one
-whose error is not 0, NaN included, or else the worst one.  A cell leaves
-the heap only by being split, so no cell is dropped: a non-finite value
-or error stays in the totals, and a result is converged only when the
-total error is at most the target.  Both rules share this policy.  GK15
-gives every perfbench eec-sweep and high-u sum with it to the bit, with
-the same evaluation counts, as with the batch of 32 and the share 1/4 it
-once had (splitting only cells above share * target / cells); that share
-under GM moves 20 of the 54 sums and fails an accuracy bound.
+Both rules refine under one policy: each pass pops up to _BATCH (16) of
+the worst cells and splits every one whose error is not 0, NaN included,
+or else the worst one.  A cell leaves the heap only by being split, so no
+cell is dropped: a non-finite value or error stays in the totals, and a
+result is converged only when the total error is at most the target.  On
+the perfbench eec-sweep and high-u workloads every face-pair sum under
+this policy matches, bit for bit and in evaluation count, the sum with
+GK15 cells of negligible error left unsplit.
 
 Refinement order is deterministic (worst-error first with a fixed
 tie-break), and the totals over the cells are kept exact as cells enter

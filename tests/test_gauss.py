@@ -319,6 +319,30 @@ def test_bvn_survival_near_unit_correlation(h, k, rho, ref):
     assert abs(est.value - ref) <= est.error < 1e-11 * ref
 
 
+# On the line k = -h + 0.9 sqrt(1 - rho^2) the path starts at rho = 0 and
+# its integral cancels most of Phi(-h) Phi(-k): the value is about
+# sqrt(1 - rho^2) times that, and mvn_cdf reports the error of the two
+# parts.  References: tools/bvn_reference.py, reference(h, k, rho), 40
+# digits.  At rho = -0.9999 rounding in 1 - sin^2 theta cost the kernel
+# 5.2e-11 on the first case before it took the offset from the pole; the
+# kernel's errors are now 8.3e-13, 3.9e-12, 9.6e-11 and 1.1e-9.
+BVN_CANCELLING = (
+    (5.0, -0.9999, 2.1791192989151224794e-9),
+    (0.0, -0.9999, 0.00056664259145578772806),
+    (5.0, -0.99999999, 2.1122756742459220412e-11),
+    (0.0, -0.99999999, 5.6662201782032315088e-6),
+)
+
+
+@pytest.mark.parametrize("h,rho,ref", BVN_CANCELLING)
+def test_bvn_survival_cancelling_near_minus_one(h, rho, ref):
+    k = -h + 0.9 * math.sqrt(1.0 - rho * rho)
+    est = mvn_cdf(np.array([[1.0, rho], [rho, 1.0]]), [h, k])
+    assert abs(est.value - ref) <= est.error
+    if rho == -0.9999:  # in the region `tools/bvn_reference.py --check` covers
+        assert abs(est.value - ref) <= gauss._BVN_REL_ERR * ref
+
+
 @pytest.mark.filterwarnings("error")
 def test_bvn_survival_at_unit_correlation():
     # rho = 1 puts the mass on Z1 = Z2 and rho = -1 on Z1 = -Z2, so the
@@ -332,8 +356,8 @@ def test_bvn_survival_at_unit_correlation():
     np.testing.assert_allclose(minus, np.maximum(ndtr(-h) - ndtr(k), 0.0),
                                rtol=1e-14, atol=5e-16)
     assert np.all(minus[h + k >= 0.0] == 0.0)
-    # within 1e-12 of rho = -1 the path rule tends to that limit; its first
-    # nodes have sin(theta) = -1 there, where the exponent is inf - inf
+    # within 1e-12 of rho = -1 the path rule tends to that limit; on the
+    # offset from the pole its exponent stays finite at every node
     near = gauss._bvn_survival_batch(h, k, -1.0 + 1e-12)
     np.testing.assert_allclose(near, minus, rtol=0.0, atol=1e-5)
 

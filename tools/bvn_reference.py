@@ -23,17 +23,19 @@ repository root:
 
 The printed literals are the pinned values of tests/test_gauss.py.
 `--check` evaluates gauss._bvn_survival_batch on the grid h, k in [-2, 20]
-step 0.5, |rho| in {0.05, ..., 0.95} and prints, for each region of the
-grid, the largest relative error against a 1024-node Gauss-Legendre rule
-on the same path in double precision, and the kernel's error at that
-worst point against the 40-digit reference.  For 0.95 < |rho| < 1, on the
-grid |rho| in NEAR_ONE, that rule is no reference (it misses by up to
-4e-11 at rho = -0.9999): it only picks, per correlation, the WORST_NEAR_ONE
-points where it and the kernel disagree most, and those are checked
-against 40 digits.  Points whose value is below 1e-300 are left out.  It
-also prints the kernel's error on the pinned cases, and exits 1 if an
-error on the moderate grid exceeds GRID_TOL, or one against 40 digits
-REL_ERR, the relative error gauss.mvn_cdf reports in dimension 2.
+step 0.5 at |rho| in MODERATE and in NEAR_ONE (0.95 < |rho| < 1) and
+prints the largest relative gap to the same sum with its path integral on
+1024 nodes instead of the kernel's count (the rule of gauss._path_integral,
+or past |rho| = 0.95 of gauss._near_one_integral), with the kernel's error
+against the 40-digit reference at the point of largest gap: per region of
+the moderate grid, per correlation of the other.  Points whose value is
+below 1e-300 are left out.  It also checks against 40 digits the points
+where the path ends in a layer about sqrt(1 - rho^2) wide, on the lines
+k = -h + R sqrt(1 - rho^2) (rho < 0) and k = h + R sqrt(1 - rho^2)
+(rho > 0) for h in LINE_H, R in LINE_R and each NEAR_ONE correlation,
+whatever their gap, and the pinned cases.  It exits 1 if a gap exceeds
+GRID_TOL or an error against 40 digits REL_ERR, the relative error of
+each part of the kernel's sum that gauss.mvn_cdf reports in dimension 2.
 """
 
 from __future__ import annotations
@@ -54,12 +56,16 @@ GRID_TOL = 1e-12
 REL_ERR = gauss._BVN_REL_ERR
 MODERATE = np.round(np.arange(0.05, 0.96, 0.05), 2)
 NEAR_ONE = np.array([0.96, 0.98, 0.99, 0.995, 0.999, 0.9999])
-WORST_NEAR_ONE = 2
+LINE_H = (-2.0, 0.0, 5.0)
+LINE_R = (0.3, 0.9)
 
 # (h, k, rho): far out at negative correlation, where the path starts at
-# rho = -1 and the integrand is a spike at its top; and near rho = -1, where
-# an adaptive Gauss-Kronrod route the kernel once used raised AccuracyError
-PINNED = ((4.5, 4.5, -0.95), (9.0, 9.0, -0.8), (2.0, 9.0, -0.95), (0.0, 0.5, -0.9999))
+# rho = -1 and the integrand is a spike at its top; near rho = -1, where
+# an adaptive Gauss-Kronrod route the kernel once used raised AccuracyError;
+# and on the line k = -h + 0.9 sqrt(1 - rho^2), where the kernel lost 5e-11
+# to rounding in 1 - sin^2 theta before it took the offset from the pole
+PINNED = ((4.5, 4.5, -0.95), (9.0, 9.0, -0.8), (2.0, 9.0, -0.95), (0.0, 0.5, -0.9999),
+          (5.0, -5.0 + 0.9 * math.sqrt(1.0 - 0.9999 ** 2), -0.9999))
 
 
 def theta_form(h, k, rho):
@@ -112,23 +118,18 @@ def reference(h, k, rho):
     return value
 
 
-@np.errstate(divide="ignore")  # 1 - sn^2 = 0 at nodes next to rho = -1: exp(-inf)
-def path_rule(h, k, rho, n=1024, chunk=4096):
-    """The path integral of gauss._bvn_survival_batch with an n-node
-    Gauss-Legendre rule, on the same path, in double precision."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
+def path_rule(h, k, rho, n=1024, chunk=2048):
+    """The kernel's sum with its path integral on n nodes, on the same
+    path, in double precision."""
+    start, _, _ = gauss._bvn_parts(h, k, rho)
     from_minus_one = gauss._from_minus_one(h, k, rho)
-    out = np.empty(len(h))
-    for i in range(0, len(h), chunk):
-        sl = slice(i, i + chunk)
-        hh, kk, m1 = h[sl, None], k[sl, None], from_minus_one[sl]
-        start = np.where(m1, -0.5 * math.pi, 0.0)[:, None]
-        span = np.arcsin(rho[sl])[:, None] - start
-        sn = np.sin(start + span * x)
-        expo = np.exp(-(hh * hh + kk * kk - 2.0 * hh * kk * sn) / (2.0 * (1.0 - sn * sn)))
-        base = np.where(m1, 0.0, gauss.ndtr(-h[sl]) * gauss.ndtr(-k[sl]))
-        out[sl] = base + (expo @ w) * span[:, 0] / (2.0 * math.pi)
+    near = np.abs(rho) > gauss._NEAR_ONE
+    out = start.copy()
+    for mask, rule in ((near, gauss._near_one_integral), (~near, gauss._path_integral)):
+        idx = np.flatnonzero(mask)
+        for i in range(0, len(idx), chunk):
+            j = idx[i:i + chunk]
+            out[j] += rule(h[j], k[j], rho[j], from_minus_one[j], n)
     return out
 
 
@@ -172,13 +173,23 @@ def check():
               "against 40 digits")
         ok &= bool(err[i] <= GRID_TOL) and at_worst <= REL_ERR
     h, k, rho, err = grid(NEAR_ONE)
-    picked = [np.flatnonzero(rho == r)[np.argsort(err[rho == r])[-WORST_NEAR_ONE:]]
-              for r in np.unique(rho)]
-    errors = [(exact_error(h[i], k[i], rho[i]), i) for i in np.concatenate(picked)]
-    e, i = max(errors)
-    print(f"# 0.95 < |rho| < 1: {len(h)} points, largest gap {err.max():.2g} to the "
-          f"1024-node rule; at the {len(errors)} points of largest gap, largest {e:.2g} "
-          f"against 40 digits, at (h, k, rho) = ({h[i]:g}, {k[i]:g}, {rho[i]:g})")
+    print(f"# 0.95 < |rho| < 1: {len(h)} points")
+    for r in np.unique(rho):
+        i = np.flatnonzero(rho == r)[np.argmax(err[rho == r])]
+        at_worst = exact_error(h[i], k[i], rho[i])
+        print(f"# rho = {r:g}: largest {err[i]:.2g} at (h, k) = ({h[i]:g}, {k[i]:g}), "
+              f"{at_worst:.2g} there against 40 digits")
+        ok &= bool(err[i] <= GRID_TOL) and at_worst <= REL_ERR
+    errors = []
+    for r in np.concatenate([NEAR_ONE, -NEAR_ONE]):
+        width = math.sqrt(1.0 - r * r)
+        for hh in LINE_H:
+            for frac in LINE_R:
+                kk = math.copysign(1.0, r) * hh + frac * width
+                errors.append((exact_error(hh, kk, r), hh, frac, r))
+    e, hh, frac, r = max(errors)
+    print(f"# on the lines k = -+h + R sqrt(1 - rho^2): {len(errors)} points, largest {e:.2g} "
+          f"against 40 digits, at h = {hh:g}, R = {frac:g}, rho = {r:g}")
     ok &= e <= REL_ERR
     for case in PINNED:
         e = exact_error(*case)
