@@ -9,14 +9,21 @@ Schneider 2012).  Only the diagonal and k columns of the covariance are
 evaluated; the fixtures give k = 16 at every grid size.
 
 Replicates come in blocks of _BLOCK; block b draws from the Philox
-stream keyed by (seed, b) and is reduced before the next is drawn, so
-memory stays bounded and a run of r replicates is bit-identical to the
-first r replicates of any longer run with the same seed.
+stream keyed by (seed, b), so a run of r replicates is bit-identical to
+the first r replicates of any longer run with the same seed.  Each block
+is multiplied and reduced _CHUNK rows at a time through one reused
+(_CHUNK, 2n) buffer, so the paths held in memory are one chunk, not one
+block (8 MB, not 64 MB, at grid 4096), and at grid 512 each 1 MB chunk is
+reduced while it is still in cache.  Every product is a full _CHUNK
+rows, a short last block included (it is drawn in full): the rounding
+of a matrix product may depend on its shape, and full chunks round each
+path row as the whole-block product does (the tests check this bit for
+bit).
 
 `simulate` is the one draw-and-reduce loop: one call factors the grid
-covariance once and draws and multiplies each block once, and every
+covariance once and draws and multiplies each chunk once, and every
 requested level reads both the excursion and the EEC estimate from that
-block.  `estimate_eec` and `estimate_joint_excursion` are its one-level
+chunk.  `estimate_eec` and `estimate_joint_excursion` are its one-level
 reads; `sample_paths` returns the paths themselves.
 """
 
@@ -49,7 +56,8 @@ __all__ = [
 
 _GRID_MIN, _GRID_MAX = 64, 4096
 _PIVOT_TOL = 1e-12  # largest residual variance left; a dense Cholesky needs a ridge this size
-_BLOCK = 1024  # replicates per Philox key and per chunk of paths in memory
+_BLOCK = 1024  # replicates per Philox key
+_CHUNK = 128  # rows per path product and reduction; _BLOCK is a multiple of it
 _TILT_TOL = 1e-8  # largest |F w - m| / |m| accepted for the importance-sampling tilt
 
 
@@ -99,25 +107,31 @@ def _factor(model, grid_n: int, reps: int):
     return (grid, *_pivoted_cholesky(model, grid))
 
 
-def _blocks(factor: np.ndarray, reps: int, seed: int):
-    """Yield (z, z F^T) block by block, z standard normal from the
-    Philox stream keyed by (seed, block).  A short last block is drawn and
-    multiplied in full: a matrix product's rounding may depend on its
-    shape (a single row goes to a matrix-vector kernel)."""
+def _chunks(factor: np.ndarray, reps: int, seed: int):
+    """Yield (start, z, z F^T) chunk by chunk: z is standard normal from
+    the Philox stream keyed by (seed, block), drawn a full block at a time,
+    and start is the index of its first replicate.  Each product is taken
+    on a full _CHUNK rows of z, also in a short last block, and the rows
+    past `reps` are dropped.  The paths are a view of one reused buffer:
+    the next chunk overwrites them."""
     k = factor.shape[1]
-    for b, start in enumerate(range(0, reps, _BLOCK)):
+    buf = np.empty((_CHUNK, factor.shape[0]))
+    for b, first in enumerate(range(0, reps, _BLOCK)):
         key = np.array([seed & 0xFFFFFFFFFFFFFFFF, b], dtype=np.uint64)
         z = np.random.Generator(np.random.Philox(key=key)).standard_normal((_BLOCK, k))
-        paths = z @ factor.T
-        m = min(_BLOCK, reps - start)
-        yield z[:m], paths[:m]
+        for c in range(0, min(_BLOCK, reps - first), _CHUNK):
+            np.matmul(z[c : c + _CHUNK], factor.T, out=buf)
+            m = min(_CHUNK, reps - first - c)
+            yield first + c, z[c : c + m], buf[:m]
 
 
 def sample_paths(
     model: model_mod.BivariateModel, grid_n: int, reps: int, seed: int
 ) -> PathBatch:
     grid, factor, cond = _factor(model, grid_n, reps)
-    paths = np.concatenate([p for _, p in _blocks(factor, reps, seed)])
+    paths = np.empty((reps, 2 * grid_n))
+    for start, _, p in _chunks(factor, reps, seed):
+        paths[start : start + len(p)] = p
     return PathBatch(
         grid=grid,
         x_paths=paths[:, :grid_n],
@@ -234,28 +248,26 @@ def simulate(
         raise ArgumentError("levels must be nonempty")
     grid, factor, cond = _factor(model, grid_n, reps)
     tilts = [None if shift is None else _tilt(model, grid, factor, shift, u) for u in levels]
-    contribs = [[] for _ in levels]
-    prods = [[] for _ in levels]
-    for z, p in _blocks(factor, reps, seed):
+    contribs = np.zeros((len(levels), reps))
+    prods = np.zeros((len(levels), reps), dtype=np.int64)
+    for start, z, p in _chunks(factor, reps, seed):
+        rows = slice(start, start + len(p))
         x, y = p[:, :grid_n], p[:, grid_n:]
-        x_max, y_max = x.max(axis=1), y.max(axis=1)
-        for u, tilt, contrib, prod in zip(levels, tilts, contribs, prods):
+        x_max, y_max = p.reshape(len(p), 2, grid_n).max(axis=2).T
+        for u, tilt, contrib, prod in zip(levels, tilts, contribs[:, rows], prods[:, rows]):
             both = (x_max >= u) & (y_max >= u)
-            chi = np.zeros(len(p), dtype=np.int64)
-            chi[both] = _counts(x[both], u) * _counts(y[both], u)
-            prod.append(chi)
+            prod[both] = _counts(x[both], u) * _counts(y[both], u)
             if tilt is None:
-                contrib.append(both.astype(np.float64))
+                contrib[:] = both
                 continue
             w, thr, half_ww = tilt
-            # one half-width mask at a time: a full-width one would sit beside p
-            hit = (x >= thr[:grid_n]).any(axis=1)
-            hit &= (y >= thr[grid_n:]).any(axis=1)
-            contrib.append(np.where(hit, np.exp(-z @ w - half_ww), 0.0))
+            # a tilted replicate hits where both halves reach u - F w somewhere
+            hit = (p >= thr).reshape(len(p), 2, grid_n).any(axis=2).all(axis=1)
+            contrib[:] = np.where(hit, np.exp(-z @ w - half_ww), 0.0)
     out = []
     for u, tilt, contrib, prod in zip(levels, tilts, contribs, prods):
-        exc, ess = _excursion_estimate(np.concatenate(contrib), reps, tilt is not None)
-        out.append(LevelEstimates(u, exc, _eec_estimate(np.concatenate(prod), reps), ess))
+        exc, ess = _excursion_estimate(contrib, reps, tilt is not None)
+        out.append(LevelEstimates(u, exc, _eec_estimate(prod, reps), ess))
     return Simulation(tuple(out), factor.shape[1], cond)
 
 

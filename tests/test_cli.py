@@ -216,6 +216,29 @@ def test_compare_reruns_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# the bytes `simulate` wrote for this run before its paths were multiplied
+# and reduced in 128-row chunks: tilted, three levels, a short last block.
+# A rerun only compares the code with itself; this pin also catches a
+# change in the rounding of the paths or of the estimators.
+PINNED_SIMULATE = (
+    "u,excursion_mc,excursion_stderr,excursion_method,eec_mc,eec_stderr,ess,"
+    "factor_rank,factorization_cond\n"
+    "2,0.0087094424936082528,0.00054406643512405436,ImportanceSampled,"
+    "0.0080000000000000002,0.0023009120215153455,218.99148460969917,16,30837343234.242771\n"
+    "2.5,0.0015001893512444143,0.00011327818058589272,ImportanceSampled,"
+    "0.00066666666666666664,0.00066666666666666675,157.12120786902031,16,30837343234.242771\n"
+    "3,0.00020697465734605315,1.9174985924170429e-05,ImportanceSampled,0,0,"
+    "108.1796994946873,16,30837343234.242771\n"
+)
+
+
+def test_simulate_output_is_pinned(tmp_path):
+    out = tmp_path / "sim.csv"
+    run_cli("simulate", "--model", "interior-point", "--u", "2,2.5,3", "--grid", "128",
+            "--reps", "1500", "--seed", "1", "--out", str(out), check=True)
+    assert out.read_bytes() == PINNED_SIMULATE.encode()
+
+
 def test_compare_flags_band_violation(tmp_path):
     # at u = 4.5 the closed form sits well above the face-pair sum for the
     # ridge fixture; the self-check must fail loudly and still write the CSV

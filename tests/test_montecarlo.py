@@ -1,5 +1,6 @@
 """Path sampling, excursion counting, and the two estimators."""
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,50 @@ def test_sample_paths_marginal_statistics():
     k = 64
     corr = np.corrcoef(batch.x_paths[:, k], batch.y_paths[:, k])[0, 1]
     assert corr == pytest.approx(0.5, abs=0.05)
+
+
+def _short_scale_model():
+    k = SquaredExponential(0.05)
+    return BivariateModel(k, k, ShiftMixture(0.5, 0.0, k), label="se-0.05")
+
+
+@pytest.mark.parametrize("grid_n", (64, 4096))
+@pytest.mark.parametrize("mod", (fixture("interior-point"), _short_scale_model()),
+                         ids=("interior-point", "se-0.05"))
+def test_sample_paths_match_whole_block_products(mod, grid_n):
+    # the sampler multiplies each block _CHUNK rows at a time, always on a
+    # full _CHUNK rows of z; each path row must then be, bit for bit, the
+    # row of the whole-block product z F^T from the same Philox stream
+    # (ranks 16 and 110 at grid 4096; one row, a short last block, and one
+    # row past two full blocks)
+    _, factor, _ = mc._factor(mod, grid_n, 1)
+    for reps in (1, 1500, 2 * mc._BLOCK + 1):
+        batch = mc.sample_paths(mod, grid_n, reps, 9)
+        for b, start in enumerate(range(0, reps, mc._BLOCK)):
+            key = np.array([9, b], dtype=np.uint64)
+            z = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+                (mc._BLOCK, factor.shape[1]))
+            whole = (z @ factor.T)[: reps - start]
+            stop = start + len(whole)
+            assert np.array_equal(batch.x_paths[start:stop], whole[:, :grid_n])
+            assert np.array_equal(batch.y_paths[start:stop], whole[:, grid_n:])
+        # a view of the reused chunk buffer would repeat its last contents
+        # in every chunk; the first rows of all chunks must differ
+        heads = batch.x_paths[:: mc._CHUNK]
+        assert len({row.tobytes() for row in heads}) == len(heads) == -(-reps // mc._CHUNK)
+        del batch, heads  # at grid 4096 a batch is up to 134 MB
+
+
+def test_simulate_holds_one_chunk_of_paths():
+    # at grid 4096 one 1024-row block of paths is 64 MB; the sweep holds a
+    # 128-row chunk (8 MB) and its masks, and measures about 12.6 MB
+    tracemalloc.start()
+    try:
+        mc.simulate(fixture("interior-point"), (3.0,), 4096, 2048, 1, shift=(0.5, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_sample_paths_rejects_bad_sizes():
@@ -201,7 +246,7 @@ def test_factor_reproduces_grid_covariance(mod, grid_n):
 def test_streams_are_keyed_by_replicate_block():
     # replicate i draws from the stream of its block whatever the run
     # length, so a short run is the head of a longer one: 1000 reps fit in
-    # one chunk, 1500 and 5000 cross chunk boundaries, 3000 ends inside a
+    # one block, 1500 and 5000 cross block boundaries, 3000 ends inside a
     # block that 5000 fills, and a single rep is a single row
     mod = fixture("interior-point")
     long = mc.sample_paths(mod, 128, 5000, 21)
@@ -212,8 +257,9 @@ def test_streams_are_keyed_by_replicate_block():
 
 
 def test_chunked_estimators_match_whole_batch():
-    # the estimators reduce one chunk of paths at a time; across a chunk
-    # boundary their per-replicate values must be those of the whole batch
+    # the estimators reduce one chunk of paths at a time; across chunk and
+    # block boundaries their per-replicate values must be those of the
+    # whole batch
     mod = fixture("interior-point")
     reps = mc._BLOCK + 476
     batch = mc.sample_paths(mod, 128, reps, 4)
