@@ -3,7 +3,8 @@
 Contents: the standard normal CDF, conditioning (Schur complements with
 named pivots), survival CDFs P{xi >= lower} for dims 1-4, truncated
 moments of degree <= 2 by direct cubature (the independent reference the
-face-pair integrands are spot-checked against), the exact corner tail
+face-pair integrands are spot-checked against; truncated_moments runs
+the cubatures of several regions in lockstep), the exact corner tail
 double integral, and its closed asymptotic form.
 
 The normal CDF is written as Phi(-h) = exp(-h^2 / 2) R(h) for h >= 0,
@@ -16,6 +17,15 @@ caller uses.  Dimensions 3-4 condition on the coordinates with the
 lowest thresholds and integrate them with a fixed tensor Gauss-Legendre
 rule against that kernel for the other two (the reduction of Genz 2004),
 so every result is deterministic by construction.
+
+The kernel is batch-invariant: a point's value has the same bits whatever
+other points share its call and wherever it sits among them.  Its path
+rule sums each point's nodes with einsum's own loop, not a BLAS matrix
+product, which rounds a row differently by its place in the batch
+(about one row in ten moves by an ulp when other rows are put in front
+of it or when it is evaluated alone); every other step is elementwise.  The lockstep edge integrals of kacrice rely on it:
+they put the nodes of up to four integrals in one call, and each must
+get the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -105,9 +115,11 @@ def ndtr(x):
     x = np.asarray(x, dtype=float)
     h = np.minimum(np.abs(x), 40.0)
     hp4 = h + 4.0
-    i = (8.0 * h / hp4).astype(np.intp)  # the piece: floor(4 (y + 1))
+    # the piece: floor(4 (y + 1)), at most 7; fmin sends NaN to the last
+    # piece before the cast, which would warn on it, and t carries the NaN
+    i = np.fmin(8.0 * h / hp4, 7.0).astype(np.intp)
     t = ((15.0 - 2.0 * i) * h - (8.0 * i + 4.0)) / hp4
-    coef = np.take(_MILLS_T, i, axis=1, mode="clip")  # clip: NaN gives no valid piece
+    coef = _MILLS_T[:, i]
     p = coef[12] * t
     for c in coef[11:0:-1]:
         p += c
@@ -176,13 +188,22 @@ def condition(cov, observed_idx) -> ConditionalLaw:
     obs = tuple(int(i) for i in observed_idx)
     if len(set(obs)) != len(obs) or any(i < 0 or i >= n for i in obs):
         raise ArgumentError(f"bad observed index set {obs} for dimension {n}")
-    uno = tuple(i for i in range(n) if i not in set(obs))
     if not obs:
-        return ConditionalLaw(np.zeros((n, 0)), cov.copy(), (), uno)
-    s_oo = cov[np.ix_(obs, obs)]
+        return ConditionalLaw(np.zeros((n, 0)), cov.copy(), (), tuple(range(n)))
+    return _conditional_law(cov, obs, _observed_factor(cov, obs))
+
+
+def _observed_factor(cov: np.ndarray, obs) -> np.ndarray:
+    """The Cholesky factor of the observed block that condition divides by."""
+    return _cholesky_named(cov[np.ix_(obs, obs)], tuple(obs), DEFAULT_TOL.observed_pivot_floor)
+
+
+def _conditional_law(cov: np.ndarray, obs, low: np.ndarray) -> ConditionalLaw:
+    """condition given the factor low of the observed block."""
+    obs = tuple(int(i) for i in obs)
+    uno = tuple(i for i in range(cov.shape[0]) if i not in set(obs))
     s_uo = cov[np.ix_(uno, obs)]
     s_uu = cov[np.ix_(uno, uno)]
-    low = _cholesky_named(s_oo, obs, DEFAULT_TOL.observed_pivot_floor)
     # mean_map = S_uo S_oo^{-1} via two triangular solves
     half = np.linalg.solve(low, s_uo.T)          # L^{-1} S_ou
     mean_map = np.linalg.solve(low.T, half).T
@@ -337,7 +358,9 @@ def _path_integral(h, k, rho, from_minus_one, n: int) -> np.ndarray:
     expo = (2.0 * h * k) * sn
     expo -= (h * h + k * k) * c
     np.exp(expo, out=expo)
-    return (expo @ w) * span[:, 0] / (2.0 * math.pi)
+    # einsum's own loop, not BLAS: a matrix product rounds a row by where it
+    # sits in the batch, so a point's value would depend on its neighbours
+    return np.einsum("ij,j->i", expo, w) * span[:, 0] / (2.0 * math.pi)
 
 
 def _near_one_integral(h, k, rho, from_minus_one, n: int) -> np.ndarray:
@@ -419,7 +442,7 @@ def _orthant_conditioned(corr: np.ndarray, a: np.ndarray) -> tuple[float, float,
     # Gauss-Legendre nodes cluster; nearer, those nodes resolve it as is
     edges = [(lo[j], peak[j], peak[j] + 9.0) if peak[j] - lo[j] > 2.0
              else (lo[j], peak[j] + 9.0) for j in range(m)]
-    pdf = _density_eval(s_aa)
+    pdf = _density_eval(_cholesky_named(s_aa, tuple(range(m)), 1e-300))
 
     def rule(n):
         t, w = _gl(n)
@@ -504,12 +527,11 @@ def mvn_cdf(cov, lower) -> Estimate:
 # ---------------------------------------------------------------------------
 # truncated moments by direct cubature
 
-def _density_eval(cov: np.ndarray):
-    """The N(0, cov) density on (m, n) point batches.  The Cholesky factor
-    L and its inverse are formed once, so a batch costs one product:
+def _density_eval(low: np.ndarray):
+    """The N(0, L L') density on (m, n) point batches, from the Cholesky
+    factor L.  Its inverse is formed once, so a batch costs one product:
     x' cov^-1 x = |L^-1 x|^2."""
-    n = cov.shape[0]
-    low = _cholesky_named(cov, tuple(range(n)), 1e-300)
+    n = low.shape[0]
     norm = (2.0 * math.pi) ** (n / 2.0) * float(np.prod(np.diag(low)))
     inv_low_t = np.linalg.solve(low, np.eye(n)).T
 
@@ -525,18 +547,20 @@ _ROUTE_ABS_TOL = 2e-6
 _ROUTE_MAX_EVALS = 400_000
 
 
-def _route_quadrature(cov: np.ndarray, lower: np.ndarray, monomial):
-    """Direct cubature of x^monomial times the density over the region,
-    in its bounded coordinates only.
+def _route_integrand(cov: np.ndarray, lower: np.ndarray, monomial):
+    """The direct route's integrand over the region, in its bounded
+    coordinates only: (m, g) with g on points of [0, 1]^m, m the number of
+    bounded coordinates, or the finished QuadratureResult of a region with
+    no cubature to do.
 
     Given the bounded block x_B, the free coordinates (lower bound -inf)
     are Gaussian with mean A x_B and a covariance S that does not depend
     on x_B, so their factor of a monomial of degree <= 2 has a closed
     conditional mean: 1, (A x_B)_r, or (A x_B)_r (A x_B)_s + S_rs.  That
-    polynomial times x_B's own factor and density is integrated with
+    polynomial times x_B's own factor and density is the integrand, with
     each bounded coordinate mapped to the unit interval by
-    x = l + t / (1 - t): one cubature dimension per finite bound
-    (integrate_1d for one), and for none the Gaussian moment itself."""
+    x = l + t / (1 - t); with no bounded coordinate the result is the
+    Gaussian moment itself."""
     bounded = np.flatnonzero(np.isfinite(lower))
     free = np.flatnonzero(np.isneginf(lower))
     if len(bounded) + len(free) < len(lower):  # a +inf bound: the region is empty
@@ -548,11 +572,14 @@ def _route_quadrature(cov: np.ndarray, lower: np.ndarray, monomial):
                  else float(cov[free[pick[0]], free[pick[1]]]))
         return quadrature.QuadratureResult(value, 0.0, 0, True)
     m = len(bounded)
-    pdf = _density_eval(cov[np.ix_(bounded, bounded)])
+    # one factor of the bounded block serves the density and, for a free
+    # factor, the conditioning on the bounded block
+    factor = _observed_factor(cov, bounded)
+    pdf = _density_eval(factor)
     low = lower[bounded]
     powers = [(j, monomial[b]) for j, b in enumerate(bounded) if monomial[b]]
     if pick:
-        law = condition(cov, bounded)
+        law = _conditional_law(cov, bounded, factor)
         mean_map = law.mean_map[pick].T
         resid = law.residual_cov[pick[0], pick[-1]]
 
@@ -570,29 +597,65 @@ def _route_quadrature(cov: np.ndarray, lower: np.ndarray, monomial):
             vals = vals * (mean[:, 0] * mean[:, 1] + resid)
         return vals
 
-    if m == 1:
-        return quadrature.integrate_1d(lambda t: g(t[:, None]), 0.0, 1.0,
-                                       rel_tol=1e-7, abs_tol=_ROUTE_ABS_TOL,
-                                       max_evals=_ROUTE_MAX_EVALS)
-    return quadrature.integrate_nd(g, np.zeros(m), np.ones(m),
-                                   rel_tol=1e-7, abs_tol=_ROUTE_ABS_TOL,
-                                   max_evals=_ROUTE_MAX_EVALS)
+    return m, g
+
+
+def _route_quadrature(regions, monomial) -> list:
+    """Direct cubature of x^monomial times the density over each (cov,
+    lower) of regions (_route_integrand): one cubature dimension per
+    finite bound, by GK15 for one (lockstep_1d) and Genz-Malik for more
+    (lockstep_nd).  The cubatures of one dimension run in lockstep, each
+    with its own tolerance and budget."""
+    results = [None] * len(regions)
+    by_dim: dict = {}
+    for i, (cov, lower) in enumerate(regions):
+        route = _route_integrand(cov, lower, monomial)
+        if isinstance(route, quadrature.QuadratureResult):
+            results[i] = route
+        else:
+            by_dim.setdefault(route[0], []).append((i, route[1]))
+    tols = dict(rel_tol=1e-7, abs_tol=_ROUTE_ABS_TOL, max_evals=_ROUTE_MAX_EVALS)
+    for m, members in by_dim.items():
+        gs = [g for _, g in members]
+
+        def f(xs):
+            return [g(x) for g, x in zip(gs, xs)]
+
+        if m == 1:
+            done = quadrature.lockstep_1d(f, [(0.0, 1.0)] * len(gs), **tols)
+        else:
+            done = quadrature.lockstep_nd(f, [(np.zeros(m), np.ones(m))] * len(gs), **tols)
+        for (i, _), res in zip(members, done):
+            results[i] = res
+    return results
 
 
 def truncated_moment(cov, lower, monomial) -> Estimate:
     """E{ prod_j xi_j^monomial_j * 1{xi >= lower} } for centered
     xi ~ N(0, cov), dim <= 4, degree <= 2, by direct cubature over the
-    bounded coordinates (_route_quadrature).  The region passes mvn_cdf's
-    gates first; a cubature that misses its tolerance raises AccuracyError."""
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    _orthant_region(cov, lower)
-    n = cov.shape[0]
+    bounded coordinates (_route_quadrature): truncated_moments for one
+    region."""
+    (est,) = truncated_moments([(cov, lower)], monomial)
+    return est
+
+
+def truncated_moments(regions, monomial) -> list[Estimate]:
+    """truncated_moment of one monomial over each (cov, lower) of regions,
+    the cubatures of one dimension in lockstep.  Each region passes
+    mvn_cdf's gates first; a cubature that misses its tolerance raises
+    AccuracyError."""
     m = tuple(int(p) for p in monomial)
-    if len(m) != n or any(p < 0 for p in m) or sum(m) > 2:
-        raise ArgumentError(f"bad monomial {m} for dimension {n}")
-    return _route_quadrature(cov, lower, m).estimate(
-        f"direct-quadrature route for moment {m}")
+    checked = []
+    for cov, lower in regions:
+        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        lower = np.atleast_1d(np.asarray(lower, dtype=float))
+        _orthant_region(cov, lower)
+        n = cov.shape[0]
+        if len(m) != n or any(p < 0 for p in m) or sum(m) > 2:
+            raise ArgumentError(f"bad monomial {m} for dimension {n}")
+        checked.append((cov, lower))
+    return [res.estimate(f"direct-quadrature route for moment {m}")
+            for res in _route_quadrature(checked, m)]
 
 
 # ---------------------------------------------------------------------------

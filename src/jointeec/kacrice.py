@@ -19,6 +19,17 @@ density.  The probe is the rule's own centre node, t = 0.5 for the
 Gauss-Kronrod rule and (0.5, 0.5) for the cubature, and the value checked
 is the one the rule computed there in its first batch.
 
+The four vertex x edge integrals of a sum (the "edge terms") are refined
+in lockstep (quadrature.lockstep_1d): each pass evaluates the nodes of
+every open edge integral in one call of _edge_integrands, which makes
+one _face_g call per dimension for all of them, and their spot checks'
+cubatures run in lockstep too (gauss.truncated_moments).  An integrand call costs about as much
+for 15 nodes as for 60, and an edge integral mostly converges on its
+first panel.  Each integral keeps its own cells and stopping test, and
+the bivariate kernel gives a point the same bits whatever else shares
+its batch, so each term is the one face_pair_integral computes for its
+pair alone, bit for bit.
+
 Face restriction: with ``restricted=True`` only the faces whose closure
 contains the unique maximizer (t*, s*) and whose free directions have a
 vanishing cross-correlation gradient are summed, and sign constraints
@@ -216,20 +227,44 @@ def edge_point_integrand(
 ):
     """p_{X'(t)}(0) * E{X''(t) 1{X(t)>=u, Y(s0)>=u, e*Y'(s0)>=0} | X'(t)=0}.
 
-    Vectorized over t; scalar in, scalar out.  The derivative-sign
+    Vectorized over a 1-d t; scalar in, scalar out.  The derivative-sign
     indicator at the endpoint is dropped when constrain_endpoint is
-    False (the restricted sum with a nonflat cross direction)."""
+    False (the restricted sum with a nonflat cross direction).  The
+    one-spec case of _edge_integrands."""
     if s0 not in (0.0, 1.0):
         raise ArgumentError("s0 must be an endpoint")
-    scalar = np.ndim(t) == 0
-    es = _EPS["Left"] if s0 == 0.0 else _EPS["Right"]
-    c = _edge_conditional(model, t, s0, es)
-    lower = (u, u, 0.0) if constrain_endpoint else (u, u)
-    g = _face_g(c, lower)
-    # Tallis: E{X'' 1_A} = sum_j Cov(X'', xi_j) G_j
-    expect = sum(c[j, 3] * g[j] for j in range(len(lower)))
-    out = expect / math.sqrt(2.0 * math.pi * model.lambda1)
-    return float(out[0]) if scalar else out
+    (out,) = _edge_integrands([(model, s0, constrain_endpoint)],
+                              [np.atleast_1d(np.asarray(t, dtype=float))], u)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _edge_integrands(specs, ts, u: float) -> list:
+    """edge_point_integrand for each spec (model, s0, constrain_endpoint)
+    at its own 1-d nodes ts[i], in one batch: each spec's _edge_conditional
+    on its nodes, the entries of all specs concatenated, and one _face_g
+    call per dimension (3 with the endpoint constraint, 2 without).  A
+    node's value does not depend on the other nodes of the batch (the
+    bivariate kernel is batch-invariant), so each spec gets the bits it
+    gets alone.  Returns one array per spec, empty for an empty ts[i]."""
+    out = [np.empty(0)] * len(specs)
+    for constrain in (True, False):
+        group = [i for i, spec in enumerate(specs) if spec[2] == constrain and np.size(ts[i])]
+        if not group:
+            continue
+        conds = [_edge_conditional(specs[i][0], ts[i], specs[i][1],
+                                   _EPS["Left"] if specs[i][1] == 0.0 else _EPS["Right"])
+                 for i in group]
+        sizes = [np.size(ts[i]) for i in group]
+        c = {key: np.concatenate([ci[key] if np.ndim(ci[key]) else np.full(n, ci[key])
+                                  for ci, n in zip(conds, sizes)])
+             for key in conds[0]}
+        lower = (u, u, 0.0) if constrain else (u, u)
+        g = _face_g(c, lower)
+        # Tallis: E{X'' 1_A} = sum_j Cov(X'', xi_j) G_j
+        expect = sum(c[j, 3] * g[j] for j in range(len(lower)))
+        for i, part in zip(group, np.split(expect, np.cumsum(sizes)[:-1])):
+            out[i] = part / math.sqrt(2.0 * math.pi * specs[i][0].lambda1)
+    return out
 
 
 def _interior_conditional(model: model_mod.BivariateModel, t, s):
@@ -352,12 +387,12 @@ def _keeping_first_batch(f, store):
     return keep
 
 
-def _value_at(store, probe):
-    """The value at the node equal to probe in the batch kept by
-    _keeping_first_batch.  A rule's first batch holds the centre of its
-    starting cells: t = 0.5 is the centre node of GK15 on [0, 1], and
-    (0.5, 0.5) the centre of the middle cell of integrate_nd's 3 x 3 grid."""
-    nodes, vals = store[0]
+def _value_at(nodes, vals, probe):
+    """The value at the node equal to probe among the nodes and values of a
+    rule's first batch, as kept by _keeping_first_batch.  That batch holds
+    the centre of its starting cells: t = 0.5 is the centre node of GK15 on
+    [0, 1], and (0.5, 0.5) the centre of the middle cell of integrate_nd's
+    3 x 3 grid."""
     hit = np.all(np.reshape(nodes, (len(vals), -1)) == probe, axis=1)
     (i,) = np.flatnonzero(hit)
     return float(vals[i])
@@ -373,29 +408,29 @@ def _check_against_cubature(what, value_at_probe, ref):
         )
 
 
-def _spot_check_edge(model, s0, u, constrain, first_batch):
+def _edge_region(model, s0, u, constrain):
+    """The truncated-moment region of the edge integrand at t = 0.5."""
     es = _EPS["Left"] if s0 == 0.0 else _EPS["Right"]
     cov4 = _dense(_edge_conditional(model, 0.5, s0, es))
     lower = np.array([u, u, 0.0, -np.inf]) if constrain else np.array(
         [u, u, -np.inf, -np.inf]
     )
-    mom = gauss.truncated_moment(cov4, lower, (0, 0, 0, 1))
-    _check_against_cubature("edge integrand at t=0.5",
-                            _value_at(first_batch, 0.5),
-                            mom.value / math.sqrt(2.0 * math.pi * model.lambda1))
+    return cov4, lower
 
 
-def _spot_check_interior(model, u, first_batch):
+def _spot_check_interior(model, u, value_at_probe):
     c, dens0 = _interior_conditional(model, 0.5, 0.5)
     lower = np.array([u, u, -np.inf, -np.inf])
     mom = gauss.truncated_moment(_dense(c), lower, (0, 0, 1, 1))
-    _check_against_cubature("interior integrand at (t,s)=(0.5, 0.5)",
-                            _value_at(first_batch, (0.5, 0.5)),
+    _check_against_cubature("interior integrand at (t,s)=(0.5, 0.5)", value_at_probe,
                             float(dens0[0]) * mom.value)
 
 
 # ---------------------------------------------------------------------------
 # face-pair integrals
+
+_TOLS = dict(rel_tol=DEFAULT_TOL.quad_rel_tol, abs_tol=0.0, max_evals=DEFAULT_TOL.quad_max_evals)
+
 
 def face_pair_integral(
     model: model_mod.BivariateModel,
@@ -409,7 +444,8 @@ def face_pair_integral(
 
     Every integrated term must converge and is spot-checked at the centre
     node of the rule's first batch against the direct cubature of its
-    truncated moment (gauss.truncated_moment)."""
+    truncated moment (gauss.truncated_moment).  A vertex x edge pair is
+    the one-pair case of _edge_terms."""
     k = int(face_x == "Interior") + int(face_y == "Interior")
     sign = (-1) ** k
 
@@ -418,31 +454,50 @@ def face_pair_integral(
             model, _POINT[face_x], _POINT[face_y], u, constrain_x, constrain_y
         )
         return FacePairTerm(face_x, face_y, sign, est)
+    if k == 1:
+        (term,) = _edge_terms(model, [(face_x, face_y)], u, constrain_x, constrain_y)
+        return term
 
     first: list = []
-    tols = dict(rel_tol=DEFAULT_TOL.quad_rel_tol, abs_tol=0.0,
-                max_evals=DEFAULT_TOL.quad_max_evals)
-    if k == 1:
-        if face_x == "Interior":
-            work, s0, constrain = model, _POINT[face_y], constrain_y
-        else:
-            # Y varies: swap the processes and integrate the same form
-            work, s0, constrain = model_mod.transpose(model), _POINT[face_x], constrain_x
-        est = quadrature.integrate_1d(
-            _keeping_first_batch(
-                lambda t: edge_point_integrand(work, t, s0, u, constrain), first),
-            0.0, 1.0, **tols,
-        ).estimate(f"face pair ({face_x},{face_y}) quadrature")
-        _spot_check_edge(work, s0, u, constrain, first)
-        return FacePairTerm(face_x, face_y, sign, est)
-
     est = quadrature.integrate_nd(
         _keeping_first_batch(
             lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u), first),
-        np.zeros(2), np.ones(2), **tols,
+        np.zeros(2), np.ones(2), **_TOLS,
     ).estimate("interior x interior quadrature")
-    _spot_check_interior(model, u, first)
+    _spot_check_interior(model, u, _value_at(*first[0], (0.5, 0.5)))
     return FacePairTerm(face_x, face_y, sign, est)
+
+
+def _edge_terms(model, pairs, u: float, constrain_x: bool, constrain_y: bool) -> list:
+    """The vertex x edge terms of pairs, their integrals refined in lockstep
+    (quadrature.lockstep_1d), so each pass makes one _edge_integrands call
+    for all of them, and their spot checks' direct cubatures in lockstep
+    too (gauss.truncated_moments).  Each integral still keeps its own cells
+    and stopping test, so each term equals face_pair_integral's for its
+    pair bit for bit; each must converge and pass its own spot check."""
+    transposed = (model_mod.transpose(model) if any(fx != "Interior" for fx, _ in pairs)
+                  else None)
+    specs = []
+    for face_x, face_y in pairs:
+        if face_x == "Interior":
+            specs.append((model, _POINT[face_y], constrain_y))
+        else:
+            # Y varies: swap the processes and integrate the same form
+            specs.append((transposed, _POINT[face_x], constrain_x))
+    first: list = []
+    results = quadrature.lockstep_1d(
+        _keeping_first_batch(lambda ts: _edge_integrands(specs, ts, u), first),
+        [(0.0, 1.0)] * len(specs), **_TOLS)
+    terms = [FacePairTerm(face_x, face_y, -1,
+                          res.estimate(f"face pair ({face_x},{face_y}) quadrature"))
+             for (face_x, face_y), res in zip(pairs, results)]
+    moments = gauss.truncated_moments([_edge_region(work, s0, u, constrain)
+                                       for work, s0, constrain in specs], (0, 0, 0, 1))
+    for i, ((work, _, _), mom) in enumerate(zip(specs, moments)):
+        _check_against_cubature("edge integrand at t=0.5",
+                                _value_at(first[0][0][i], first[0][1][i], 0.5),
+                                mom.value / math.sqrt(2.0 * math.pi * work.lambda1))
+    return terms
 
 
 def _restricted_pairs(model, classification, tol):
@@ -482,7 +537,8 @@ def eec(
     restricted: bool = False,
 ) -> EecResult:
     """Sum the face-pair terms in a fixed order; exposes the per-term
-    breakdown.
+    breakdown.  The edge terms are refined in lockstep (_edge_terms), the
+    other pairs one by one through face_pair_integral.
 
     The full sum integrates all nine pairs whatever the shape of r; only
     the restricted sum classifies the model, to find its maximizer.  A sum
@@ -496,15 +552,13 @@ def eec(
     else:
         pairs = _PAIR_ORDER
         constrain_x = constrain_y = True
+    # the vertex x edge pairs in lockstep, every other pair on its own
+    edges = [p for p in pairs if (p[0] == "Interior") != (p[1] == "Interior")]
+    edge_terms = dict(zip(edges, _edge_terms(model, edges, u, constrain_x, constrain_y)))
     terms = tuple(
-        face_pair_integral(
-            model,
-            fx,
-            fy,
-            u,
-            constrain_x=constrain_x,
-            constrain_y=constrain_y,
-        )
+        edge_terms[fx, fy] if (fx, fy) in edge_terms
+        else face_pair_integral(model, fx, fy, u, constrain_x=constrain_x,
+                                constrain_y=constrain_y)
         for fx, fy in pairs
     )
 

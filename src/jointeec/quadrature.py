@@ -24,6 +24,23 @@ and leave and rounded once (_exact_parts), so they do not depend on the
 order of the cells and repeated runs produce identical bits.  The driver
 never raises on budget exhaustion: it returns its best value with
 ``converged=False``; QuadratureResult.estimate raises AccuracyError then.
+
+_adapt refines a list of integrals of one rule in lockstep
+(lockstep_1d, lockstep_nd; integrate_1d and integrate_nd are the case of
+one integral).  Each pass places the nodes of the cells every open
+integral has popped, evaluates all of them in one integrand call (a list
+of node arrays in, a list of value arrays out, an empty array for an
+integral that has stopped) and reduces each integral's cells on its own.
+Every integral keeps its own heap, tie-break, exact totals, stopping test
+and budget, so it splits the same cells in the same order, with the same
+n_evals, as it would alone, provided the integrand's value at a node does
+not depend on the other nodes of its call.  The rule's weighted sums run
+on each integral's own (cells, nodes) block, shaped as it would be alone:
+a BLAS product rounds a row according to where it sits in the batch, so
+reducing the concatenated cells would move the integrals' last bits.
+What the lockstep saves is the fixed cost of an integrand call: the
+face-pair edge integrand takes about 0.7 ms for 15 nodes and 0.9 ms for
+60 (2-core x86-64 guest).
 """
 
 from __future__ import annotations
@@ -93,18 +110,45 @@ class QuadratureResult:
 _BATCH = 16  # cells popped per pass
 
 
-def _adapt(f, rule, lo, hi, rel_tol: float, abs_tol: float,
-           max_evals: int) -> QuadratureResult:
-    """Globally adaptive refinement from the cells lo, hi (see the module
-    docstring).  rule is (apply, halves, nodes per cell): apply(f, lo, hi)
-    gives (values, errors, *extra) arrays per cell, and halves(entries)
-    the (lo, hi) of the halves of the entries' cells.  Heap entries are
-    (-error, tiebreak, lo, hi, value, error, *extra)."""
-    apply, halves, nodes = rule
+def _adapt(f, rule, cells, rel_tol: float, abs_tol: float,
+           max_evals: int) -> list[QuadratureResult]:
+    """Globally adaptive refinement of one integral per (lo, hi) in cells,
+    in lockstep (see the module docstring).  rule is (place, reduce,
+    halves, nodes per cell): place(lo, hi) gives the nodes of a batch of
+    cells, reduce(vals, lo, hi) their (values, errors, *extra) arrays from
+    the (cells, nodes) integrand values, and halves(entries) the (lo, hi)
+    of the halves of the entries' cells.  Each pass makes one call f(xs),
+    xs one node array per integral (empty for a finished one), which
+    returns one value array per integral."""
+    place, reduce, halves, nodes = rule
+    runs = [_refine(halves, nodes, lo, hi, rel_tol, abs_tol, max_evals)
+            for lo, hi in cells]
+    due = [next(run) for run in runs]
+    results = [None] * len(runs)
+    while None in results:
+        xs = [place(lo, hi) for lo, hi in due]
+        vals = f(xs) if any(len(x) for x in xs) else xs  # no node: a == b in lockstep_1d
+        for i, run in enumerate(runs):
+            if results[i] is not None:
+                continue
+            lo, hi = due[i]
+            try:
+                due[i] = run.send(reduce(np.asarray(vals[i], dtype=float).reshape(len(lo), nodes),
+                                         lo, hi))
+            except StopIteration as stop:
+                results[i], due[i] = stop.value, (lo[:0], hi[:0])
+    return results
+
+
+def _refine(halves, nodes: int, lo, hi, rel_tol: float, abs_tol: float, max_evals: int):
+    """One integral of _adapt, as a generator: it yields the (lo, hi) of the
+    cells it needs next, is sent back their reduced (values, errors,
+    *extra) and returns its QuadratureResult.  Heap entries are (-error,
+    tiebreak, lo, hi, value, error, *extra)."""
     heap, split, n_evals, tiebreak = [], [], 0, itertools.count()
     totals = ([0.0], [0.0])  # the exact totals of an empty heap
     while True:
-        val, err, *extra = apply(f, lo, hi)
+        val, err, *extra = yield lo, hi
         vals, errs = val.tolist(), err.tolist()
         n_evals += nodes * len(vals)
         for entry in zip((-err).tolist(), tiebreak, lo.tolist(), hi.tolist(),
@@ -153,13 +197,15 @@ def _retotal(totals, vals: list, errs: list, leaving, heap):
 # ---------------------------------------------------------------------------
 # Gauss-Kronrod 7/15 on panels of an interval.
 
-def _gk15_batch(f, lo: np.ndarray, hi: np.ndarray):
-    """Per-panel Kronrod values and error estimates of a batch of panels,
-    from a single integrand call."""
-    mid = 0.5 * (lo + hi)
+def _gk15_place(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 15 Kronrod nodes of each panel of a batch, panel by panel."""
+    return (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES_1D[None, :]).ravel()
+
+
+def _gk15_reduce(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Per-panel Kronrod values and error estimates from the (panels, 15)
+    integrand values."""
     half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * _NODES_1D[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
     k15 = half * (vals @ _W_K)
     g7 = half * (vals @ _W_G)
     return k15, np.abs(k15 - g7)
@@ -175,19 +221,28 @@ def _gk15_halves(entries):
     return np.array(los), np.array(his)
 
 
-_GK15 = (_gk15_batch, _gk15_halves, 15)
+_GK15 = (_gk15_place, _gk15_reduce, _gk15_halves, 15)
 
 
 def integrate_1d(f, a: float, b: float, rel_tol: float = 1e-6,
                  abs_tol: float = 0.0, max_evals: int = 1_000_000) -> QuadratureResult:
-    """Globally adaptive GK15 on [a, b].
+    """Globally adaptive GK15 on [a, b]: lockstep_1d with one interval.
 
     f must accept a 1-d numpy array and return matching values.
     """
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0, True)
-    return _adapt(f, _GK15, np.array([a], dtype=float), np.array([b], dtype=float),
-                  rel_tol, abs_tol, max_evals)
+    return lockstep_1d(lambda xs: [f(xs[0])], [(a, b)], rel_tol, abs_tol, max_evals)[0]
+
+
+def lockstep_1d(f, intervals, rel_tol: float = 1e-6, abs_tol: float = 0.0,
+                max_evals: int = 1_000_000) -> list[QuadratureResult]:
+    """integrate_1d on each (a, b) of intervals, refined in lockstep.
+
+    f takes a list of 1-d node arrays, one per interval (empty once its
+    integral has stopped), and returns a list of matching value arrays.
+    Each integral has its own budget max_evals."""
+    cells = [(np.array([a], dtype=float), np.array([b], dtype=float)) if a != b
+             else (np.empty(0), np.empty(0)) for a, b in intervals]  # a == b: no cell, 0
+    return _adapt(f, _GK15, cells, rel_tol, abs_tol, max_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +301,19 @@ def _gm_rule(d: int):
 _GM_RATIO = (9.0 / 70.0) / (9.0 / 10.0)  # lambda2^2 / lambda3^2
 
 
-def _gm_batch(f, lo: np.ndarray, hi: np.ndarray):
-    """Evaluate the GM rule on a batch of cells (one integrand call).
+def _gm_place(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rule's points in each (m, d) cell of a batch, as (m * points, d)."""
+    pts = _gm_rule(lo.shape[1])[0]
+    x = 0.5 * (lo + hi)[:, None, :] + 0.5 * (hi - lo)[:, None, :] * pts[None, :, :]
+    return x.reshape(-1, lo.shape[1])
 
-    lo, hi: (m, d).  Returns (values, errors, split_axis) per cell.
-    """
+
+def _gm_reduce(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(values, errors, split_axis) per cell from the (m, points) integrand
+    values."""
     m, d = lo.shape
-    pts, w7, w5, ax2, ax3 = _gm_rule(d)
-    mid = 0.5 * (lo + hi)
+    _, w7, w5, ax2, ax3 = _gm_rule(d)
     half = 0.5 * (hi - lo)
-    # map template points into each cell
-    x = mid[:, None, :] + half[:, None, :] * pts[None, :, :]
-    vals = np.asarray(f(x.reshape(-1, d)), dtype=float).reshape(m, len(pts))
     # template weights integrate 1 to 2^d over [-1,1]^d, so the cell
     # volume ratio prod(2*half)/2^d collapses to prod(half)
     scale = np.prod(half, axis=1)
@@ -294,19 +350,35 @@ def _gm_halves(entries):
 
 def integrate_nd(f, lo, hi, rel_tol: float = 1e-6, abs_tol: float = 0.0,
                  max_evals: int = 1_000_000) -> QuadratureResult:
-    """Globally adaptive Genz-Malik cubature over the box [lo, hi].
+    """Globally adaptive Genz-Malik cubature over the box [lo, hi]:
+    lockstep_nd with one box.
 
     f must accept an (m, d) array and return (m,) values; d = len(lo)
     must be 2, 3 or 4.  The box starts split into 3 cells per axis.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    d = lo.size
-    if d < 2 or d > 4:
-        raise ValueError(f"integrate_nd supports dims 2..4, got {d}")
-    # cells in np.ndindex order: the last axis varies fastest
-    edges = [np.linspace(lo[i], hi[i], 4) for i in range(d)]
-    cells_lo = np.array(list(itertools.product(*[e[:-1] for e in edges])))
-    cells_hi = np.array(list(itertools.product(*[e[1:] for e in edges])))
-    rule = (_gm_batch, _gm_halves, len(_gm_rule(d)[0]))
-    return _adapt(f, rule, cells_lo, cells_hi, rel_tol, abs_tol, max_evals)
+    return lockstep_nd(lambda xs: [f(xs[0])], [(lo, hi)], rel_tol, abs_tol, max_evals)[0]
+
+
+def lockstep_nd(f, boxes, rel_tol: float = 1e-6, abs_tol: float = 0.0,
+                max_evals: int = 1_000_000) -> list[QuadratureResult]:
+    """integrate_nd on each (lo, hi) of boxes, all of one dimension,
+    refined in lockstep.
+
+    f takes a list of (m, d) node arrays, one per box (empty once its
+    integral has stopped), and returns a list of matching value arrays.
+    Each integral has its own budget max_evals."""
+    cells = []
+    for lo, hi in boxes:
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        d = lo.size
+        if d < 2 or d > 4:
+            raise ValueError(f"integrate_nd supports dims 2..4, got {d}")
+        # cells in np.ndindex order: the last axis varies fastest
+        edges = [np.linspace(lo[i], hi[i], 4) for i in range(d)]
+        cells.append((np.array(list(itertools.product(*[e[:-1] for e in edges]))),
+                      np.array(list(itertools.product(*[e[1:] for e in edges])))))
+    if len({c[0].shape[1] for c in cells}) > 1:
+        raise ValueError("lockstep_nd needs boxes of one dimension")
+    rule = (_gm_place, _gm_reduce, _gm_halves, len(_gm_rule(cells[0][0].shape[1])[0]))
+    return _adapt(f, rule, cells, rel_tol, abs_tol, max_evals)

@@ -8,6 +8,7 @@ and are frozen here as plain numbers.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,9 +93,19 @@ def test_ndtr_matches_scipy():
     assert np.all(np.abs(scalar / ours[::50] - 1.0) <= 5e-16)
 
 
+def test_ndtr_nan_is_quiet():
+    # NaN in gives NaN out with no RuntimeWarning: the array path once cast
+    # the NaN piece index to an integer ("invalid value encountered in cast")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gauss.ndtr(np.array([np.nan, -1.0, np.nan, 2.0]))
+        assert math.isnan(gauss.ndtr(math.nan))
+    assert np.isnan(out[[0, 2]]).all()
+    assert out[[1, 3]].tolist() == gauss.ndtr(np.array([-1.0, 2.0])).tolist()
+
+
 def test_ndtr_edges():
-    with np.errstate(invalid="ignore"):  # NaN has no piece of the table
-        out = gauss.ndtr(np.array([-np.inf, -45.0, 0.0, 45.0, np.inf, np.nan]))
+    out = gauss.ndtr(np.array([-np.inf, -45.0, 0.0, 45.0, np.inf, np.nan]))
     assert out[:5].tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
     assert np.isnan(out[5])
     assert gauss.ndtr(-np.inf) == 0.0 and gauss.ndtr(np.inf) == 1.0
@@ -287,6 +298,35 @@ def test_path_nodes_follow_the_log_range():
     rho = np.array([0.5, 0.1, 0.3, -0.5, -0.8])
     nodes = gauss._path_nodes(h, k, rho, gauss._from_minus_one(h, k, rho))
     assert nodes.tolist() == [24, 32, 64, 64, 128]
+
+
+# One point of every kind the kernel tells apart: closed (rho = 0, +-1),
+# each node tier (24, 32, 64), a path from rho = -1 (64 nodes) and past
+# the far-tail ratio (128), and the near-one rule from either path start.
+BVN_EVERY_ROUTE = np.array([
+    (1.0, 2.0, 0.0), (1.0, 2.0, 1.0), (1.0, 2.0, -1.0), (0.0, 0.0, 0.5),
+    (13.0, 13.0, 0.1), (13.0, 13.0, 0.3), (2.0, 2.0, -0.5), (4.5, 4.5, -0.95),
+    (9.0, 9.0, -0.8), (2.0, 9.0, -0.95), (2.0, 3.0, 0.9999), (0.0, 0.5, -0.9999),
+    (5.0, -5.0 + 0.9 * math.sqrt(1.0 - 0.9999 ** 2), -0.9999), (-1.5, 0.7, 0.97),
+]).T
+
+
+def test_bvn_survival_is_batch_invariant():
+    # a point's value may not depend on which other points share its call:
+    # the lockstep edge integrals put several integrals' nodes in one batch
+    # and must give each the bits it gets alone
+    h, k, rho = BVN_EVERY_ROUTE
+    alone = gauss._bvn_survival_batch(h, k, rho)
+    assert sorted(set(gauss._bvn_parts(h, k, rho)[2].tolist())) == [1, 24, 32, 64, 128]
+    singly = [gauss._bvn_survival_batch(*p)[0] for p in BVN_EVERY_ROUTE.T]
+    assert np.array_equal(singly, alone)
+    rng = np.random.default_rng(20261019)
+    for offset in (1, 3, 5, 64):
+        filler = np.stack([rng.uniform(-2.0, 10.0, offset + 7), rng.uniform(-2.0, 10.0, offset + 7),
+                           rng.uniform(-0.999, 0.999, offset + 7)])
+        batch = np.concatenate([filler[:, :offset], BVN_EVERY_ROUTE, filler[:, offset:]], axis=1)
+        embedded = gauss._bvn_survival_batch(*batch)[offset:offset + len(h)]
+        assert np.array_equal(embedded, alone), offset
 
 
 def test_bvn_survival_nonnegative():
@@ -570,22 +610,34 @@ def test_direct_route_integrates_the_bounded_coordinates(monkeypatch, lower, mon
     cov4 = np.array([[1.0, 0.5, -0.3, 0.2], [0.5, 1.0, 0.1, -0.4],
                      [-0.3, 0.1, 0.8, 0.1], [0.2, -0.4, 0.1, 1.3]])
     dims, n_1d = [], []
-    orig_nd, orig_1d = quadrature.integrate_nd, quadrature.integrate_1d
+    orig_nd, orig_1d = quadrature.lockstep_nd, quadrature.lockstep_1d
 
-    def spy_nd(f, lo, hi, **kw):
-        dims.append(len(lo))
-        return orig_nd(f, lo, hi, **kw)
+    def spy_nd(f, boxes, **kw):
+        dims.extend(len(lo) for lo, _ in boxes)
+        return orig_nd(f, boxes, **kw)
 
-    def spy_1d(f, a, b, **kw):
-        n_1d.append(1)
-        return orig_1d(f, a, b, **kw)
+    def spy_1d(f, intervals, **kw):
+        n_1d.extend(1 for _ in intervals)
+        return orig_1d(f, intervals, **kw)
 
-    monkeypatch.setattr(quadrature, "integrate_nd", spy_nd)
-    monkeypatch.setattr(quadrature, "integrate_1d", spy_1d)
+    monkeypatch.setattr(quadrature, "lockstep_nd", spy_nd)
+    monkeypatch.setattr(quadrature, "lockstep_1d", spy_1d)
     est = truncated_moment(cov4, lower, monomial)
     assert dims == nd_dims
     assert len(n_1d) == calls_1d
     assert est.value == pytest.approx(TALLIS_4D[monomial], rel=1e-6, abs=2e-6)
+
+
+def test_truncated_moments_match_one_at_a_time():
+    # regions with 3, 2, 1 and no bounded coordinates and an empty one: the
+    # cubatures of one dimension run in lockstep, each as it would alone
+    cov4 = np.array([[1.0, 0.5, -0.3, 0.2], [0.5, 1.0, 0.1, -0.4],
+                     [-0.3, 0.1, 0.8, 0.1], [0.2, -0.4, 0.1, 1.3]])
+    lowers = ([1.0, 0.5, 0.0, -np.inf], [3.0, 3.0, -np.inf, -np.inf],
+              [0.5, 1.0, -0.5, -np.inf], [1.0, -np.inf, -np.inf, -np.inf],
+              [-np.inf] * 4, [1.0, 2.0, -np.inf, -np.inf], [np.inf, 0.0, 0.0, -np.inf])
+    together = gauss.truncated_moments([(cov4, low) for low in lowers], (0, 0, 0, 1))
+    assert together == [truncated_moment(cov4, low, (0, 0, 0, 1)) for low in lowers]
 
 
 def test_truncated_moment_raises_when_the_cubature_misses(monkeypatch):
@@ -593,8 +645,8 @@ def test_truncated_moment_raises_when_the_cubature_misses(monkeypatch):
     orig = gauss._route_quadrature
 
     def short(*args):
-        res = orig(*args)
-        return quadrature.QuadratureResult(res.value, res.error, res.n_evals, False)
+        return [quadrature.QuadratureResult(res.value, res.error, res.n_evals, False)
+                for res in orig(*args)]
 
     monkeypatch.setattr(gauss, "_route_quadrature", short)
     with pytest.raises(AccuracyError):

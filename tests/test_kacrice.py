@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from jointeec.common import ConsistencyError, RegimeError
+from jointeec.common import DEFAULT_TOL, ConsistencyError, RegimeError
 from jointeec.gauss import condition, mvn_cdf
 from jointeec.model import (
     _FIXTURE_NAMES,
     BivariateModel,
+    PointAnchor,
     ShiftMixture,
     SquaredExponential,
     fixture,
@@ -184,19 +185,20 @@ def _wrap_integrands(monkeypatch, change):
     """Route both integrands through change(nodes, values), where nodes is
     an (m, k) array of the points evaluated and values an (m,) array; a
     scalar call still returns a scalar."""
-    edge, interior = kr.edge_point_integrand, kr.interior_interior_integrand
+    edge, interior = kr._edge_integrands, kr.interior_interior_integrand
 
     def through(nodes, vals):
         out = change(nodes, np.atleast_1d(vals))
         return float(out[0]) if np.ndim(vals) == 0 else out
 
-    def edge_shim(model, t, *args):
-        return through(np.reshape(t, (-1, 1)), edge(model, t, *args))
+    def edge_shim(specs, ts, u):
+        # the edge terms' one batched integrand: one node array per spec
+        return [through(np.reshape(t, (-1, 1)), v) for t, v in zip(ts, edge(specs, ts, u))]
 
     def interior_shim(model, t, s, u):
         return through(np.column_stack([np.ravel(t), np.ravel(s)]), interior(model, t, s, u))
 
-    monkeypatch.setattr(kr, "edge_point_integrand", edge_shim)
+    monkeypatch.setattr(kr, "_edge_integrands", edge_shim)
     monkeypatch.setattr(kr, "interior_interior_integrand", interior_shim)
 
 
@@ -277,6 +279,54 @@ def test_integrand_batches_evaluate_the_cross_form_once(monkeypatch, name):
     calls.clear()
     kr.edge_point_integrand(mod, t, 1.0, 4.5)
     assert len(calls) == 1
+
+
+# X and Y on different length scales: lambda1 != lambda2, so the edge
+# integrand's scale differs between the model and its transpose
+UNEQUAL_SCALES = BivariateModel(
+    SquaredExponential(0.7), SquaredExponential(1.2),
+    PointAnchor(0.5, 0.3, 0.6, SquaredExponential(0.7), SquaredExponential(1.2)),
+    label="unequal-scales")
+
+
+@pytest.mark.parametrize("mod", [fixture(n) for n in _FIXTURE_NAMES] + [UNEQUAL_SCALES],
+                         ids=lambda m: m.label)
+def test_eec_terms_equal_face_pair_integral(mod):
+    # eec refines its vertex x edge pairs in lockstep; each term must still
+    # be the one face_pair_integral computes for that pair alone, bit for bit
+    modes = [(False, True, True)]
+    if mod.label != "diagonal":  # the restricted sum needs a unique maximizer
+        _, x_flat, y_flat = kr._restricted_pairs(mod, asy.classify(mod),
+                                                 DEFAULT_TOL.gradient_tol)
+        modes.append((True, x_flat, y_flat))
+    for u in (3.0, 7.5):
+        for restricted, constrain_x, constrain_y in modes:
+            for term in kr.eec(mod, u, restricted=restricted).terms:
+                alone = kr.face_pair_integral(mod, term.face_x, term.face_y, u,
+                                              constrain_x, constrain_y)
+                assert term == alone, (u, restricted, term.face_x, term.face_y)
+
+
+def test_eec_calls_the_edge_integrand_once_per_pass(monkeypatch):
+    # on interior-point at u = 3 each of the four edge integrals converges on
+    # its first panel: one call carries all four, not one call each; their
+    # four spot checks go through the direct route in one call too
+    calls, routes = [], []
+    orig, orig_route = kr._edge_integrands, gauss._route_quadrature
+
+    def counting(specs, ts, u):
+        calls.append([np.size(t) for t in ts])
+        return orig(specs, ts, u)
+
+    def counting_route(regions, monomial):
+        routes.append(len(regions))
+        return orig_route(regions, monomial)
+
+    monkeypatch.setattr(kr, "_edge_integrands", counting)
+    monkeypatch.setattr(gauss, "_route_quadrature", counting_route)
+    kr.eec(fixture("interior-point"), 3.0)
+    assert calls == [[15, 15, 15, 15]]
+    assert routes == [4, 1]  # the edge terms' checks, then the interior pair's
 
 
 def test_face_pair_integral_pin():

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointeec.quadrature import _exact_parts, integrate_1d, integrate_nd
+from jointeec.quadrature import (
+    _exact_parts,
+    integrate_1d,
+    integrate_nd,
+    lockstep_1d,
+    lockstep_nd,
+)
 
 
 def bits(res):
@@ -177,3 +183,96 @@ def test_integrate_nd_bits_pinned():
                        rel_tol=1e-6)
     assert (res.value, res.error, res.n_evals, res.converged) == (
         0.12457109944923829, 1.217909687580535e-07, 61161, True)
+
+
+# ---------------------------------------------------------------------------
+# lockstep: several integrals refined together, one integrand call per pass
+
+def _narrow_peak(x):
+    sig = 1e-2
+    return np.exp(-0.5 * ((x - 0.37) / sig) ** 2) / (sig * math.sqrt(2.0 * math.pi))
+
+
+def _product_gaussian(x):
+    return np.exp(-0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2)) / (2.0 * math.pi)
+
+
+def _concentrated(x):
+    return np.exp(-2000.0 * ((x[..., 0] - 0.51) ** 2 + (x[..., 1] - 0.49) ** 2))
+
+
+CASES_1D = ((np.cos, 0.0, 1.5), (np.exp, -1.0, 1.0), (_narrow_peak, 0.0, 1.0),
+            (lambda x: x**10, 0.0, 2.0), (np.sin, 0.5, 0.5))
+CASES_2D = ((_peak_2d, [0.0, 0.0], [1.0, 1.0]), (_product_gaussian, [-8.0, -8.0], [8.0, 8.0]),
+            (lambda x: x[..., 0] ** 2 * x[..., 1] ** 4, [0.0, -1.0], [2.0, 3.0]),
+            (_concentrated, [0.0, 0.0], [1.0, 1.0]))
+
+
+def _recording(fs, calls):
+    """The lockstep integrand of fs, recording the node count per integral of
+    every call."""
+    def f(xs):
+        calls.append([len(x) for x in xs])
+        return [fi(x) for fi, x in zip(fs, xs)]
+    return f
+
+
+def _solo_calls(integrate, f, *args, **kw):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    return integrate(counted, *args, **kw), calls
+
+
+@pytest.mark.parametrize("lockstep, solo, cases, tol", [
+    (lockstep_1d, integrate_1d, CASES_1D, 1e-11),
+    (lockstep_nd, integrate_nd, CASES_2D, 1e-8),
+], ids=["1d", "2d"])
+def test_lockstep_matches_solo_runs(lockstep, solo, cases, tol):
+    # each integral keeps its own heap, totals, stopping test and budget, so
+    # together they split the same cells in the same order as alone; the
+    # integrand is called once per pass, and an integral that has stopped
+    # is handed no more nodes
+    calls = []
+    together = lockstep(_recording([c[0] for c in cases], calls),
+                        [c[1:] for c in cases], rel_tol=tol)
+    alone = [_solo_calls(solo, c[0], *c[1:], rel_tol=tol) for c in cases]
+    assert [bits(r) for r in together] == [bits(r) for r, _ in alone]
+    assert len(calls) == max(len(c) for _, c in alone)
+    for i, (res, solo_calls) in enumerate(alone):
+        mine = [sizes[i] for sizes in calls]
+        assert mine[:len(solo_calls)] == solo_calls
+        assert not any(mine[len(solo_calls):])
+        assert sum(mine) == res.n_evals
+
+
+def test_lockstep_4d_matches_solo_run():
+    boxes = [([-1.0, -0.5, 0.0, -2.0], [2.0, 1.5, 1.0, 0.5]), ([0.0] * 4, [1.0] * 4)]
+    calls = []
+    together = lockstep_nd(_recording([_gauss_4d, _gauss_4d], calls), boxes, rel_tol=1e-6)
+    assert [bits(r) for r in together] == [
+        bits(integrate_nd(_gauss_4d, lo, hi, rel_tol=1e-6)) for lo, hi in boxes]
+    assert bits(together[0]) == (0.12457109944923829, 1.217909687580535e-07, 61161, True)
+
+
+def test_lockstep_budget_is_per_integral():
+    # the narrow peak runs out of its budget and says so; the others converge
+    # as they would alone, whatever the peak still asks for
+    cases = ((np.cos, 0.0, 1.5), (_narrow_peak, 0.0, 1.0), (np.exp, -1.0, 1.0))
+    calls = []
+    res = lockstep_1d(_recording([c[0] for c in cases], calls), [c[1:] for c in cases],
+                      rel_tol=1e-13, max_evals=300)
+    assert [r.converged for r in res] == [True, False, True]
+    assert 300 <= res[1].n_evals <= 300 + 2 * 16 * 15
+    for (f, a, b), r in zip(cases, res):
+        assert bits(r) == bits(integrate_1d(f, a, b, rel_tol=1e-13, max_evals=300))
+    assert len(calls) > 1 and not any(sizes[0] or sizes[2] for sizes in calls[1:])
+
+
+def test_lockstep_nd_needs_one_dimension():
+    with pytest.raises(ValueError, match="one dimension"):
+        lockstep_nd(lambda xs: [np.ones(len(x)) for x in xs],
+                    [([0.0, 0.0], [1.0, 1.0]), ([0.0] * 3, [1.0] * 3)])

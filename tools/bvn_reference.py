@@ -33,9 +33,13 @@ below 1e-300 are left out.  It also checks against 40 digits the points
 where the path ends in a layer about sqrt(1 - rho^2) wide, on the lines
 k = -h + R sqrt(1 - rho^2) (rho < 0) and k = h + R sqrt(1 - rho^2)
 (rho > 0) for h in LINE_H, R in LINE_R and each NEAR_ONE correlation,
-whatever their gap, and the pinned cases.  It exits 1 if a gap exceeds
-GRID_TOL or an error against 40 digits REL_ERR, the relative error of
-each part of the kernel's sum that gauss.mvn_cdf reports in dimension 2.
+whatever their gap, and the pinned cases.  Last, it evaluates each grid
+whole and again in shuffled chunks of random sizes, and compares the two
+bit for bit: a point's value may not depend on the other points of its
+call (the lockstep edge integrals of kacrice rely on it).  It exits 1 if
+a gap exceeds GRID_TOL, an error against 40 digits REL_ERR, the relative
+error of each part of the kernel's sum that gauss.mvn_cdf reports in
+dimension 2, or a chunked value differs from the whole one in any bit.
 """
 
 from __future__ import annotations
@@ -146,6 +150,21 @@ def grid(rhos):
     return h, k, rho, np.abs(gauss._bvn_survival_batch(h, k, rho) / ref - 1.0)
 
 
+def chunk_differences(h, k, rho, seed=20261019):
+    """How many points of the batch get other bits from the kernel when it
+    is evaluated in shuffled chunks of 1 to 2000 points than whole."""
+    whole = gauss._bvn_survival_batch(h, k, rho)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(h))
+    chunked = np.empty_like(whole)
+    i = 0
+    while i < len(order):
+        j = order[i:i + int(rng.integers(1, 2001))]
+        chunked[j] = gauss._bvn_survival_batch(h[j], k[j], rho[j])
+        i += len(j)
+    return int(np.count_nonzero(whole.view(np.int64) != chunked.view(np.int64)))
+
+
 def exact_error(h, k, rho):
     """The kernel's relative error against the 40-digit reference."""
     exact = reference(h, k, rho)
@@ -155,6 +174,7 @@ def exact_error(h, k, rho):
 def check():
     """Print the kernel's errors; return whether they are in bounds."""
     h, k, rho, err = grid(MODERATE)
+    moved = chunk_differences(h, k, rho)
     m1 = gauss._from_minus_one(h, k, rho)
     far = (h + k) > gauss._FAR_TAIL_RATIO * np.sqrt(1.0 - rho * rho)
     regions = (
@@ -173,6 +193,7 @@ def check():
               "against 40 digits")
         ok &= bool(err[i] <= GRID_TOL) and at_worst <= REL_ERR
     h, k, rho, err = grid(NEAR_ONE)
+    moved += chunk_differences(h, k, rho)
     print(f"# 0.95 < |rho| < 1: {len(h)} points")
     for r in np.unique(rho):
         i = np.flatnonzero(rho == r)[np.argmax(err[rho == r])]
@@ -195,7 +216,8 @@ def check():
         e = exact_error(*case)
         print(f"# pinned {case}: {e:.2g}")
         ok &= e <= REL_ERR
-    return ok
+    print(f"# both grids in shuffled chunks: {moved} points with other bits than whole")
+    return ok and not moved
 
 
 def main(argv):
