@@ -26,7 +26,6 @@ import numpy as np
 from .common import (
     DEFAULT_TOL,
     ArgumentError,
-    DegeneracyError,
     RegimeError,
 )
 from . import gauss
@@ -38,8 +37,6 @@ __all__ = [
     "AsymptoticTerm",
     "local_geometry",
     "classify",
-    "sigma_conditional",
-    "h_function",
     "closed_form",
     "CASE_TAGS",
 ]
@@ -319,30 +316,6 @@ def classify(model: model_mod.BivariateModel) -> CaseClassification:
         geometry=geo.swapped() if swapped else geo,
         swapped=swapped,
     )
-
-
-def sigma_conditional(model: model_mod.BivariateModel, t: float, s: float) -> np.ndarray:
-    """Cov((X(t), Y(s)) | X'(t)=0, Y'(s)=0) in closed form."""
-    geo = local_geometry(model, t, s)
-    det = geo.lambda1 * geo.lambda2 - geo.r12 ** 2
-    if det <= 1e-12:
-        raise DegeneracyError(
-            "derivative covariance is singular: lambda1*lambda2 - r12^2 = %.3e" % det
-        )
-    s11 = 1.0 - geo.lambda1 * geo.r2 ** 2 / det
-    s22 = 1.0 - geo.lambda2 * geo.r1 ** 2 / det
-    s12 = geo.r + geo.r12 * geo.r1 * geo.r2 / det
-    return np.array([[s11, s12], [s12, s22]])
-
-
-def h_function(model: model_mod.BivariateModel, t: float, s: float) -> float:
-    """0.5 * (1,1) Sigma(t,s)^{-1} (1,1)^T, the exponent of the Laplace step."""
-    sig = sigma_conditional(model, t, s)
-    det = sig[0, 0] * sig[1, 1] - sig[0, 1] ** 2
-    if abs(det) <= 1e-14:
-        raise DegeneracyError("conditional covariance is singular: det = %.3e" % det)
-    x = np.linalg.solve(sig, np.ones(2))
-    return 0.5 * float(x.sum())
 
 
 def _require(value: float, name: str) -> float:

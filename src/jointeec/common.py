@@ -117,7 +117,6 @@ class Tolerances:
 
     # Gaussian integrals
     moment_consistency_tol: float = 1e-5 # max |integrand - direct cubature| at a spot check
-    tail_rel_tol: float = 1e-8           # relative target for the exact corner-tail integral
 
     # classification / geometry
     gradient_tol: float = 1e-7           # "this partial derivative vanishes"

@@ -4,8 +4,7 @@ Contents: the standard normal CDF, conditioning (Schur complements with
 named pivots), survival CDFs P{xi >= lower} for dims 1-4, truncated
 moments of degree <= 2 by direct cubature (the independent reference the
 face-pair integrands are spot-checked against; truncated_moments runs
-the cubatures of several regions in lockstep), the exact corner tail
-double integral, and its closed asymptotic form.
+the cubatures of several regions in lockstep).
 
 The normal CDF is written as Phi(-h) = exp(-h^2 / 2) R(h) for h >= 0,
 with R the Mills ratio over sqrt(2 pi) taken from piecewise polynomials
@@ -23,9 +22,10 @@ other points share its call and wherever it sits among them.  Its path
 rule sums each point's nodes with einsum's own loop, not a BLAS matrix
 product, which rounds a row differently by its place in the batch
 (about one row in ten moves by an ulp when other rows are put in front
-of it or when it is evaluated alone); every other step is elementwise.  The lockstep edge integrals of kacrice rely on it:
-they put the nodes of up to four integrals in one call, and each must
-get the bits it gets alone.
+of it or when it is evaluated alone); every other step is elementwise.
+The lockstep edge integrals of kacrice rely on it: they put the nodes of
+up to four integrals in one call, and each must get the bits it gets
+alone.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ import numpy as np
 from . import quadrature
 from .common import (
     QUADRATURE,
-    AccuracyError,
     ArgumentError,
     DegeneracyError,
     Estimate,
-    RegimeError,
     UnsupportedDimensionError,
     DEFAULT_TOL,
 )
@@ -489,11 +487,11 @@ def _orthant_region(cov, lower):
         n = len(lower)
         if n == 0:
             return Estimate(1.0, 0.0, 0, QUADRATURE)
-    sd = np.sqrt(np.diag(cov))
     if np.any(np.diag(cov) <= 1e-12):
         bad = int(np.argmin(np.diag(cov)))
         raise DegeneracyError(
             f"covariance diagonal not positive at index {bad}", pivot_index=bad)
+    sd = np.sqrt(np.diag(cov))
     corr = cov / np.outer(sd, sd)
     if n > 1:
         _cholesky_named(corr, tuple(range(n)), 1e-12)
@@ -657,72 +655,3 @@ def truncated_moments(regions, monomial) -> list[Estimate]:
     return [res.estimate(f"direct-quadrature route for moment {m}")
             for res in _route_quadrature(checked, m)]
 
-
-# ---------------------------------------------------------------------------
-# corner tail integrals
-
-@dataclass(frozen=True)
-class TailAsymptotic:
-    """Closed leading-order equivalent of the corner tail integral,
-    without its exponential factor: 1/(u^2 a b), where a and b are the
-    row sums of the inverse covariance."""
-
-    value: float
-    a: float
-    b: float
-
-
-def bivariate_tail_exact(sigma, u: float, rel_tol: float | None = None) -> Estimate:
-    """The double integral of exp(-(x+u, y+u) sigma^{-1} (x+u, y+u)^T / 2)
-    over the positive quadrant, by adaptive cubature.
-
-    The constant exp(-(u,u) sigma^{-1} (u,u)^T / 2) is factored out so
-    the cubature works on an O(1) integrand.
-    """
-    if rel_tol is None:
-        rel_tol = DEFAULT_TOL.tail_rel_tol
-    sig = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if sig.shape != (2, 2):
-        raise ArgumentError("sigma must be 2x2")
-    low = _cholesky_named(sig, (0, 1), 1e-12)
-    inv = np.linalg.inv(sig)
-    uu = np.array([u, u])
-    qf = float(uu @ inv @ uu)
-    lin = inv @ uu
-
-    def g(tpts: np.ndarray) -> np.ndarray:
-        tpts = tpts.reshape(-1, 2)
-        om = 1.0 - tpts
-        z = tpts / om
-        jac = 1.0 / np.prod(om * om, axis=1)
-        quad = (inv[0, 0] * z[:, 0] ** 2 + 2.0 * inv[0, 1] * z[:, 0] * z[:, 1]
-                + inv[1, 1] * z[:, 1] ** 2)
-        return np.exp(-0.5 * quad - z @ lin) * jac
-
-    res = quadrature.integrate_nd(g, np.zeros(2), np.ones(2),
-                                  rel_tol=rel_tol, abs_tol=0.0,
-                                  max_evals=DEFAULT_TOL.quad_max_evals)
-    scale = math.exp(-0.5 * qf)
-    if not res.converged:
-        raise AccuracyError(
-            "corner tail integral did not converge to the requested tolerance",
-            best_value=scale * res.value, achieved_error=scale * res.error)
-    return Estimate(scale * res.value, scale * res.error + 1e-300,
-                    res.n_evals, QUADRATURE)
-
-
-def mills_ratio_asymptotic(sigma, u: float) -> TailAsymptotic:
-    """Leading-order equivalent of the corner tail integral divided by
-    its exponential factor; valid only when the quadrant corner is the
-    dominating point of the exponent."""
-    sig = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if sig.shape != (2, 2):
-        raise ArgumentError("sigma must be 2x2")
-    _cholesky_named(sig, (0, 1), 1e-12)
-    inv = np.linalg.inv(sig)
-    a = float(inv[0, 0] + inv[1, 0])
-    b = float(inv[0, 1] + inv[1, 1])
-    if a <= 0.0 or b <= 0.0:
-        raise RegimeError(
-            f"corner is not the dominating point: inverse row sums a={a:.6g}, b={b:.6g}")
-    return TailAsymptotic(value=1.0 / (u * u * a * b), a=a, b=b)

@@ -23,12 +23,12 @@ The four vertex x edge integrals of a sum (the "edge terms") are refined
 in lockstep (quadrature.lockstep_1d): each pass evaluates the nodes of
 every open edge integral in one call of _edge_integrands, which makes
 one _face_g call per dimension for all of them, and their spot checks'
-cubatures run in lockstep too (gauss.truncated_moments).  An integrand call costs about as much
-for 15 nodes as for 60, and an edge integral mostly converges on its
-first panel.  Each integral keeps its own cells and stopping test, and
-the bivariate kernel gives a point the same bits whatever else shares
-its batch, so each term is the one face_pair_integral computes for its
-pair alone, bit for bit.
+cubatures run in lockstep too (gauss.truncated_moments).  An integrand
+call costs about as much for 15 nodes as for 60, and an edge integral
+mostly converges on its first panel.  Each integral keeps its own cells
+and stopping test, and the bivariate kernel gives a point the same bits
+whatever else shares its batch, so each term is the one
+face_pair_integral computes for its pair alone, bit for bit.
 
 Face restriction: with ``restricted=True`` only the faces whose closure
 contains the unique maximizer (t*, s*) and whose free directions have a
@@ -61,7 +61,6 @@ __all__ = [
     "corner_corner_term",
     "edge_point_integrand",
     "interior_interior_integrand",
-    "conditional_hessian_coefficients",
     "face_pair_integral",
     "eec",
     "FACES",
@@ -311,15 +310,6 @@ def _hessian_regression(c):
     b2 = (sxx * c[1, 3] - sxy * c[0, 3]) / det
     c12 = c[2, 3] - (a1 * c[0, 3] + b1 * c[1, 3])
     return a1, b1, a2, b2, c12
-
-
-def conditional_hessian_coefficients(
-    model: model_mod.BivariateModel, t: float, s: float
-):
-    """(a1, b1, a2, b2, c12) with E{X''|X=x,Y=y,X'=Y'=0} = a1 x + b1 y,
-    likewise (a2, b2) for Y'', and c12 the residual cross-covariance."""
-    c, _ = _interior_conditional(model, t, s)
-    return tuple(float(v[0]) for v in _hessian_regression(c))
 
 
 def _tallis_pairs(sxx, sxy, syy, u):

@@ -67,8 +67,8 @@ class SquaredExponential(Kernel):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ArgumentError("scale must be positive")
+        if not 0.0 < self.scale < np.inf:
+            raise ArgumentError(f"scale must be positive and finite, got {self.scale!r}")
 
     def derivs(self, lag, top: int):
         _check_order(top)
@@ -90,6 +90,8 @@ class CosineMixture(Kernel):
         om = np.asarray(self.frequencies, dtype=float)
         if w.size != om.size or w.size == 0:
             raise ArgumentError("weights and frequencies must have equal nonzero length")
+        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(om)):
+            raise ArgumentError("weights and frequencies must be finite")
         if np.any(w <= 0):
             raise ArgumentError("weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -141,6 +143,8 @@ class ShiftMixture(CrossCorrelation):
         # law degenerate and is not.
         if not (0.0 <= self.c < 1.0):
             raise ArgumentError("mixture coefficient c must lie in [0, 1)")
+        if not np.isfinite(self.d):
+            raise ArgumentError(f"shift d must be finite, got {self.d!r}")
 
     def partials(self, t, s, orders):
         _check_orders(orders)
@@ -162,6 +166,9 @@ class PointAnchor(CrossCorrelation):
     def __post_init__(self):
         if not (0.0 <= self.c < 1.0):
             raise ArgumentError("anchor coefficient c must lie in [0, 1)")
+        if not (np.isfinite(self.t_star) and np.isfinite(self.s_star)):
+            raise ArgumentError(
+                f"anchor points must be finite, got t_star={self.t_star!r}, s_star={self.s_star!r}")
 
     def partials(self, t, s, orders):
         _check_orders(orders)

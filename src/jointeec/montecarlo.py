@@ -46,7 +46,6 @@ from .common import (
 __all__ = [
     "PathBatch",
     "sample_paths",
-    "count_excursion_components",
     "LevelEstimates",
     "Simulation",
     "simulate",
@@ -140,14 +139,6 @@ def sample_paths(
         factorization_cond=cond,
         rank=factor.shape[1],
     )
-
-
-def count_excursion_components(path, u: float) -> int:
-    """Number of maximal runs of consecutive grid values >= u."""
-    path = np.asarray(path)
-    if path.size == 0:
-        raise ArgumentError("path must be nonempty")
-    return int(_counts(path.reshape(1, -1), u)[0])
 
 
 def _counts(paths: np.ndarray, u: float) -> np.ndarray:

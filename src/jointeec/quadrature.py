@@ -13,10 +13,7 @@ Both rules refine under one policy: each pass pops up to _BATCH (16) of
 the worst cells and splits every one whose error is not 0, NaN included,
 or else the worst one.  A cell leaves the heap only by being split, so no
 cell is dropped: a non-finite value or error stays in the totals, and a
-result is converged only when the total error is at most the target.  On
-the perfbench eec-sweep and high-u workloads every face-pair sum under
-this policy matches, bit for bit and in evaluation count, the sum with
-GK15 cells of negligible error left unsplit.
+result is converged only when the total error is at most the target.
 
 Refinement order is deterministic (worst-error first with a fixed
 tie-break), and the totals over the cells are kept exact as cells enter

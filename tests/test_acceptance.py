@@ -17,12 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from jointeec.gauss import (
-    bivariate_tail_exact,
-    condition,
-    mills_ratio_asymptotic,
-    mvn_cdf,
-)
+from jointeec.gauss import condition, mvn_cdf
 from jointeec.model import fixture, independent_model, transpose
 from jointeec import asymptotics as asy
 from jointeec import kacrice as kr
@@ -81,6 +76,19 @@ def test_criterion_01_conditioning():
 # 2: the 2x2 conditional covariance of the derivative pair
 
 
+def sigma_conditional(mod, t, s):
+    """Cov((X(t), Y(s)) | X'(t) = Y'(s) = 0): the leading 2 x 2 block of
+    the conditional law the interior integrand reads
+    (kacrice._interior_conditional)."""
+    return kr._dense(kr._interior_conditional(mod, t, s)[0])[:2, :2]
+
+
+def h_function(mod, t, s):
+    """(1, 1) inv(Sigma(t, s)) (1, 1)' / 2, the exponent of the Laplace
+    step, with Sigma from sigma_conditional."""
+    return 0.5 * float(np.linalg.solve(sigma_conditional(mod, t, s), np.ones(2)).sum())
+
+
 @pytest.mark.parametrize("name", ["diagonal", "interior-point"])
 def test_criterion_02_sigma_conditional(name):
     from jointeec.model import joint_cov
@@ -89,7 +97,7 @@ def test_criterion_02_sigma_conditional(name):
         rng = np.random.default_rng(404)
         for _ in range(100):
             t, s = (float(v) for v in rng.uniform(0.0, 1.0, size=2))
-            direct = asy.sigma_conditional(mod, t, s)
+            direct = sigma_conditional(mod, t, s)
             cov = joint_cov(mod, [("X", t, 0), ("Y", s, 0), ("X", t, 1), ("Y", s, 1)])
             law = condition(cov, (2, 3))
             assert np.max(np.abs(direct - law.residual_cov)) < 1e-9
@@ -99,11 +107,27 @@ def test_criterion_02_sigma_conditional(name):
 # 3: corner tail integral against its closed leading order
 
 
+def corner_tail(sigma, u):
+    """The integral of exp(-(z + u)' inv(sigma) (z + u) / 2) over the
+    quadrant z >= 0: 2 pi sqrt(det sigma) times the orthant probability
+    P{xi >= (u, u)} of xi ~ N(0, sigma), read from mvn_cdf."""
+    det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
+    return 2.0 * math.pi * math.sqrt(det) * mvn_cdf(sigma, [u, u]).value
+
+
+def tail_leading_order(sigma, u):
+    """The leading order 1 / (u^2 a b) of corner_tail over its exponential
+    factor exp(-(u, u) inv(sigma) (u, u)' / 2), with a and b the row sums of
+    inv(sigma); it holds when both are positive, so that the corner is the
+    dominating point of the quadrant."""
+    a, b = np.linalg.inv(sigma).sum(axis=1)
+    return 1.0 / (u * u * a * b)
+
+
 def mills_product(R, u):
     sigma = np.array([[1.0, R], [R, 1.0]])
-    exact = bivariate_tail_exact(sigma, u)
-    ta = mills_ratio_asymptotic(sigma, u)
-    return exact.value * math.exp(u * u / (1.0 + R)) / ta.value
+    exact = corner_tail(sigma, u) * math.exp(u * u / (1.0 + R))
+    return exact / tail_leading_order(sigma, u)
 
 
 def mills_bounds(R, u):
@@ -139,10 +163,11 @@ def test_criterion_03_mills_r_neg_u6():
 # reach: the upper bound of mills_bounds is 0.94985 at R = 0, u = 6 and
 # 0.98788, 0.98070, 0.95905 at u = 10 for R = -0.3, 0, 0.5.  The asserts
 # below check the bracket instead.  Its narrowest margin, 2.9e-7 at
-# R = -0.3, u = 10, is far above the 1e-8 relative tolerance of the
-# quadrature.  Its widest margin, 0.0083 at R = 0.5, u = 6, is less than
-# the 0.009 by which a 1% error in the Mills ratio moves the product, so
-# such an error leaves the bracket at every level tested.
+# R = -0.3, u = 10, is far above the relative error of mvn_cdf's
+# bivariate kernel (gauss._BVN_REL_ERR, 9e-12).  Its widest margin,
+# 0.0083 at R = 0.5, u = 6, is less than the 0.009 by which a 1% error in
+# the Mills ratio moves the product, so such an error leaves the bracket
+# at every level tested.
 
 
 def test_criterion_03_mills_r0_u6():
@@ -201,7 +226,7 @@ def test_criterion_05_h_at_maximizers():
             cls = asy.classify(mod)
             target = 1.0 / (1.0 + cls.R)
             for t, s in cls.maximizers:
-                assert asy.h_function(mod, t, s) == pytest.approx(target, rel=1e-9)
+                assert h_function(mod, t, s) == pytest.approx(target, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +364,9 @@ def test_criterion_08_corner_sum():
     # of 1.1688 is 1/0.83196 times the 97.2% share of the maximizing
     # corner, so a band such as [0.9, 1.1] on it is out of reach at
     # u = 4.5.  The bracket is about 10% wide here; the identity with
-    # mills_product, whose tail integral is an independent cubature, is
-    # what catches a closed-form coefficient a few percent off.
+    # mills_product, whose leading order 1/(u^2 a b) is written out here
+    # apart from closed_form, is what catches a closed-form coefficient a
+    # few percent off.
     with elapsed_under(60.0):
         mod = fixture("corner-nondegenerate")
         cls = asy.classify(mod)

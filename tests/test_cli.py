@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import jointeec
+from jointeec import cli
 from jointeec.kacrice import eec
 from jointeec.model import fixture
 
@@ -320,6 +321,37 @@ def test_model_file_input(tmp_path):
     proc = run_cli("classify", "--model-file", str(f), check=True)
     lines = proc.stdout.strip().splitlines()
     assert lines[1].startswith("from-file,DiagonalLine,")
+
+
+MODEL_FILES = {
+    "shift-mixture": {"cross_form": "shift-mixture", "c": "0.5", "d": "0.1"},
+    "point-anchor": {"cross_form": "point-anchor", "c": "0.5", "t_star": "0.5",
+                     "s_star": "0.5", "scale_x": "1.0", "scale_y": "0.8"},
+}
+
+
+def _write_model(path, entries):
+    path.write_text("".join(f"{k} {v}\n" for k, v in entries.items()), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("form", sorted(MODEL_FILES))
+def test_model_file_forms_validate(tmp_path, form):
+    # the files the non-finite cases below start from are valid as written
+    assert cli.run(["validate", "--model-file", _write_model(tmp_path / "m.model",
+                                                             MODEL_FILES[form])]) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("form,key", [
+    ("point-anchor", "scale_x"), ("point-anchor", "scale_y"), ("shift-mixture", "c"),
+    ("shift-mixture", "d"), ("point-anchor", "t_star"), ("point-anchor", "s_star")])
+def test_non_finite_parameter_is_usage_error(tmp_path, capsys, form, key, value):
+    # a non-finite parameter is rejected when the model is built, not left
+    # to hang a quadrature or to pass validation with a flat r
+    f = _write_model(tmp_path / "m.model", dict(MODEL_FILES[form], **{key: value}))
+    assert cli.run(["validate", "--model-file", f]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_model_file(tmp_path):

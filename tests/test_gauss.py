@@ -22,16 +22,10 @@ from jointeec.common import (
     AccuracyError,
     ArgumentError,
     DegeneracyError,
-    RegimeError,
     UnsupportedDimensionError,
 )
-from jointeec.gauss import (
-    bivariate_tail_exact,
-    condition,
-    mills_ratio_asymptotic,
-    mvn_cdf,
-    truncated_moment,
-)
+from jointeec.gauss import condition, mvn_cdf, truncated_moment
+from test_acceptance import corner_tail, mills_product
 
 # frozen reference probabilities
 TVN_MIXED = 0.054438312708414959     # cov [[1,.6,-.3],[.6,2,.5],[-.3,.5,1.5]], low [0.8,1.0,-0.2]
@@ -671,6 +665,16 @@ def test_truncated_moments_rejects_bad_input():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(DegeneracyError):
         truncated_moment(bad, [0.0, 0.0], (1, 0))
+    # a negative variance is named before any square root is taken, so no
+    # RuntimeWarning comes first even where warnings are errors
+    negative = np.array([[1.0, 0.0], [0.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: mvn_cdf(negative, [0.0, 0.0]),
+                     lambda: truncated_moment(negative, [0.0, 0.0], (1, 0))):
+            with pytest.raises(DegeneracyError) as info:
+                call()
+            assert info.value.pivot_index == 1
 
 
 # ---------------------------------------------------------------------------
@@ -686,42 +690,14 @@ TAIL_REFS = (
 @pytest.mark.parametrize("R,u,ref", TAIL_REFS)
 def test_bivariate_tail_reference(R, u, ref):
     sigma = np.array([[1.0, R], [R, 1.0]])
-    est = bivariate_tail_exact(sigma, u)
-    assert est.value == pytest.approx(ref, rel=1e-8)
+    assert corner_tail(sigma, u) == pytest.approx(ref, rel=1e-8)
 
 
 def test_bivariate_tail_zero_level():
     # at u = 0 the shifted integral is a quarter-plane Gaussian mass:
     # 2 pi sqrt(det) * orthant probability, with orthant 1/4 + asin(R)/(2 pi)
     sigma = np.array([[1.0, 0.0], [0.0, 1.0]])
-    est = bivariate_tail_exact(sigma, 0.0)
-    assert est.value == pytest.approx(math.pi / 2.0, rel=1e-9)
-
-
-def test_mills_ratio_row_sums():
-    sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-    ta = mills_ratio_asymptotic(sigma, 4.0)
-    inv = np.linalg.inv(sigma)
-    assert ta.a == pytest.approx(inv[0].sum(), rel=1e-14)
-    assert ta.b == pytest.approx(inv[1].sum(), rel=1e-14)
-    assert ta.value == pytest.approx(1.0 / (16.0 * ta.a * ta.b), rel=1e-14)
-
-
-def test_mills_ratio_interior_dominating_point_required():
-    # a row sum of the precision matrix <= 0 puts the dominating point on
-    # the boundary and the closed form does not apply
-    sigma = np.array([[1.0, 1.5], [1.5, 4.0]])
-    with pytest.raises(RegimeError):
-        mills_ratio_asymptotic(sigma, 4.0)
-
-
-def mills_product(R, u):
-    # exact integral divided by its closed leading order; the closed form
-    # carries no exponential factor, so reinstate it on the exact side
-    sigma = np.array([[1.0, R], [R, 1.0]])
-    exact = bivariate_tail_exact(sigma, u)
-    ta = mills_ratio_asymptotic(sigma, u)
-    return exact.value * math.exp(u * u / (1.0 + R)) / ta.value
+    assert corner_tail(sigma, 0.0) == pytest.approx(math.pi / 2.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("R", [-0.3, 0.0])

@@ -1,6 +1,8 @@
 """Source hygiene that no installed linter checks: every name a package
-module imports is used in that module or re-exported through __all__, and
-every module-level private name is referenced somewhere in the package."""
+module imports is used in that module or re-exported through __all__,
+every module-level private name is referenced somewhere in the package,
+and every module-level public name is read by the package, the benchmark
+or the tools, or is allowed by name with its reason."""
 
 import ast
 from pathlib import Path
@@ -89,3 +91,70 @@ def test_detector_flags_an_unreferenced_private():
 def test_every_private_helper_is_referenced():
     sources = {path.name: path.read_text() for path in MODULES}
     assert unreferenced_privates(sources) == []
+
+
+
+# Public names that stay public although nothing in the package, the
+# benchmark or the tools reads them, each with its reason.
+READER_DIRS = ("perfbench", "tools")
+ALLOWED_UNREAD = {
+    **dict.fromkeys(jointeec.__all__, "the package API, re-exported by jointeec/__init__"),
+    "condition": "gauss's generic conditioning: the reference the kacrice and "
+                 "acceptance tests check the integrands' conditional covariances against",
+}
+
+
+def _defined_names(stmt):
+    """Module-level names bound by one statement: def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _reads(stmt):
+    """Names one statement reads: bare, as an attribute, or as an
+    identifier string (the benchmark's tracer wraps functions by name)."""
+    return _references(stmt) | {
+        n.value for n in ast.walk(stmt) if isinstance(n, ast.Constant)
+        and isinstance(n.value, str) and n.value.isidentifier()}
+
+
+def unread_publics(package, readers):
+    """(module, name) for every module-level public name of package
+    ({module: text}) that no top-level statement of package or readers
+    (more {file: text}) reads, its own definition and __all__ aside.  An
+    import is not a read: a re-export counts only where it is used."""
+    reads, publics = [], []
+    for mod, text in [*package.items(), *readers.items()]:
+        for stmt in ast.parse(text).body:
+            names = _defined_names(stmt)
+            if "__all__" in names:
+                continue
+            reads.append((stmt, _reads(stmt)))
+            if mod in package:
+                publics += [(mod, n, stmt) for n in names if not n.startswith("_")]
+    return sorted((mod, name) for mod, name, own in publics
+                  if not any(name in refs for stmt, refs in reads if stmt is not own))
+
+
+def test_detector_flags_an_unread_public():
+    package = {
+        "a.py": "__all__ = ['used', 'dead']\ndef used():\n    return 1\n"
+                "def dead():\n    return dead()\nLIMIT = 3\n",
+        "b.py": "from . import a\nclass Shown:\n    pass\n",
+    }
+    readers = {"bench.py": "from pkg import a, b\na.used()\nwrap(b, 'Shown')\n"}
+    assert unread_publics(package, readers) == [("a.py", "LIMIT"), ("a.py", "dead")]
+
+
+def test_every_public_name_is_read():
+    root = Path(__file__).resolve().parents[1]
+    package = {path.name: path.read_text() for path in MODULES}
+    readers = {str(path): path.read_text()
+               for d in READER_DIRS for path in sorted((root / d).glob("*.py"))}
+    unread = [(mod, name) for mod, name in unread_publics(package, readers)
+              if name not in ALLOWED_UNREAD]
+    assert unread == []

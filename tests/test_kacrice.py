@@ -139,8 +139,8 @@ def test_conditional_hessian_coefficients_at_anchor():
     # E{X'' | X=x, Y=y, X'=Y'=0} = a1 x + b1 y; at the anchor of the
     # interior-point fixture the combined slope along x = y = u is exactly
     # (r11 - lambda1)/(1 + R) = -1, and likewise for Y''
-    a1, b1, a2, b2, c12 = kr.conditional_hessian_coefficients(
-        fixture("interior-point"), 0.5, 0.5)
+    c, _ = kr._interior_conditional(fixture("interior-point"), 0.5, 0.5)
+    a1, b1, a2, b2, c12 = (float(v[0]) for v in kr._hessian_regression(c))
     assert a1 + b1 == pytest.approx(-1.0, rel=1e-12)
     assert a2 + b2 == pytest.approx(-1.0, rel=1e-12)
     assert c12 == pytest.approx(0.0, abs=1e-13)

@@ -125,6 +125,11 @@ def test_cosine_mixture_validation():
         CosineMixture((1.0,), (0.0,))  # zero second spectral moment
     with pytest.raises(ArgumentError):
         CosineMixture((0.5, 0.5), (1.0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ArgumentError):
+            CosineMixture((0.5, 0.5), (1.0, bad))
+        with pytest.raises(ArgumentError):
+            CosineMixture((bad, 0.5), (1.0, 2.0))
 
 
 def test_sqexp_validation():

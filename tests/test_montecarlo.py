@@ -123,14 +123,16 @@ def test_sample_paths_rejects_bad_sizes():
 
 
 def test_count_excursion_components():
+    def count(path):
+        return int(mc._counts(np.reshape(path, (1, -1)), 0.5)[0])
+
     t = np.linspace(0.0, 1.0, 512)
-    wave = np.sin(4.0 * np.pi * t)
-    assert mc.count_excursion_components(wave, 0.5) == 2
-    assert mc.count_excursion_components(np.ones(16), 0.5) == 1
-    assert mc.count_excursion_components(-np.ones(16), 0.5) == 0
-    assert mc.count_excursion_components(np.array([0.6, 0.4, 0.6]), 0.5) == 2
+    assert count(np.sin(4.0 * np.pi * t)) == 2
+    assert count(np.ones(16)) == 1
+    assert count(-np.ones(16)) == 0
+    assert count([0.6, 0.4, 0.6]) == 2
     # touching the level counts: the excursion set is closed
-    assert mc.count_excursion_components(np.array([0.0, 0.5, 0.0]), 0.5) == 1
+    assert count([0.0, 0.5, 0.0]) == 1
 
 
 def test_estimate_eec_against_expansion():
