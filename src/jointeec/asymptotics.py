@@ -355,7 +355,7 @@ def closed_form(
     """Assemble the leading-order coefficient for a classified regime."""
     tag = classification.tag
     if tag == "GeneralFallback":
-        raise ArgumentError("no closed form for GeneralFallback; use the numeric sum")
+        raise RegimeError("no closed form for GeneralFallback; use the numeric sum")
     geo = classification.geometry
     big_r = classification.R
     if big_r <= 0.0:

@@ -9,9 +9,10 @@ checks the agreement bands.
 Every command writes CSV with a header row.  Floats are printed with
 %.17g, so rerunning a command with the same configuration produces a
 byte-identical file and parsing the output loses nothing.  Exit codes:
-0 success, 2 argument problems, 3 numerical-regime failures
-(degeneracy, unconvergent quadrature, no matching closed form), 4 a
-violated agreement band in ``compare``.
+0 success, 2 argument problems (a model file that cannot be read or an
+output path that cannot be written included), 3 numerical-regime
+failures (degeneracy, unconvergent quadrature, no matching closed form),
+4 a violated agreement band in ``compare``.
 
 ``simulate`` and ``compare`` make one ``montecarlo.simulate`` call for
 all their u values: each block of paths is drawn once and read by every
@@ -30,14 +31,7 @@ import functools
 import math
 import sys
 
-from .common import (
-    AccuracyError,
-    ArgumentError,
-    ConsistencyError,
-    DegeneracyError,
-    RegimeError,
-    UnsupportedDimensionError,
-)
+from .common import ArgumentError, DegeneracyError, EecError, RegimeError
 from . import asymptotics, kacrice, model as model_mod, montecarlo
 
 # compare bands: the closed form is asymptotic, so its ratio against the
@@ -127,7 +121,7 @@ def _load_model(args) -> model_mod.BivariateModel:
         return model_mod.fixture(args.model)
     try:
         return model_mod.load_model_file(args.model_file)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ArgumentError(f"cannot read model file: {exc}")
 
 
@@ -147,9 +141,12 @@ def _write_table(path, header, rows) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ArgumentError(f"cannot write output: {exc}")
 
 
 def _cmd_validate(args):
@@ -199,22 +196,16 @@ def _cmd_eec(args):
     rows = []
     for u in args.u:
         result = kacrice.eec(mod, u, restricted=restricted)
+        for note in result.total.notes:
+            print(f"eec: {note}", file=sys.stderr)
         rows.append((u, result.total.value, result.total.error, result.total.low_confidence))
     return header, rows, 0
-
-
-def _closed_form_term(mod, classification):
-    """Closed form for compare/closed-form; no-regime becomes exit 3."""
-    try:
-        return asymptotics.closed_form(mod, classification, 1.0)
-    except ArgumentError as exc:
-        raise RegimeError(str(exc))
 
 
 def _cmd_closed_form(args):
     mod = _load_model(args)
     cls = asymptotics.classify(mod)
-    term = _closed_form_term(mod, cls)
+    term = asymptotics.closed_form(mod, cls, 1.0)
     header = ("u", "closed_form", "coefficient", "power", "rate", "tag")
     rows = []
     for u in args.u:
@@ -268,7 +259,7 @@ def _cmd_compare(args):
     mod = _load_model(args)
     restricted = args.theorem == "3.3-restricted"
     cls = asymptotics.classify(mod)
-    term = _closed_form_term(mod, cls)
+    term = asymptotics.closed_form(mod, cls, 1.0)
     for u in args.u:
         if u <= 0.0:
             raise ArgumentError("compare needs u > 0, got %g" % u)
@@ -340,13 +331,13 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         header, rows, code = _COMMANDS[args.command](args)
-    except (ArgumentError, UnsupportedDimensionError) as exc:
+        _write_table(args.out, header, rows)
+    except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegeneracyError, RegimeError, AccuracyError, ConsistencyError) as exc:
+    except EecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _write_table(args.out, header, rows)
     return code
 
 

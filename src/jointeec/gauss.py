@@ -9,7 +9,9 @@ the cubatures of several regions in lockstep).
 The normal CDF is written as Phi(-h) = exp(-h^2 / 2) R(h) for h >= 0,
 with R the Mills ratio over sqrt(2 pi) taken from piecewise polynomials
 (tools/mills_coefficients.py), so it keeps its relative accuracy, about
-6e-16, down to Phi(-37.5).  Dimension 1 is that closed form.  Dimension
+6e-16, down to Phi(-37.5).  It has one path: a scalar is a one-element
+array, so every caller reads the same bits for the same point.
+Dimension 1 is that closed form.  Dimension
 2 is one bivariate kernel, a 1-d integral along the correlation path
 rho = sin(theta) by a Gauss-Legendre rule sized per point, which every
 caller uses.  Dimensions 3-4 condition on the coordinates with the
@@ -101,16 +103,16 @@ _MILLS_T = np.array(_MILLS).T.copy()  # (13, 8): one row per power of t
 
 def ndtr(x):
     """Phi(x) = P{Z <= x} for standard normal Z, elementwise; a scalar in
-    gives a float out without the array path's fixed cost.
+    gives the float that a one-element array gives.
 
     Q(h) = Phi(-h) = exp(-h^2 / 2) R(h) for h = |x|, with R from _MILLS.
     exp(-h^2 / 2) is taken on the split h = hi + lo with hi = floor(64 h) /
     64: hi^2 / 2 is exact, so the far tail loses no digits to a rounded
     square.  Against 40-digit arithmetic the relative error of Q is below
     6e-16 on [0, 37.5]; past h = 40 it underflows to 0."""
-    if np.ndim(x) == 0:
-        return _ndtr_scalar(float(x))
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return float(ndtr(x[None])[0])
     h = np.minimum(np.abs(x), 40.0)
     hp4 = h + 4.0
     # the piece: floor(4 (y + 1)), at most 7; fmin sends NaN to the last
@@ -127,25 +129,6 @@ def ndtr(x):
     lo = h - hi
     q = np.exp(-0.5 * hi * hi) * np.exp(-lo * (hi + 0.5 * lo)) * p
     return np.where(x < 0.0, q, 1.0 - q)
-
-
-def _ndtr_scalar(x: float) -> float:
-    """ndtr for one float, step for step as the array path."""
-    if math.isnan(x):
-        return x
-    h = min(abs(x), 40.0)
-    hp4 = h + 4.0
-    i = int(8.0 * h / hp4)
-    t = ((15 - 2 * i) * h - (8 * i + 4)) / hp4
-    coef = _MILLS[i]
-    p = coef[12] * t
-    for c in coef[11:0:-1]:
-        p = (p + c) * t
-    p += coef[0]
-    hi = math.floor(h * 64.0) / 64.0
-    lo = h - hi
-    q = math.exp(-0.5 * hi * hi) * math.exp(-lo * (hi + 0.5 * lo)) * p
-    return q if x < 0.0 else 1.0 - q
 
 
 # ---------------------------------------------------------------------------

@@ -88,15 +88,16 @@ _PAIR_ORDER = (
 class FacePairTerm:
     face_x: str
     face_y: str
-    sign: int
     value: Estimate
 
     def __post_init__(self) -> None:
         if self.face_x not in FACES or self.face_y not in FACES:
             raise ArgumentError("faces must be Left, Right, or Interior")
-        k = int(self.face_x == "Interior") + int(self.face_y == "Interior")
-        if self.sign != (-1) ** k:
-            raise ArgumentError("sign must equal (-1)^(k+l) for the face pair")
+
+    @property
+    def sign(self) -> int:
+        """(-1)^(k+l): -1 to the number of Interior faces."""
+        return (-1) ** ((self.face_x == "Interior") + (self.face_y == "Interior"))
 
 
 @dataclass(frozen=True)
@@ -437,13 +438,12 @@ def face_pair_integral(
     truncated moment (gauss.truncated_moment).  A vertex x edge pair is
     the one-pair case of _edge_terms."""
     k = int(face_x == "Interior") + int(face_y == "Interior")
-    sign = (-1) ** k
 
     if k == 0:
         est = corner_corner_term(
             model, _POINT[face_x], _POINT[face_y], u, constrain_x, constrain_y
         )
-        return FacePairTerm(face_x, face_y, sign, est)
+        return FacePairTerm(face_x, face_y, est)
     if k == 1:
         (term,) = _edge_terms(model, [(face_x, face_y)], u, constrain_x, constrain_y)
         return term
@@ -455,7 +455,7 @@ def face_pair_integral(
         np.zeros(2), np.ones(2), **_TOLS,
     ).estimate("interior x interior quadrature")
     _spot_check_interior(model, u, _value_at(*first[0], (0.5, 0.5)))
-    return FacePairTerm(face_x, face_y, sign, est)
+    return FacePairTerm(face_x, face_y, est)
 
 
 def _edge_terms(model, pairs, u: float, constrain_x: bool, constrain_y: bool) -> list:
@@ -478,7 +478,7 @@ def _edge_terms(model, pairs, u: float, constrain_x: bool, constrain_y: bool) ->
     results = quadrature.lockstep_1d(
         _keeping_first_batch(lambda ts: _edge_integrands(specs, ts, u), first),
         [(0.0, 1.0)] * len(specs), **_TOLS)
-    terms = [FacePairTerm(face_x, face_y, -1,
+    terms = [FacePairTerm(face_x, face_y,
                           res.estimate(f"face pair ({face_x},{face_y}) quadrature"))
              for (face_x, face_y), res in zip(pairs, results)]
     moments = gauss.truncated_moments([_edge_region(work, s0, u, constrain)

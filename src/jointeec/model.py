@@ -445,4 +445,8 @@ def load_model_file(path) -> BivariateModel:
     else:
         raise ArgumentError(
             f"{path}: cross_form must be shift-mixture or point-anchor, got {form!r}")
-    return BivariateModel(kx, ky, cross, label=entries.get("label", ""))
+    label = entries.get("label", "")
+    if "," in label or '"' in label:
+        # the label is a CSV cell of validate and classify, written unquoted
+        raise ArgumentError(f"{path}: label {label!r} holds a comma or a double quote")
+    return BivariateModel(kx, ky, cross, label=label)

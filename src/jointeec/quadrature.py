@@ -16,9 +16,9 @@ cell is dropped: a non-finite value or error stays in the totals, and a
 result is converged only when the total error is at most the target.
 
 Refinement order is deterministic (worst-error first with a fixed
-tie-break), and the totals over the cells are kept exact as cells enter
-and leave and rounded once (_exact_parts), so they do not depend on the
-order of the cells and repeated runs produce identical bits.  The driver
+tie-break), and each pass takes the value and error totals as math.fsum
+over the heap, which rounds the exact sum once, so they do not depend on
+the order of the cells and repeated runs produce identical bits.  The driver
 never raises on budget exhaustion: it returns its best value with
 ``converged=False``; QuadratureResult.estimate raises AccuracyError then.
 
@@ -28,7 +28,7 @@ one integral).  Each pass places the nodes of the cells every open
 integral has popped, evaluates all of them in one integrand call (a list
 of node arrays in, a list of value arrays out, an empty array for an
 integral that has stopped) and reduces each integral's cells on its own.
-Every integral keeps its own heap, tie-break, exact totals, stopping test
+Every integral keeps its own heap, tie-break, totals, stopping test
 and budget, so it splits the same cells in the same order, with the same
 n_evals, as it would alone, provided the integrand's value at a node does
 not depend on the other nodes of its call.  The rule's weighted sums run
@@ -142,17 +142,14 @@ def _refine(halves, nodes: int, lo, hi, rel_tol: float, abs_tol: float, max_eval
     cells it needs next, is sent back their reduced (values, errors,
     *extra) and returns its QuadratureResult.  Heap entries are (-error,
     tiebreak, lo, hi, value, error, *extra)."""
-    heap, split, n_evals, tiebreak = [], [], 0, itertools.count()
-    totals = ([0.0], [0.0])  # the exact totals of an empty heap
+    heap, n_evals, tiebreak = [], 0, itertools.count()
     while True:
         val, err, *extra = yield lo, hi
-        vals, errs = val.tolist(), err.tolist()
-        n_evals += nodes * len(vals)
+        n_evals += nodes * len(val)
         for entry in zip((-err).tolist(), tiebreak, lo.tolist(), hi.tolist(),
-                         vals, errs, *(e.tolist() for e in extra)):
+                         val.tolist(), err.tolist(), *(e.tolist() for e in extra)):
             heapq.heappush(heap, entry)
-        totals = _retotal(totals, vals, errs, split, heap)
-        value, error = totals[0][0], totals[1][0]
+        value, error = math.fsum(h[4] for h in heap), math.fsum(h[5] for h in heap)
         target = max(abs_tol, rel_tol * abs(value))
         if error <= target or n_evals >= max_evals:
             return QuadratureResult(value, error, n_evals, error <= target)
@@ -164,31 +161,6 @@ def _refine(halves, nodes: int, lo, hi, rel_tol: float, abs_tol: float, max_eval
         for h in keep:
             heapq.heappush(heap, h)
         lo, hi = halves(split)
-
-
-def _exact_parts(values: list) -> list:
-    """Floats whose exact sum is that of values, the first of them that sum
-    rounded once, so equal to math.fsum(values) bit for bit.  Each further
-    float is the rounded remainder, until none is left: two or three for
-    values of like magnitude."""
-    parts = [math.fsum(values)]
-    if math.isfinite(parts[0]):
-        while rest := math.fsum(values + [-p for p in parts]):
-            parts.append(rest)
-    return parts
-
-
-def _retotal(totals, vals: list, errs: list, leaving, heap):
-    """The exact (value, error) totals of the heap, as _exact_parts, after
-    the cells with vals and errs entered it and the entries in leaving
-    (value at index 4, error at 5) left: only what moved is summed, not
-    the whole heap.  Past a non-finite total nothing cancels exactly any
-    more, and the heap is summed again."""
-    val_parts, err_parts = totals
-    if math.isfinite(val_parts[0]) and math.isfinite(err_parts[0]):
-        return (_exact_parts(val_parts + vals + [-h[4] for h in leaving]),
-                _exact_parts(err_parts + errs + [-h[5] for h in leaving]))
-    return _exact_parts([h[4] for h in heap]), _exact_parts([h[5] for h in heap])
 
 
 # ---------------------------------------------------------------------------

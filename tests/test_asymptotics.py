@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from jointeec.common import ArgumentError
+from jointeec.common import ArgumentError, RegimeError
 from jointeec.gauss import condition
 from jointeec.model import fixture, joint_cov, transpose
 from jointeec import asymptotics as asy
@@ -125,6 +125,8 @@ def test_classification_shifted_ridge_falls_back():
     cls = asy.classify(mod)
     assert cls.tag == "GeneralFallback"
     assert len(cls.maximizers) > 10
+    with pytest.raises(RegimeError, match="GeneralFallback"):
+        asy.closed_form(mod, cls, 6.0)
 
 
 def test_classification_flat_r_merges_every_lattice_point():

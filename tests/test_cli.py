@@ -206,6 +206,23 @@ def test_closed_form_says_when_it_underflows(model):
     assert [line.split(",")[1] for line in lines[2:]] == ["0", "0"]
 
 
+def test_eec_says_when_it_underflows():
+    # the face-pair sum leaves the doubles between u = 30 and u = 35 as the
+    # closed form does: each level whose every term reads 0 gets one line
+    # on stderr; the CSV and the exit code stay as they are
+    quiet = run_cli("eec", "--model", "interior-point", "--u", "30")
+    assert quiet.returncode == 0, quiet.stderr
+    assert quiet.stderr == ""
+    assert float(quiet.stdout.splitlines()[1].split(",")[1]) > 0.0
+    proc = run_cli("eec", "--model", "interior-point", "--u", "30,35,40")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"eec: every face-pair term underflowed to 0.0 at u={u}" for u in (35, 40)]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "u,eec_numeric,quad_error,low_confidence"
+    assert [line.split(",")[1:] for line in lines[2:]] == [["0", "0", "true"]] * 2
+
+
 def test_compare_reruns_byte_identical(tmp_path):
     args = ("compare", "--model", "interior-point", "--u", "2,3",
             "--grid", "128", "--reps", "1000", "--seed", "21")
@@ -357,6 +374,41 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, form, key, value)
 def test_missing_model_file(tmp_path):
     proc = run_cli("classify", "--model-file", str(tmp_path / "nope.model"))
     assert proc.returncode == 2
+
+
+def test_model_file_not_utf8_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "m.model"
+    f.write_bytes(b"cross_form shift-mixture\nc 0.5\nlabel caf\xe9\n")
+    assert cli.run(["classify", "--model-file", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read model file: ")
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["no-directory", "a-directory"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, out):
+    argv = ["eec", "--model", "interior-point", "--u", "3", "--out", str(tmp_path / out)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
+@pytest.mark.parametrize("command", ["classify", "validate"])
+@pytest.mark.parametrize("label", ["a,b", 'say "x"'])
+def test_label_that_breaks_the_csv_is_usage_error(tmp_path, capsys, command, label):
+    # the label is an unquoted CSV cell: a comma would add a column, a quote
+    # would open a quoted field
+    f = _write_model(tmp_path / "m.model", dict(MODEL_FILES["shift-mixture"], label=label))
+    assert cli.run([command, "--model-file", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_closed_form_without_a_regime_is_exit_3(tmp_path, capsys):
+    # a ridge off the diagonal classifies as GeneralFallback, which no
+    # closed form covers: a regime failure, not an argument problem
+    f = _write_model(tmp_path / "m.model", dict(MODEL_FILES["shift-mixture"], d="0.5"))
+    assert cli.run(["closed-form", "--model-file", f, "--u", "6"]) == 3
+    assert capsys.readouterr().err == (
+        "error: no closed form for GeneralFallback; use the numeric sum\n")
 
 
 @pytest.mark.skipif(shutil.which("jointeec") is None,

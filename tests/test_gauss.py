@@ -67,12 +67,23 @@ NDTR_LITERALS = (
 
 @pytest.mark.parametrize("x,ref", NDTR_LITERALS)
 def test_ndtr_literals(x, ref):
-    # the far tail keeps its relative accuracy, on the array and the
-    # scalar path alike; the scalar path returns a plain float
+    # the far tail keeps its relative accuracy; a scalar in gives a plain
+    # float out
     assert gauss.ndtr(np.array([x]))[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
     value = gauss.ndtr(x)
     assert type(value) is float
     assert value == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
+def test_ndtr_scalar_is_a_one_element_array():
+    # one path: a scalar gets the bits of a one-element array, as a float,
+    # over the whole tail range (x = -37.4915 is a point where a separate
+    # scalar formula once rounded the last bit differently)
+    xs = np.append(np.linspace(-37.5, 37.5, 5_001), -37.4915)
+    for x in xs.tolist():
+        value = gauss.ndtr(x)
+        assert type(value) is float
+        assert value == gauss.ndtr(np.array([x]))[0], x
 
 
 def test_ndtr_matches_scipy():

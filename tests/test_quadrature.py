@@ -8,21 +8,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from jointeec.quadrature import (
-    _exact_parts,
-    integrate_1d,
-    integrate_nd,
-    lockstep_1d,
-    lockstep_nd,
-)
+from jointeec.quadrature import integrate_1d, integrate_nd, lockstep_1d, lockstep_nd
 
 
 def bits(res):
-    """A result as exact values: the cubature keeps its totals exactly and
-    rounds them once, so these equal the heap re-summed by math.fsum."""
+    """A result as exact values: the cubature's totals are math.fsum over
+    its cells, the exact sum rounded once."""
     return res.value, res.error, res.n_evals, res.converged
 
 
@@ -127,8 +119,8 @@ def _beyond_09(fill):
 
 
 @pytest.mark.parametrize("integrate", [
-    # exp(800 x) overflows near x = 1: the totals turn infinite, the running
-    # sums are rebuilt from the heap, and the rule stops at its budget
+    # exp(800 x) overflows near x = 1: the totals turn infinite and the
+    # rule stops at its budget
     lambda: integrate_1d(lambda x: np.exp(800.0 * x), 0.0, 1.0, max_evals=3000),
     # a cell whose value or error is not finite stays in the totals: it
     # leaves the heap only by being split, never as a dropped NaN
@@ -140,22 +132,6 @@ def test_overflowing_integrand_is_reported_unconverged(integrate):
         res = integrate()
     assert not math.isfinite(res.value)
     assert not res.converged
-
-
-@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
-       st.lists(st.floats(-1e300, 1e300), max_size=40), st.data())
-@settings(max_examples=200, deadline=None)
-def test_exact_parts_follow_what_enters_and_leaves(first, more, data):
-    # the running totals of the cubature: parts of the members, plus what
-    # enters, minus what leaves, round to math.fsum of the members left
-    parts = _exact_parts(first)
-    assert parts[0] == math.fsum(first)
-    members = first + more
-    drop = data.draw(st.sets(st.integers(0, len(members) - 1)))
-    leaving = [members[i] for i in drop]
-    members = [x for i, x in enumerate(members) if i not in drop]
-    parts = _exact_parts(parts + more + [-x for x in leaving])
-    assert parts[0] == math.fsum(members)
 
 
 # Pinned by exact equality: value, error and evaluation count of the adaptive

@@ -15,8 +15,9 @@ repository root:
     python3 tools/mills_coefficients.py --check   # also check gauss against it
 
 The printed block is `_MILLS` in src/jointeec/gauss.py.  `--check`
-evaluates the tail Q(h) = gauss.ndtr(-h) itself, on its array path and on
-its scalar path, on a dense grid of [0, 37.5], and prints the largest
+evaluates the tail Q(h) = gauss.ndtr(-h) itself on a dense grid of
+[0, 37.5], once as one array call and once as a scalar call per point (a
+scalar runs the same path as a one-element array), and prints the largest
 relative error of each against 40-digit mpmath.  It exits 1 if either
 error reaches ERR_TOL or the regenerated table differs from the shipped
 gauss._MILLS.
@@ -73,20 +74,21 @@ def table():
 
 
 def check(coefs) -> bool:
-    """Print gauss.ndtr's largest tail error on each path and whether the
-    shipped table is the regenerated one; True when all is in bounds."""
+    """Print gauss.ndtr's largest tail error as one array call and as scalar
+    calls, and whether the shipped table is the regenerated one; True when
+    all is in bounds."""
     mp.mp.dps = 40
     hs = [37.5 * k / 75_000 for k in range(75_001)]
     refs = [mp.erfc(mp.mpf(h) / mp.sqrt(2)) / 2 for h in hs]
-    paths = {
-        "array": gauss.ndtr(-np.array(hs)),
-        "scalar": [gauss.ndtr(-h) for h in hs],
+    calls = {
+        "one array call": gauss.ndtr(-np.array(hs)),
+        "scalar calls": [gauss.ndtr(-h) for h in hs],
     }
     ok = True
-    for name, values in paths.items():
+    for name, values in calls.items():
         errs = [abs(float(mp.mpf(float(q)) / ref - 1)) for q, ref in zip(values, refs)]
         worst = max(range(len(hs)), key=errs.__getitem__)
-        print(f"# {name} path: largest relative error on [0, 37.5]: "
+        print(f"# {name}: largest relative error on [0, 37.5]: "
               f"{errs[worst]:.3g} at h = {hs[worst]:.6g}")
         ok &= errs[worst] < ERR_TOL
     same = tuple(tuple(row) for row in coefs) == gauss._MILLS
