@@ -26,13 +26,12 @@ from .model import (
     PointAnchor,
     ShiftMixture,
     SquaredExponential,
-    ValidationReport,
     fixture,
     independent_model,
     load_model_file,
     transpose,
-    validate_model,
 )
+from .asymptotics import ValidationReport, validate_model
 
 __all__ = [
     "AccuracyError",

@@ -6,14 +6,16 @@ over the square.  The polynomial prefactor depends on where that maximum
 sits (corner, edge, interior, or the whole diagonal) and on which
 directional derivatives of r vanish there.  This module locates the
 maximizer set, reads off the local geometry, and assembles the
-closed-form coefficient for each regime via the Laplace method.
+closed-form coefficient for each regime via the Laplace method;
+validate_model checks a model's covariances and its maximizers' curvature.
 
 Orientation convention: the case formulas below are written for the
 canonical orientation in which the distinguished direction is t (for an
 edge point, s sits on the boundary; for the semidegenerate corner, r1 is
-the vanishing partial).  When a model realizes the mirrored picture the
-classification carries ``swapped=True`` and stores the geometry with the
-roles of t and s already exchanged, so the formulas apply verbatim.
+the vanishing partial).  When a model realizes the mirrored picture,
+classify stores the geometry with the roles of t and s already exchanged,
+so the formulas apply verbatim; the maximizers keep the model's own
+coordinates.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ __all__ = [
     "AsymptoticTerm",
     "local_geometry",
     "classify",
+    "validate_model",
+    "ValidationReport",
     "closed_form",
     "CASE_TAGS",
 ]
@@ -101,16 +105,16 @@ class LocalGeometry:
 class CaseClassification:
     """Which asymptotic regime the maximizer set of r falls into.
 
-    geometry is stored in canonical orientation (see module docstring);
-    maximizers are in the model's own coordinates.  notes explains a
-    GeneralFallback when one was chosen over an exception.
+    geometry is stored in canonical orientation, t and s already
+    exchanged where the model realizes the mirrored picture (see module
+    docstring); maximizers are in the model's own coordinates.  notes
+    explains a GeneralFallback when one was chosen over an exception.
     """
 
     tag: str
     maximizers: tuple[tuple[float, float], ...]
     R: float
     geometry: LocalGeometry
-    swapped: bool = False
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -240,51 +244,34 @@ def classify(model: model_mod.BivariateModel) -> CaseClassification:
         cells.setdefault((i, j), []).append((t, s))
     maximizers = tuple(merged)
 
-    notes: tuple[str, ...] = ()
-    if len(maximizers) >= _DIAG_MIN_POINTS:
-        w = np.array([t - s for t, s in maximizers])
-        tvals = np.array(sorted(t for t, _ in maximizers))
-        gaps = np.diff(tvals)
-        on_line = float(np.ptp(w)) <= _LINE_TOL
-        if (
-            on_line
-            and abs(float(w.mean())) <= 1e-9
-            and tvals[0] <= _DIAG_SPAN_SLACK
-            and tvals[-1] >= 1.0 - _DIAG_SPAN_SLACK
-            and (gaps.size == 0 or float(gaps.max()) <= _DIAG_GAP_MAX)
-        ):
-            rep = maximizers[len(maximizers) // 2]
-            return CaseClassification(
-                tag="DiagonalLine",
-                maximizers=maximizers,
-                R=big_r,
-                geometry=local_geometry(model, rep[0], rep[1]),
-            )
-        if on_line:
-            notes = (
-                "one-dimensional maximizer set along t-s=%.6g does not span the diagonal"
-                % float(w.mean()),
-            )
-        else:
-            notes = ("one-dimensional maximizer set not parallel to the diagonal",)
-        rep = maximizers[len(maximizers) // 2]
-        return CaseClassification(
-            tag="GeneralFallback",
-            maximizers=maximizers,
-            R=big_r,
-            geometry=local_geometry(model, rep[0], rep[1]),
-            notes=notes,
-        )
-
     if len(maximizers) > 1:
-        rep = maximizers[0]
-        return CaseClassification(
-            tag="GeneralFallback",
-            maximizers=maximizers,
-            R=big_r,
-            geometry=local_geometry(model, rep[0], rep[1]),
-            notes=("multiple isolated maximizers (%d)" % len(maximizers),),
-        )
+        # a ridge is represented by its middle point, isolated maximizers
+        # by the first of them
+        tag = "GeneralFallback"
+        if len(maximizers) < _DIAG_MIN_POINTS:
+            rep = maximizers[0]
+            notes = ("multiple isolated maximizers (%d)" % len(maximizers),)
+        else:
+            rep = maximizers[len(maximizers) // 2]
+            w = np.array([t - s for t, s in maximizers])
+            tvals = np.array(sorted(t for t, _ in maximizers))
+            gaps = np.diff(tvals)
+            on_line = float(np.ptp(w)) <= _LINE_TOL
+            if (
+                on_line
+                and abs(float(w.mean())) <= 1e-9
+                and tvals[0] <= _DIAG_SPAN_SLACK
+                and tvals[-1] >= 1.0 - _DIAG_SPAN_SLACK
+                and (gaps.size == 0 or float(gaps.max()) <= _DIAG_GAP_MAX)
+            ):
+                tag, notes = "DiagonalLine", ()
+            elif on_line:
+                notes = ("one-dimensional maximizer set along t-s=%.6g does not span "
+                         "the diagonal" % float(w.mean()),)
+            else:
+                notes = ("one-dimensional maximizer set not parallel to the diagonal",)
+        return CaseClassification(tag=tag, maximizers=maximizers, R=big_r,
+                                  geometry=local_geometry(model, *rep), notes=notes)
 
     t_star, s_star = maximizers[0]
     geo = local_geometry(model, t_star, s_star)
@@ -293,28 +280,94 @@ def classify(model: model_mod.BivariateModel) -> CaseClassification:
     r1_zero = abs(geo.r1) < DEFAULT_TOL.gradient_tol
     r2_zero = abs(geo.r2) < DEFAULT_TOL.gradient_tol
 
+    # canonical orientation: a corner's vanishing partial is r1, an edge
+    # point's s sits on the boundary
+    swap = False
     if t_bnd and s_bnd:
-        if r1_zero and r2_zero:
-            tag, swapped = "Corner_BothZero", False
-        elif r1_zero:
-            tag, swapped = "Corner_r1Zero", False
-        elif r2_zero:
-            tag, swapped = "Corner_r1Zero", True
-        else:
-            tag, swapped = "Corner_r1r2Nonzero", False
+        tag = ("Corner_r1r2Nonzero", "Corner_r1Zero", "Corner_BothZero")[r1_zero + r2_zero]
+        swap = r2_zero and not r1_zero
     elif t_bnd or s_bnd:
-        swapped = t_bnd  # canonical orientation has s on the boundary
+        swap = t_bnd
         normal_zero = r1_zero if t_bnd else r2_zero
         tag = "EdgePoint_r2Zero" if normal_zero else "EdgePoint_r2Nonzero"
     else:
-        tag, swapped = "UniqueInterior", False
+        tag = "UniqueInterior"
+    return CaseClassification(tag=tag, maximizers=maximizers, R=big_r,
+                              geometry=geo.swapped() if swap else geo)
 
-    return CaseClassification(
-        tag=tag,
-        maximizers=maximizers,
-        R=big_r,
-        geometry=geo.swapped() if swapped else geo,
-        swapped=swapped,
+
+# ---------------------------------------------------------------------------
+# validation
+
+@dataclass(frozen=True)
+class ValidationReport:
+    psd_ok: bool
+    min_eigenvalue: float
+    unit_variance_max_err: float
+    h3_ok: bool
+    h3_worst_eigenvalue: float
+    maximizer_count: int
+    notes: tuple[str, ...]
+
+
+_VALIDATE_GRID_N = 64  # grid of the PSD and unit-variance checks
+
+
+def validate_model(model: model_mod.BivariateModel) -> ValidationReport:
+    """Check positive semi-definiteness on a 64-point grid, unit variances, and
+    concavity of r at its maximizers in the directions where its
+    gradient vanishes.
+
+    PSD is judged from eigenvalues, not a triangular factorization:
+    smooth stationary kernels give grid covariances that are numerically
+    rank deficient, and pivoted LDL^T turns that null space into pivot
+    noise orders of magnitude above the true smallest eigenvalue."""
+    notes: list[str] = []
+    grid = np.linspace(0.0, 1.0, _VALIDATE_GRID_N)
+    joint = model_mod.joint_cov(model, [("X", grid, 0), ("Y", grid, 0)])
+    min_eig = float(np.linalg.eigvalsh(joint)[0])
+    psd_ok = min_eig > DEFAULT_TOL.model_psd_floor
+    if not psd_ok:
+        notes.append(f"joint covariance is indefinite: min eigenvalue {min_eig:.3e}")
+
+    n = _VALIDATE_GRID_N
+    for tag, block in (("X", joint[:n, :n]), ("Y", joint[n:, n:])):
+        block_min = float(np.linalg.eigvalsh(block)[0])
+        if block_min <= DEFAULT_TOL.model_psd_floor:
+            notes.append(
+                f"{tag} marginal covariance is indefinite on the grid"
+                f" (min eigenvalue {block_min:.3e})"
+            )
+
+    unit_err = float(np.max(np.abs(np.diag(joint) - 1.0)))
+
+    cls = classify(model)
+    h3_vals: list[float] = []
+    for (t0, s0) in cls.maximizers:
+        geo = local_geometry(model, t0, s0)
+        if abs(geo.r1) < DEFAULT_TOL.gradient_tol:
+            h3_vals.append(geo.r11)
+        if abs(geo.r2) < DEFAULT_TOL.gradient_tol:
+            h3_vals.append(geo.r22)
+    if h3_vals:
+        worst = float(max(h3_vals))
+        h3_ok = worst <= 1e-8
+    else:
+        worst = 0.0
+        h3_ok = True
+        notes.append("no vanishing-gradient directions at any maximizer; "
+                     "second-order condition holds vacuously")
+    if cls.tag == "DiagonalLine":
+        notes.append("maximizer set is the full diagonal segment")
+
+    return ValidationReport(
+        psd_ok=psd_ok,
+        min_eigenvalue=min_eig,
+        unit_variance_max_err=unit_err,
+        h3_ok=h3_ok,
+        h3_worst_eigenvalue=worst,
+        maximizer_count=len(cls.maximizers),
+        notes=tuple(notes),
     )
 
 
@@ -352,7 +405,9 @@ def closed_form(
     classification: CaseClassification,
     u: float,
 ) -> AsymptoticTerm:
-    """Assemble the leading-order coefficient for a classified regime."""
+    """Assemble the leading-order coefficient for a classified regime.
+
+    u is not read: the term holds for every level (AsymptoticTerm.evaluate)."""
     tag = classification.tag
     if tag == "GeneralFallback":
         raise RegimeError("no closed form for GeneralFallback; use the numeric sum")

@@ -31,7 +31,7 @@ import functools
 import math
 import sys
 
-from .common import ArgumentError, DegeneracyError, EecError, RegimeError
+from .common import ArgumentError, EecError
 from . import asymptotics, kacrice, model as model_mod, montecarlo
 
 # compare bands: the closed form is asymptotic, so its ratio against the
@@ -151,7 +151,7 @@ def _write_table(path, header, rows) -> None:
 
 def _cmd_validate(args):
     mod = _load_model(args)
-    report = model_mod.validate_model(mod)
+    report = asymptotics.validate_model(mod)
     header = (
         "label",
         "psd_ok",
@@ -220,10 +220,7 @@ def _cmd_closed_form(args):
 
 
 def _shift_for(mod):
-    try:
-        cls = asymptotics.classify(mod)
-    except (RegimeError, DegeneracyError):
-        return None
+    cls = asymptotics.classify(mod)
     if cls.R <= 0.0:
         return None
     # middle maximizer: on a line of maximizers an endpoint shift leaves

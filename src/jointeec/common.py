@@ -65,6 +65,18 @@ class ConsistencyError(EecError):
         self.value_b = value_b
 
 
+MAX_LEVEL = 1e100
+
+
+def check_level(u: float) -> None:
+    """ArgumentError naming u unless |u| <= MAX_LEVEL.  Every route reads 0
+    from u = 40 on, where exp(-u^2/2) has left the doubles; far beyond that
+    u^2 itself overflows and the integrands turn NaN."""
+    if not abs(u) <= MAX_LEVEL:
+        raise ArgumentError(f"level u={u:g} is out of range: |u| must be at most "
+                            f"{MAX_LEVEL:g}, and every route reads 0 from u = 40 on")
+
+
 # Method tags for Estimate.  Strings rather than an Enum: they go
 # straight into CSV cells and error messages.
 PLAIN_MC = "PlainMC"

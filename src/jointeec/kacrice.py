@@ -53,6 +53,7 @@ from .common import (
     ConsistencyError,
     Estimate,
     RegimeError,
+    check_level,
 )
 
 __all__ = [
@@ -124,33 +125,22 @@ def corner_corner_term(
     constrain_y: bool = True,
 ) -> Estimate:
     """P{X(t0)>=u, Y(s0)>=u, e*X'(t0)>=0, e*Y'(s0)>=0} with e* = -1 at 0
-    and +1 at 1; either derivative constraint can be dropped."""
+    and +1 at 1; either derivative constraint can be dropped.  A dropped
+    constraint is a -inf bound, which gauss.mvn_cdf marginalizes away."""
     if t0 not in (0.0, 1.0) or s0 not in (0.0, 1.0):
         raise ArgumentError("corner coordinates must be 0 or 1")
     et = -1.0 if t0 == 0.0 else 1.0
     es = -1.0 if s0 == 0.0 else 1.0
     r, r1, r2, r12 = model.cross.partials(t0, s0, ((0, 0), (1, 0), (0, 1), (1, 1)))
-    lam1, lam2 = model.lambda1, model.lambda2
-
-    idx_x = 2 if constrain_x else None
-    n = 2 + int(constrain_x) + int(constrain_y)
-    cov = np.zeros((n, n))
-    cov[0, 0] = cov[1, 1] = 1.0
-    cov[0, 1] = cov[1, 0] = r
-    pos = 2
-    if constrain_x:
-        cov[pos, pos] = lam1
-        cov[0, pos] = cov[pos, 0] = 0.0
-        cov[1, pos] = cov[pos, 1] = et * r1
-        pos += 1
-    if constrain_y:
-        cov[pos, pos] = lam2
-        cov[0, pos] = cov[pos, 0] = es * r2
-        cov[1, pos] = cov[pos, 1] = 0.0
-        if constrain_x:
-            cov[idx_x, pos] = cov[pos, idx_x] = et * es * r12
-        pos += 1
-    lower = np.concatenate([[u, u], np.zeros(n - 2)])
+    # (X(t0), Y(s0), et*X'(t0), es*Y'(s0)); a process and its own
+    # derivative at one point are uncorrelated
+    cov = np.array([
+        [1.0, r, 0.0, es * r2],
+        [r, 1.0, et * r1, 0.0],
+        [0.0, et * r1, model.lambda1, et * es * r12],
+        [es * r2, 0.0, et * es * r12, model.lambda2],
+    ])
+    lower = np.array([u, u, 0.0 if constrain_x else -np.inf, 0.0 if constrain_y else -np.inf])
     return gauss.mvn_cdf(cov, lower)
 
 
@@ -490,6 +480,12 @@ def _edge_terms(model, pairs, u: float, constrain_x: bool, constrain_y: bool) ->
     return terms
 
 
+def _faces_at(x: float, flat: bool) -> list:
+    """The faces of [0, 1] whose closure holds x; the interior only where
+    the cross correlation is flat along this coordinate."""
+    return ["Left"] * (x <= 1e-9) + ["Right"] * (x >= 1.0 - 1e-9) + ["Interior"] * flat
+
+
 def _restricted_pairs(model, classification, tol):
     if classification.tag in ("DiagonalLine", "GeneralFallback"):
         raise RegimeError(
@@ -500,24 +496,8 @@ def _restricted_pairs(model, classification, tol):
     geo = asymptotics.local_geometry(model, t_star, s_star)
     x_flat = abs(geo.r1) < tol
     y_flat = abs(geo.r2) < tol
-
-    x_faces = []
-    if t_star <= 1e-9:
-        x_faces.append("Left")
-    if t_star >= 1.0 - 1e-9:
-        x_faces.append("Right")
-    if x_flat:
-        x_faces.append("Interior")
-    y_faces = []
-    if s_star <= 1e-9:
-        y_faces.append("Left")
-    if s_star >= 1.0 - 1e-9:
-        y_faces.append("Right")
-    if y_flat:
-        y_faces.append("Interior")
-    pairs = [
-        (fx, fy) for fx, fy in _PAIR_ORDER if fx in x_faces and fy in y_faces
-    ]
+    x_faces, y_faces = _faces_at(t_star, x_flat), _faces_at(s_star, y_flat)
+    pairs = [(fx, fy) for fx, fy in _PAIR_ORDER if fx in x_faces and fy in y_faces]
     return pairs, x_flat, y_flat
 
 
@@ -533,7 +513,9 @@ def eec(
     The full sum integrates all nine pairs whatever the shape of r; only
     the restricted sum classifies the model, to find its maximizer.  A sum
     whose every term is exactly 0.0 has underflowed, not converged: it is
-    returned low-confidence with a note."""
+    returned low-confidence with a note.  A level beyond
+    common.MAX_LEVEL in magnitude is an ArgumentError."""
+    check_level(u)
     if restricted:
         classification = asymptotics.classify(model)
         pairs, constrain_x, constrain_y = _restricted_pairs(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import ArgumentError, DEFAULT_TOL
+from .common import ArgumentError
 
 
 # ---------------------------------------------------------------------------
@@ -257,83 +257,6 @@ def joint_cov(model: BivariateModel, rows, cols=None) -> np.ndarray:
     rows = [_block(spec) for spec in rows]
     cols = rows if cols is None else [_block(spec) for spec in cols]
     return np.block([[_cov_block(model, r, c) for c in cols] for r in rows])
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-@dataclass(frozen=True)
-class ValidationReport:
-    psd_ok: bool
-    min_eigenvalue: float
-    unit_variance_max_err: float
-    h3_ok: bool
-    h3_worst_eigenvalue: float
-    maximizer_count: int
-    notes: tuple[str, ...]
-
-
-_VALIDATE_GRID_N = 64  # grid of the PSD and unit-variance checks
-
-
-def validate_model(model: BivariateModel) -> ValidationReport:
-    """Check positive semi-definiteness on a 64-point grid, unit variances, and
-    concavity of r at its maximizers in the directions where its
-    gradient vanishes.
-
-    PSD is judged from eigenvalues, not a triangular factorization:
-    smooth stationary kernels give grid covariances that are numerically
-    rank deficient, and pivoted LDL^T turns that null space into pivot
-    noise orders of magnitude above the true smallest eigenvalue."""
-    notes: list[str] = []
-    grid = np.linspace(0.0, 1.0, _VALIDATE_GRID_N)
-    joint = joint_cov(model, [("X", grid, 0), ("Y", grid, 0)])
-    min_eig = float(np.linalg.eigvalsh(joint)[0])
-    psd_ok = min_eig > DEFAULT_TOL.model_psd_floor
-    if not psd_ok:
-        notes.append(f"joint covariance is indefinite: min eigenvalue {min_eig:.3e}")
-
-    n = _VALIDATE_GRID_N
-    for tag, block in (("X", joint[:n, :n]), ("Y", joint[n:, n:])):
-        block_min = float(np.linalg.eigvalsh(block)[0])
-        if block_min <= DEFAULT_TOL.model_psd_floor:
-            notes.append(
-                f"{tag} marginal covariance is indefinite on the grid"
-                f" (min eigenvalue {block_min:.3e})"
-            )
-
-    unit_err = float(np.max(np.abs(np.diag(joint) - 1.0)))
-
-    from . import asymptotics  # deferred: asymptotics depends on this module
-
-    cls = asymptotics.classify(model)
-    h3_vals: list[float] = []
-    for (t0, s0) in cls.maximizers:
-        geo = asymptotics.local_geometry(model, t0, s0)
-        if abs(geo.r1) < DEFAULT_TOL.gradient_tol:
-            h3_vals.append(geo.r11)
-        if abs(geo.r2) < DEFAULT_TOL.gradient_tol:
-            h3_vals.append(geo.r22)
-    if h3_vals:
-        worst = float(max(h3_vals))
-        h3_ok = worst <= 1e-8
-    else:
-        worst = 0.0
-        h3_ok = True
-        notes.append("no vanishing-gradient directions at any maximizer; "
-                     "second-order condition holds vacuously")
-    if cls.tag == "DiagonalLine":
-        notes.append("maximizer set is the full diagonal segment")
-
-    return ValidationReport(
-        psd_ok=psd_ok,
-        min_eigenvalue=min_eig,
-        unit_variance_max_err=unit_err,
-        h3_ok=h3_ok,
-        h3_worst_eigenvalue=worst,
-        maximizer_count=len(cls.maximizers),
-        notes=tuple(notes),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .common import (
     ArgumentError,
     DegeneracyError,
     Estimate,
+    check_level,
 )
 
 __all__ = [
@@ -233,10 +234,13 @@ def simulate(
     confidence.  The tilt is the w with F w = m, one per level.  The
     tilted path (z + w) F^T reaches u where z F^T >= u - F w, and the
     ratio of the draw z + w is exp(-z.w - |w|^2/2).  The EEC estimate is
-    always plain."""
+    always plain.  A level beyond common.MAX_LEVEL in magnitude is an
+    ArgumentError."""
     levels = tuple(float(u) for u in levels)
     if not levels:
         raise ArgumentError("levels must be nonempty")
+    for u in levels:
+        check_level(u)
     grid, factor, cond = _factor(model, grid_n, reps)
     tilts = [None if shift is None else _tilt(model, grid, factor, shift, u) for u in levels]
     contribs = np.zeros((len(levels), reps))

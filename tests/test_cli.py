@@ -223,6 +223,23 @@ def test_eec_says_when_it_underflows():
     assert [line.split(",")[1:] for line in lines[2:]] == [["0", "0", "true"]] * 2
 
 
+@pytest.mark.parametrize("u", ["1e152", "1e200"])
+@pytest.mark.parametrize("command", ["eec", "simulate", "compare"])
+def test_level_too_large_to_square_is_usage_error(capsys, command, u):
+    # every route reads 0 from u = 40 on; far beyond that u^2 overflows and
+    # the integrands turn NaN, so such a level is rejected before any work
+    from test_acceptance import elapsed_under
+
+    argv = [command, "--model", "interior-point", "--u", u]
+    if command != "eec":
+        argv += ["--grid", "64", "--reps", "200", "--seed", "1"]
+    with elapsed_under(5.0):
+        assert cli.run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: level u={float(u):g} is out of range: |u| must be at most 1e+100, "
+        "and every route reads 0 from u = 40 on\n")
+
+
 def test_compare_reruns_byte_identical(tmp_path):
     args = ("compare", "--model", "interior-point", "--u", "2,3",
             "--grid", "128", "--reps", "1000", "--seed", "21")

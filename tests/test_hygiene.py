@@ -2,14 +2,22 @@
 module imports is used in that module or re-exported through __all__,
 every module-level private name is referenced somewhere in the package,
 and every module-level public name is read by the package, the benchmark
-or the tools, or is allowed by name with its reason."""
+or the tools, or is allowed by name with its reason.  Also the
+benchmark's contract with the package: the names it wraps, calls and
+reads by position still exist with the signatures it assumes."""
 
 import ast
+import dataclasses
+import importlib.util
+import inspect
+import os
 from pathlib import Path
 
 import pytest
 
 import jointeec
+from jointeec import DEFAULT_TOL, asymptotics, cli, gauss, kacrice, montecarlo
+from jointeec.model import fixture
 
 MODULES = sorted(Path(jointeec.__file__).parent.glob("*.py"))
 
@@ -158,3 +166,66 @@ def test_every_public_name_is_read():
     unread = [(mod, name) for mod, name in unread_publics(package, readers)
               if name not in ALLOWED_UNREAD]
     assert unread == []
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's contract: perfbench/tracer.py wraps package functions by
+# name and reads their arguments by position, and perfbench/make_reference.py
+# calls closed_form and _restricted_pairs positionally.  Deleting or
+# re-signing one of them breaks the traced benchmark run.
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_installs_and_removes():
+    tracer = _load_tracer()
+    originals = (cli.run, kacrice.face_pair_integral, gauss.mvn_cdf)
+    trc = tracer.Tracer()
+    trc.install()
+    try:
+        assert all(f is not g for f, g in zip(originals, (
+            cli.run, kacrice.face_pair_integral, gauss.mvn_cdf)))
+        argv = ["eec", "--model", "corner-semidegenerate", "--u", "6", "--out", os.devnull]
+        assert cli.run(argv) == 0
+        assert cli.run([*argv, "--theorem", "3.3-restricted"]) == 0
+    finally:
+        trc.remove()
+    assert (cli.run, kacrice.face_pair_integral, gauss.mvn_cdf) == originals
+    metrics, _ = trc.layer_metrics(0, len(trc.spans))
+    assert metrics["kacrice.term.corner.evals"] > 0
+    assert metrics["gauss.mvn_cdf.d4.calls"] == 4  # the full sum's corners
+    # the restricted corner drops a derivative constraint: a -inf bound
+    # that the tracer counts out of the dimension
+    assert metrics["gauss.mvn_cdf.d3.calls"] == 1
+
+
+def test_benchmark_observes_the_ess(monkeypatch):
+    tracer = _load_tracer()
+    monkeypatch.setattr(montecarlo, "estimate_joint_excursion",
+                        montecarlo.estimate_joint_excursion)
+    sink = []
+    tracer.observe_ess(sink)
+    mod = fixture("interior-point")
+    shift = asymptotics.classify(mod).maximizers[0]
+    est = montecarlo.estimate_joint_excursion(mod, 3.0, 64, 200, 1, shift)
+    assert est.method == "ImportanceSampled"
+    assert len(sink) == 1 and sink[0][0] > 0.0 and sink[0][1] == sink[0][0] / 200
+
+
+def test_benchmark_calls_bind():
+    mod = fixture("corner-semidegenerate")
+    cls = asymptotics.classify(mod)
+    inspect.signature(asymptotics.closed_form).bind(mod, cls, 1.0)
+    inspect.signature(kacrice._restricted_pairs).bind(mod, cls, DEFAULT_TOL.gradient_tol)
+    tracer = _load_tracer()
+    params = lambda f: list(inspect.signature(f).parameters)  # noqa: E731
+    for fn, pos in tracer._MC_GRID_ARG.items():
+        assert params(getattr(montecarlo, fn))[pos:pos + 2] == ["grid_n", "reps"]
+    assert params(kacrice.face_pair_integral)[1:3] == ["face_x", "face_y"]
+    assert params(gauss.mvn_cdf)[1] == "lower"
+    assert "factorization_cond" in {f.name for f in dataclasses.fields(montecarlo.PathBatch)}

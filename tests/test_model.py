@@ -19,8 +19,8 @@ from jointeec.model import (
     joint_cov,
     load_model_file,
     transpose,
-    validate_model,
 )
+from jointeec.asymptotics import validate_model
 
 FIXTURES = (
     "diagonal",
