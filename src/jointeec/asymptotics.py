@@ -13,9 +13,9 @@ Orientation convention: the case formulas below are written for the
 canonical orientation in which the distinguished direction is t (for an
 edge point, s sits on the boundary; for the semidegenerate corner, r1 is
 the vanishing partial).  When a model realizes the mirrored picture,
-classify stores the geometry with the roles of t and s already exchanged,
-so the formulas apply verbatim; the maximizers keep the model's own
-coordinates.
+classify stores the geometry of the transposed model at (s*, t*), in
+which the roles of t and s are exchanged, so the formulas apply
+verbatim; the maximizers keep the model's own coordinates.
 """
 
 from __future__ import annotations
@@ -87,27 +87,15 @@ class LocalGeometry:
         if not abs(self.r) < 1.0 + 1e-12:
             raise ArgumentError("cross correlation out of range: %r" % (self.r,))
 
-    def swapped(self) -> "LocalGeometry":
-        """The same geometry with the roles of t and s exchanged."""
-        return LocalGeometry(
-            lambda1=self.lambda2,
-            lambda2=self.lambda1,
-            r=self.r,
-            r1=self.r2,
-            r2=self.r1,
-            r11=self.r22,
-            r22=self.r11,
-            r12=self.r12,
-        )
-
 
 @dataclass(frozen=True)
 class CaseClassification:
     """Which asymptotic regime the maximizer set of r falls into.
 
-    geometry is stored in canonical orientation, t and s already
-    exchanged where the model realizes the mirrored picture (see module
-    docstring); maximizers are in the model's own coordinates.  notes
+    geometry is stored in canonical orientation: where the model realizes
+    the mirrored picture it is the geometry of the transposed model at
+    (s*, t*) (see module docstring); maximizers are in the model's own
+    coordinates.  notes
     explains a GeneralFallback when one was chosen over an exception.
     """
 
@@ -157,6 +145,12 @@ def local_geometry(model: model_mod.BivariateModel, t: float, s: float) -> Local
         r22=float(r22),
         r12=float(r12),
     )
+
+
+def _endpoints(x: float) -> tuple[float, ...]:
+    """The endpoints of [0, 1] that a maximizer coordinate x sits on, to
+    within 1e-9: the faces of the interval whose closure holds it."""
+    return (0.0,) * (x <= 1e-9) + (1.0,) * (x >= 1.0 - 1e-9)
 
 
 def _refine(model: model_mod.BivariateModel, t: float, s: float, step_floor: float):
@@ -275,8 +269,7 @@ def classify(model: model_mod.BivariateModel) -> CaseClassification:
 
     t_star, s_star = maximizers[0]
     geo = local_geometry(model, t_star, s_star)
-    t_bnd = t_star <= 1e-9 or t_star >= 1.0 - 1e-9
-    s_bnd = s_star <= 1e-9 or s_star >= 1.0 - 1e-9
+    t_bnd, s_bnd = bool(_endpoints(t_star)), bool(_endpoints(s_star))
     r1_zero = abs(geo.r1) < DEFAULT_TOL.gradient_tol
     r2_zero = abs(geo.r2) < DEFAULT_TOL.gradient_tol
 
@@ -292,8 +285,9 @@ def classify(model: model_mod.BivariateModel) -> CaseClassification:
         tag = "EdgePoint_r2Zero" if normal_zero else "EdgePoint_r2Nonzero"
     else:
         tag = "UniqueInterior"
-    return CaseClassification(tag=tag, maximizers=maximizers, R=big_r,
-                              geometry=geo.swapped() if swap else geo)
+    if swap:
+        geo = local_geometry(model_mod.transpose(model), s_star, t_star)
+    return CaseClassification(tag=tag, maximizers=maximizers, R=big_r, geometry=geo)
 
 
 # ---------------------------------------------------------------------------

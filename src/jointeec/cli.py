@@ -27,11 +27,12 @@ the path factor and its conditioning.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
 
-from .common import ArgumentError, EecError
+from .common import ArgumentError, EecError, check_level
 from . import asymptotics, kacrice, model as model_mod, montecarlo
 
 # compare bands: the closed form is asymptotic, so its ratio against the
@@ -48,11 +49,6 @@ def _parse_u(text: str):
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad u list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("u list is empty")
-    for v in values:
-        if not math.isfinite(v):
-            raise argparse.ArgumentTypeError("u values must be finite")
     return values
 
 
@@ -149,29 +145,11 @@ def _write_table(path, header, rows) -> None:
         raise ArgumentError(f"cannot write output: {exc}")
 
 
-def _cmd_validate(args):
-    mod = _load_model(args)
+def _cmd_validate(mod, args):
     report = asymptotics.validate_model(mod)
-    header = (
-        "label",
-        "psd_ok",
-        "min_eigenvalue",
-        "unit_variance_max_err",
-        "h3_ok",
-        "h3_worst_eigenvalue",
-        "maximizer_count",
-    )
-    rows = [
-        (
-            mod.label,
-            report.psd_ok,
-            report.min_eigenvalue,
-            report.unit_variance_max_err,
-            report.h3_ok,
-            report.h3_worst_eigenvalue,
-            report.maximizer_count,
-        )
-    ]
+    columns = [f.name for f in dataclasses.fields(report) if f.name != "notes"]
+    header = ("label", *columns)
+    rows = [(mod.label, *(getattr(report, name) for name in columns))]
     code = 0 if report.psd_ok and report.h3_ok else 3
     if code != 0:
         for note in report.notes:
@@ -179,8 +157,7 @@ def _cmd_validate(args):
     return header, rows, code
 
 
-def _cmd_classify(args):
-    mod = _load_model(args)
+def _cmd_classify(mod, args):
     cls = asymptotics.classify(mod)
     header = ("label", "tag", "t_star", "s_star", "R")
     rows = [
@@ -189,8 +166,7 @@ def _cmd_classify(args):
     return header, rows, 0
 
 
-def _cmd_eec(args):
-    mod = _load_model(args)
+def _cmd_eec(mod, args):
     restricted = args.theorem == "3.3-restricted"
     header = ("u", "eec_numeric", "quad_error", "low_confidence")
     rows = []
@@ -202,15 +178,23 @@ def _cmd_eec(args):
     return header, rows, 0
 
 
-def _cmd_closed_form(args):
-    mod = _load_model(args)
+def _closed_form_term(mod, args):
+    """The model's classification and closed-form term, once every level of
+    args.u is in range (common.check_level) and positive."""
     cls = asymptotics.classify(mod)
     term = asymptotics.closed_form(mod, cls, 1.0)
+    for u in args.u:
+        check_level(u)
+        if u <= 0.0:
+            raise ArgumentError("%s needs u > 0, got %g" % (args.command, u))
+    return cls, term
+
+
+def _cmd_closed_form(mod, args):
+    cls, term = _closed_form_term(mod, args)
     header = ("u", "closed_form", "coefficient", "power", "rate", "tag")
     rows = []
     for u in args.u:
-        if u <= 0.0:
-            raise ArgumentError("closed-form needs u > 0, got %g" % u)
         value = term.evaluate(u)
         if value == 0.0:
             print(f"closed-form: u={u:g}: exp(-u^2/{term.rate:g}) underflowed; "
@@ -229,8 +213,7 @@ def _shift_for(mod):
     return cls.maximizers[len(cls.maximizers) // 2]
 
 
-def _cmd_simulate(args):
-    mod = _load_model(args)
+def _cmd_simulate(mod, args):
     sim = montecarlo.simulate(mod, args.u, args.grid, args.reps, args.seed,
                               shift=_shift_for(mod))
     header = (
@@ -252,14 +235,9 @@ def _cmd_simulate(args):
     return header, rows, 0
 
 
-def _cmd_compare(args):
-    mod = _load_model(args)
+def _cmd_compare(mod, args):
     restricted = args.theorem == "3.3-restricted"
-    cls = asymptotics.classify(mod)
-    term = asymptotics.closed_form(mod, cls, 1.0)
-    for u in args.u:
-        if u <= 0.0:
-            raise ArgumentError("compare needs u > 0, got %g" % u)
+    _, term = _closed_form_term(mod, args)
     sim = montecarlo.simulate(mod, args.u, args.grid, args.reps, args.seed)
     header = (
         "u",
@@ -327,7 +305,7 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        header, rows, code = _COMMANDS[args.command](args)
+        header, rows, code = _COMMANDS[args.command](_load_model(args), args)
         _write_table(args.out, header, rows)
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,7 +69,6 @@ __all__ = [
 
 FACES = ("Left", "Right", "Interior")
 _POINT = {"Left": 0.0, "Right": 1.0}
-_EPS = {"Left": -1.0, "Right": 1.0}
 
 # fixed summation order: corners, X-interior mixed, Y-interior mixed, interior
 _PAIR_ORDER = (
@@ -145,29 +144,32 @@ def corner_corner_term(
 
 
 def _dense(c, node: int = 0) -> np.ndarray:
-    """The covariance held entrywise in c ({(i, j): scalar or array over
-    nodes}, i <= j) at one node, as a dense symmetric matrix."""
+    """The covariance held entrywise in c ({(i, j): array over nodes},
+    i <= j) at one node, as a dense symmetric matrix."""
     d = 1 + max(j for _, j in c)
     out = np.empty((d, d))
     for (i, j), v in c.items():
-        out[i, j] = out[j, i] = v if np.ndim(v) == 0 else v[node]
+        out[i, j] = out[j, i] = v[node]
     return out
 
 
-def _edge_conditional(model: model_mod.BivariateModel, t, s0: float, es: float):
-    """Covariance of (X(t), Y(s0), es*Y'(s0), X''(t)) given X'(t)=0,
-    entrywise over t ({(i, j): array}, i <= j).  Conditional means vanish.
-    X'(t) is uncorrelated with X(t) and X''(t), so only Y(s0) and es*Y'(s0),
-    with covariances r1 and es*r12 to it, lose variance to it."""
+def _edge_conditional(model: model_mod.BivariateModel, t, s0: float):
+    """Covariance of (X(t), Y(s0), es*Y'(s0), X''(t)) given X'(t)=0, with
+    es = -1 at s0 = 0 and +1 at s0 = 1, entrywise over t ({(i, j): array
+    over t}, i <= j).  Conditional means vanish.  X'(t) is uncorrelated
+    with X(t) and X''(t), so only Y(s0) and es*Y'(s0), with covariances r1
+    and es*r12 to it, lose variance to it.  An edge along which Y varies
+    is the same law for the transposed model."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    es = -1.0 if s0 == 0.0 else 1.0
     lam1, lam2 = model.lambda1, model.lambda2
     r, r1, r2, r11, r12, r112 = model.cross.partials(
         t, s0, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1)))
     return {
-        (0, 0): 1.0, (0, 1): r, (0, 2): es * r2, (0, 3): -lam1,
+        (0, 0): np.ones_like(t), (0, 1): r, (0, 2): es * r2, (0, 3): np.full_like(t, -lam1),
         (1, 1): 1.0 - r1 * r1 / lam1, (1, 2): -es * r1 * r12 / lam1, (1, 3): r11,
         (2, 2): lam2 - r12 * r12 / lam1, (2, 3): es * r112,
-        (3, 3): model.fourth1,
+        (3, 3): np.full_like(t, model.fourth1),
     }
 
 
@@ -198,9 +200,7 @@ def _face_g(c, lower):
                           np.clip(cc / (sd[0] * sd[1]), -1.0, 1.0)))
     # every face's conditional survival in one call: the normal tail in
     # dimension 2, the bivariate kernel in dimension 3
-    shape = np.broadcast(*c.values()).shape
-    args = [np.concatenate([np.broadcast_to(a[i], shape) for a in tails])
-            for i in range(len(tails[0]))]
+    args = [np.concatenate([a[i] for a in tails]) for i in range(len(tails[0]))]
     if d == 2:
         surv = gauss.ndtr(-args[0])
     else:
@@ -241,13 +241,9 @@ def _edge_integrands(specs, ts, u: float) -> list:
         group = [i for i, spec in enumerate(specs) if spec[2] == constrain and np.size(ts[i])]
         if not group:
             continue
-        conds = [_edge_conditional(specs[i][0], ts[i], specs[i][1],
-                                   _EPS["Left"] if specs[i][1] == 0.0 else _EPS["Right"])
-                 for i in group]
+        conds = [_edge_conditional(specs[i][0], ts[i], specs[i][1]) for i in group]
         sizes = [np.size(ts[i]) for i in group]
-        c = {key: np.concatenate([ci[key] if np.ndim(ci[key]) else np.full(n, ci[key])
-                                  for ci, n in zip(conds, sizes)])
-             for key in conds[0]}
+        c = {key: np.concatenate([ci[key] for ci in conds]) for key in conds[0]}
         lower = (u, u, 0.0) if constrain else (u, u)
         g = _face_g(c, lower)
         # Tallis: E{X'' 1_A} = sum_j Cov(X'', xi_j) G_j
@@ -391,8 +387,7 @@ def _check_against_cubature(what, value_at_probe, ref):
 
 def _edge_region(model, s0, u, constrain):
     """The truncated-moment region of the edge integrand at t = 0.5."""
-    es = _EPS["Left"] if s0 == 0.0 else _EPS["Right"]
-    cov4 = _dense(_edge_conditional(model, 0.5, s0, es))
+    cov4 = _dense(_edge_conditional(model, 0.5, s0))
     lower = np.array([u, u, 0.0, -np.inf]) if constrain else np.array(
         [u, u, -np.inf, -np.inf]
     )
@@ -480,12 +475,6 @@ def _edge_terms(model, pairs, u: float, constrain_x: bool, constrain_y: bool) ->
     return terms
 
 
-def _faces_at(x: float, flat: bool) -> list:
-    """The faces of [0, 1] whose closure holds x; the interior only where
-    the cross correlation is flat along this coordinate."""
-    return ["Left"] * (x <= 1e-9) + ["Right"] * (x >= 1.0 - 1e-9) + ["Interior"] * flat
-
-
 def _restricted_pairs(model, classification, tol):
     if classification.tag in ("DiagonalLine", "GeneralFallback"):
         raise RegimeError(
@@ -496,7 +485,12 @@ def _restricted_pairs(model, classification, tol):
     geo = asymptotics.local_geometry(model, t_star, s_star)
     x_flat = abs(geo.r1) < tol
     y_flat = abs(geo.r2) < tol
-    x_faces, y_faces = _faces_at(t_star, x_flat), _faces_at(s_star, y_flat)
+    # the faces whose closure holds the maximizer; the interior only where r
+    # is flat along that coordinate
+    x_faces = [f for f, p in _POINT.items() if p in asymptotics._endpoints(t_star)]
+    y_faces = [f for f, p in _POINT.items() if p in asymptotics._endpoints(s_star)]
+    x_faces += ["Interior"] * x_flat
+    y_faces += ["Interior"] * y_flat
     pairs = [(fx, fy) for fx, fy in _PAIR_ORDER if fx in x_faces and fy in y_faces]
     return pairs, x_flat, y_flat
 

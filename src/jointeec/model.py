@@ -9,8 +9,10 @@ from one evaluation of its transcendental factor, and a cross form
 implements `partials`, any set of partials of r with total order up to
 four from one evaluation of its kernels.  `joint_cov` builds every
 covariance from these two, and `BivariateModel` reads its spectral
-moments from them once.  No finite differences anywhere in the
-computational path; they appear only in tests as an independent check.
+moments from them once.  Exchanging X and Y (`transpose`, the Y x X
+blocks of `joint_cov`) reads any cross form through r'(t,s) = r(s,t).
+No finite differences anywhere in the computational path; they appear
+only in tests as an independent check.
 
 Supported cross forms:
 
@@ -208,15 +210,22 @@ def cross_eval(model: BivariateModel, t, s, order_t: int, order_s: int):
     return float(out) if np.ndim(out) == 0 else out
 
 
+@dataclass(frozen=True)
+class _Transposed(CrossCorrelation):
+    """The cross form r'(t, s) = r(s, t) of (Y, X), given r of (X, Y)."""
+
+    cross: CrossCorrelation
+
+    def partials(self, t, s, orders):
+        return self.cross.partials(s, t, [(b, a) for a, b in orders])
+
+
 def transpose(model: BivariateModel) -> BivariateModel:
-    """Swap the two processes: (X, Y, r(t,s)) -> (Y, X, r(s,t))."""
+    """Swap the two processes: (X, Y, r(t,s)) -> (Y, X, r(s,t)).  Any cross
+    form is wrapped in _Transposed, and a transposed one unwrapped, so
+    transposing twice gives back the model's own cross form."""
     cr = model.cross
-    if isinstance(cr, ShiftMixture):
-        new_cross = ShiftMixture(cr.c, -cr.d, cr.base)
-    elif isinstance(cr, PointAnchor):
-        new_cross = PointAnchor(cr.c, cr.s_star, cr.t_star, cr.s_kernel, cr.t_kernel)
-    else:
-        raise ArgumentError(f"cannot transpose cross form {type(cr).__name__}")
+    new_cross = cr.cross if isinstance(cr, _Transposed) else _Transposed(cr)
     return BivariateModel(model.kernel_y, model.kernel_x, new_cross,
                           label=model.label + "-transposed" if model.label else "")
 
@@ -238,9 +247,8 @@ def _cov_block(model: BivariateModel, row, col) -> np.ndarray:
     if tag_r == tag_c:
         kernel = model.kernel_x if tag_r == "X" else model.kernel_y
         return (-1.0) ** a * kernel.derivs(p_c[None, :] - p_r[:, None], a + b)[a + b]
-    if tag_r == "X":
-        return model.cross.partials(p_r[:, None], p_c[None, :], ((a, b),))[0]
-    return model.cross.partials(p_c[None, :], p_r[:, None], ((b, a),))[0]
+    cross = model.cross if tag_r == "X" else _Transposed(model.cross)
+    return cross.partials(p_r[:, None], p_c[None, :], ((a, b),))[0]
 
 
 def joint_cov(model: BivariateModel, rows, cols=None) -> np.ndarray:

@@ -224,14 +224,14 @@ def test_eec_says_when_it_underflows():
 
 
 @pytest.mark.parametrize("u", ["1e152", "1e200"])
-@pytest.mark.parametrize("command", ["eec", "simulate", "compare"])
+@pytest.mark.parametrize("command", ["eec", "closed-form", "simulate", "compare"])
 def test_level_too_large_to_square_is_usage_error(capsys, command, u):
     # every route reads 0 from u = 40 on; far beyond that u^2 overflows and
     # the integrands turn NaN, so such a level is rejected before any work
     from test_acceptance import elapsed_under
 
     argv = [command, "--model", "interior-point", "--u", u]
-    if command != "eec":
+    if command in ("simulate", "compare"):
         argv += ["--grid", "64", "--reps", "200", "--seed", "1"]
     with elapsed_under(5.0):
         assert cli.run(argv) == 2

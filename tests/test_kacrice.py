@@ -6,6 +6,7 @@ a product closed form for independent marginals.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from jointeec.gauss import condition, mvn_cdf
 from jointeec.model import (
     _FIXTURE_NAMES,
     BivariateModel,
+    CrossCorrelation,
     PointAnchor,
     ShiftMixture,
     SquaredExponential,
@@ -155,7 +157,7 @@ def test_conditional_covariances_match_conditioning():
         for mod in (fixture(name), transpose(fixture(name))):
             t, s = rng.random(50), rng.random(50)
             for s0, es in ((0.0, -1.0), (1.0, 1.0)):
-                c = kr._edge_conditional(mod, t, s0, es)
+                c = kr._edge_conditional(mod, t, s0)
                 for i in range(50):
                     full = joint_cov(mod, [("X", t[i], 0), ("Y", s0, 0), ("Y", s0, 1),
                                            ("X", t[i], 2), ("X", t[i], 1)])
@@ -367,6 +369,37 @@ def test_eec_transpose_symmetric():
     a = kr.eec(mod, 3.0).total.value
     b = kr.eec(transpose(mod), 3.0).total.value
     assert b == pytest.approx(a, rel=1e-12)
+
+
+@dataclass(frozen=True)
+class PartialsOnly(CrossCorrelation):
+    """A cross form that implements partials and nothing else, by
+    delegating to the form it wraps."""
+
+    inner: CrossCorrelation
+
+    def partials(self, t, s, orders):
+        return self.inner.partials(t, s, orders)
+
+
+_SQ = SquaredExponential(1.0)
+# the interior-point fixture's form, and an edge-point form maximal at
+# (0, 0.5), so the restricted sum keeps a Y-edge and classify mirrors it
+PARTIALS_ONLY = tuple(
+    BivariateModel(_SQ, _SQ, PartialsOnly(inner), label=f"partials-only-{name}")
+    for name, inner in (("interior", PointAnchor(0.5, 0.5, 0.5, _SQ, _SQ)),
+                        ("edge", PointAnchor(0.5, -0.3, 0.5, _SQ, _SQ))))
+
+
+@pytest.mark.parametrize("mod", PARTIALS_ONLY, ids=lambda m: m.label)
+def test_any_cross_form_reaches_eec(mod):
+    # the Y-edges and the mirrored classification read transpose(model),
+    # which takes any cross form through r'(t, s) = r(s, t)
+    wrapped = BivariateModel(mod.kernel_x, mod.kernel_y, mod.cross.inner)
+    for u in (3.0, 6.0):
+        for restricted in (False, True):
+            assert (kr.eec(mod, u, restricted=restricted).terms
+                    == kr.eec(wrapped, u, restricted=restricted).terms), (u, restricted)
 
 
 def test_full_sum_never_classifies(monkeypatch):

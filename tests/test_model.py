@@ -21,6 +21,7 @@ from jointeec.model import (
     transpose,
 )
 from jointeec.asymptotics import validate_model
+from test_kacrice import PARTIALS_ONLY
 
 FIXTURES = (
     "diagonal",
@@ -169,15 +170,16 @@ def test_cross_partials_match_finite_differences(name, orders):
 
 
 def test_transpose_swaps_arguments():
-    mod = fixture("corner-nondegenerate")
-    tr = transpose(mod)
-    for t, s in ((0.2, 0.9), (0.64, 0.64), (1.0, 0.0)):
-        for i, j in ((0, 0), (1, 0), (1, 1), (2, 2)):
-            assert cross_eval(tr, s, t, j, i) == pytest.approx(
-                cross_eval(mod, t, s, i, j), rel=1e-14, abs=1e-15)
-    assert tr.kernel_x == mod.kernel_y
-    assert tr.kernel_y == mod.kernel_x
-    assert transpose(tr).cross == mod.cross
+    # every fixture, and cross forms that implement only partials
+    for mod in [fixture(name) for name in FIXTURES] + list(PARTIALS_ONLY):
+        tr = transpose(mod)
+        for t, s in ((0.2, 0.9), (0.64, 0.64), (1.0, 0.0)):
+            for i, j in ((0, 0), (1, 0), (1, 1), (2, 2)):
+                assert cross_eval(tr, s, t, j, i) == pytest.approx(
+                    cross_eval(mod, t, s, i, j), rel=1e-14, abs=1e-15)
+        assert tr.kernel_x == mod.kernel_y
+        assert tr.kernel_y == mod.kernel_x
+        assert transpose(tr).cross == mod.cross
 
 
 def test_joint_grid_cov_shape_and_symmetry():
