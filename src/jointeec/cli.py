@@ -169,6 +169,8 @@ def _cmd_classify(mod, args):
 def _cmd_eec(mod, args):
     restricted = args.theorem == "3.3-restricted"
     header = ("u", "eec_numeric", "quad_error", "low_confidence")
+    for u in args.u:  # every level in range before any sum is run
+        check_level(u)
     rows = []
     for u in args.u:
         result = kacrice.eec(mod, u, restricted=restricted)

@@ -7,17 +7,29 @@ interval, giving a 1D integral), and one interior x interior 2D
 integral, each weighted by (-1)^(k+l) where k and l are the face
 dimensions.
 
+When the cross form is lag-only (model.CrossCorrelation.lag_only:
+r(t,s) depends on t - s alone, as for ShiftMixture), every covariance of
+the interior integrand f is a function of v = t - s too, and the 2D
+integral over [0,1]^2 is exactly the 1D integral
+int_0^1 (1 - v) (f(v) + f(-v)) dv, with f(v) taken at (t,s) = (v, 0) and
+f(-v) at (0, v).  That one is integrated by the Gauss-Kronrod rule, both
+halves of each node in one integrand call, and its n counts integrand
+points, two per node.  Any other cross form goes through the adaptive
+Genz-Malik cubature.
+
 For N=1 the determinant factors inside the integrals are the scalars
 X''(t) and Y''(s), so every integrand reduces to a Gaussian first or
 second truncated moment.  Those are evaluated in closed form through
 face-factor identities (E{xi 1_A} = Sigma G with G the density-weighted
 conditional survivals), vectorized over quadrature nodes, with every
 conditional covariance written out entrywise.  Each integrated term is
-additionally spot-checked at one node against gauss.truncated_moment,
+additionally spot-checked at one node against gauss.truncated_moments,
 which recomputes the same quantity by direct cubature of the truncated
 density.  The probe is the rule's own centre node, t = 0.5 for the
 Gauss-Kronrod rule and (0.5, 0.5) for the cubature, and the value checked
-is the one the rule computed there in its first batch.
+is the one the rule computed there in its first batch.  The lag integral's
+centre node v = 0.5 is checked at both of its points, (0.5, 0) and
+(0, 0.5), in one call.
 
 The four vertex x edge integrals of a sum (the "edge terms") are refined
 in lockstep (quadrature.lockstep_1d): each pass evaluates the nodes of
@@ -40,7 +52,7 @@ super-exponential order in u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -348,7 +360,7 @@ def interior_interior_integrand(model: model_mod.BivariateModel, t, s, u: float)
 
 # ---------------------------------------------------------------------------
 # spot checks: one node per integrated term is recomputed by the direct
-# cubature of gauss.truncated_moment.  The integrand value compared is the
+# cubature of gauss.truncated_moments.  The integrand value compared is the
 # one the rule computed at that node in its first batch, so a check makes
 # no integrand call of its own.
 
@@ -368,8 +380,9 @@ def _value_at(nodes, vals, probe):
     """The value at the node equal to probe among the nodes and values of a
     rule's first batch, as kept by _keeping_first_batch.  That batch holds
     the centre of its starting cells: t = 0.5 is the centre node of GK15 on
-    [0, 1], and (0.5, 0.5) the centre of the middle cell of integrate_nd's
-    3 x 3 grid."""
+    [0, 1], (0.5, 0) and (0, 0.5) the two points of the lag integral's
+    centre node v = 0.5, and (0.5, 0.5) the centre of the middle cell of
+    integrate_nd's 3 x 3 grid."""
     hit = np.all(np.reshape(nodes, (len(vals), -1)) == probe, axis=1)
     (i,) = np.flatnonzero(hit)
     return float(vals[i])
@@ -394,12 +407,17 @@ def _edge_region(model, s0, u, constrain):
     return cov4, lower
 
 
-def _spot_check_interior(model, u, value_at_probe):
-    c, dens0 = _interior_conditional(model, 0.5, 0.5)
+def _spot_check_interior(model, u, first, probes):
+    """Check the interior integrand's first-batch value at each (t, s) of
+    probes against the direct cubature of its truncated moment, all the
+    cubatures in one gauss.truncated_moments call."""
+    c, dens0 = _interior_conditional(model, *zip(*probes))
     lower = np.array([u, u, -np.inf, -np.inf])
-    mom = gauss.truncated_moment(_dense(c), lower, (0, 0, 1, 1))
-    _check_against_cubature("interior integrand at (t,s)=(0.5, 0.5)", value_at_probe,
-                            float(dens0[0]) * mom.value)
+    moments = gauss.truncated_moments([(_dense(c, i), lower) for i in range(len(probes))],
+                                      (0, 0, 1, 1))
+    for i, ((t, s), mom) in enumerate(zip(probes, moments)):
+        _check_against_cubature(f"interior integrand at (t,s)=({t:g}, {s:g})",
+                                _value_at(*first[0], (t, s)), float(dens0[i]) * mom.value)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +438,15 @@ def face_pair_integral(
 
     Every integrated term must converge and is spot-checked at the centre
     node of the rule's first batch against the direct cubature of its
-    truncated moment (gauss.truncated_moment).  A vertex x edge pair is
-    the one-pair case of _edge_terms."""
+    truncated moment (gauss.truncated_moments).  A vertex x edge pair is
+    the one-pair case of _edge_terms.
+
+    The interior x interior pair of a lag-only cross form is the 1D
+    integral int_0^1 (1 - v) (f(v) + f(-v)) dv by Gauss-Kronrod, each
+    pass one integrand call at (v, 0) and (0, v) for all its nodes v; its
+    n counts both points of each node, and its probe points are (0.5, 0)
+    and (0, 0.5).  Any other cross form takes the cubature over [0,1]^2,
+    probed at (0.5, 0.5)."""
     k = int(face_x == "Interior") + int(face_y == "Interior")
 
     if k == 0:
@@ -434,12 +459,24 @@ def face_pair_integral(
         return term
 
     first: list = []
-    est = quadrature.integrate_nd(
-        _keeping_first_batch(
-            lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u), first),
-        np.zeros(2), np.ones(2), **_TOLS,
-    ).estimate("interior x interior quadrature")
-    _spot_check_interior(model, u, _value_at(*first[0], (0.5, 0.5)))
+    interior = _keeping_first_batch(
+        lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u), first)
+    if model.cross.lag_only:
+        def lag(v):
+            m = v.size
+            p = np.zeros((2 * m, 2))
+            p[:m, 0] = p[m:, 1] = v  # f(v) at (v, 0), f(-v) at (0, v)
+            vals = interior(p)
+            return (1.0 - v) * (vals[:m] + vals[m:])
+
+        res = quadrature.integrate_1d(lag, 0.0, 1.0, **_TOLS)
+        res = replace(res, n_evals=2 * res.n_evals)
+        probes = ((0.5, 0.0), (0.0, 0.5))
+    else:
+        res = quadrature.integrate_nd(interior, np.zeros(2), np.ones(2), **_TOLS)
+        probes = ((0.5, 0.5),)
+    est = res.estimate("interior x interior quadrature")
+    _spot_check_interior(model, u, first, probes)
     return FacePairTerm(face_x, face_y, est)
 
 

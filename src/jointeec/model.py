@@ -11,6 +11,10 @@ four from one evaluation of its kernels.  `joint_cov` builds every
 covariance from these two, and `BivariateModel` reads its spectral
 moments from them once.  Exchanging X and Y (`transpose`, the Y x X
 blocks of `joint_cov`) reads any cross form through r'(t,s) = r(s,t).
+A cross form may also declare `lag_only`: r(t,s) depends on t - s alone,
+so with stationary marginals every covariance of the face-pair
+integrands does too, and the interior pair integrates in the lag (see
+kacrice).  The default False is always correct, only slower.
 No finite differences anywhere in the computational path; they appear
 only in tests as an independent check.
 
@@ -133,6 +137,11 @@ class CrossCorrelation:
         evaluation of the kernels; broadcasts over arrays."""
         raise NotImplementedError
 
+    @property
+    def lag_only(self) -> bool:
+        """True only if r(t, s) is a function of t - s alone."""
+        return False
+
 
 @dataclass(frozen=True)
 class ShiftMixture(CrossCorrelation):
@@ -147,6 +156,10 @@ class ShiftMixture(CrossCorrelation):
             raise ArgumentError("mixture coefficient c must lie in [0, 1)")
         if not np.isfinite(self.d):
             raise ArgumentError(f"shift d must be finite, got {self.d!r}")
+
+    @property
+    def lag_only(self) -> bool:
+        return True
 
     def partials(self, t, s, orders):
         _check_orders(orders)
@@ -218,6 +231,10 @@ class _Transposed(CrossCorrelation):
 
     def partials(self, t, s, orders):
         return self.cross.partials(s, t, [(b, a) for a, b in orders])
+
+    @property
+    def lag_only(self) -> bool:
+        return self.cross.lag_only
 
 
 def transpose(model: BivariateModel) -> BivariateModel:

@@ -240,6 +240,21 @@ def test_level_too_large_to_square_is_usage_error(capsys, command, u):
         "and every route reads 0 from u = 40 on\n")
 
 
+def test_eec_checks_every_level_before_any_sum(monkeypatch, capsys):
+    # a bad last level must not cost the five sums in front of it
+    calls, real = [], cli.kacrice.eec
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.kacrice, "eec", counting)
+    argv = ["eec", "--model", "corner-nondegenerate", "--u", "3,4.5,6,7.5,9,inf"]
+    assert cli.run(argv) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: level u=inf is out of range")
+
+
 def test_compare_reruns_byte_identical(tmp_path):
     args = ("compare", "--model", "interior-point", "--u", "2,3",
             "--grid", "128", "--reps", "1000", "--seed", "21")

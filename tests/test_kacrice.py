@@ -5,7 +5,9 @@ precision: block-structured Gaussian identities for the corner terms and
 a product closed form for independent marginals.
 """
 
+import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -402,6 +404,88 @@ def test_any_cross_form_reaches_eec(mod):
                     == kr.eec(wrapped, u, restricted=restricted).terms), (u, restricted)
 
 
+def _cubature_twin(mod):
+    """mod with its cross form behind PartialsOnly, which does not declare
+    lag_only: its interior pair goes through the cubature over [0,1]^2."""
+    return BivariateModel(mod.kernel_x, mod.kernel_y, PartialsOnly(mod.cross), label=mod.label)
+
+
+# three shift mixtures and their transposes
+LAG_ONLY = tuple(m for mod in (fixture("diagonal"), fixture("corner-nondegenerate"),
+                               BivariateModel(_SQ, _SQ, ShiftMixture(0.5, 0.5, _SQ),
+                                              label="shift-0.5-0.5"))
+                 for m in (mod, transpose(mod)))
+
+
+@pytest.mark.parametrize("mod", LAG_ONLY, ids=lambda m: m.label)
+def test_lag_interior_term_agrees_with_the_cubature(mod):
+    # two routes to one double integral: int_0^1 (1 - v)(f(v) + f(-v)) dv
+    # for the lag-only form, the 2-D cubature for the same form undeclared
+    twin = _cubature_twin(mod)
+    assert mod.cross.lag_only and not twin.cross.lag_only
+    for u in (3.0, 6.0, 9.0):
+        lag = kr.face_pair_integral(mod, "Interior", "Interior", u).value
+        cubature = kr.face_pair_integral(twin, "Interior", "Interior", u).value
+        assert abs(lag.value - cubature.value) <= cubature.error, u
+
+
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "perfbench", "reference.json"), encoding="utf-8") as _fh:
+    REFERENCE_SUMS = json.load(_fh)["face_sums"]
+
+
+@pytest.mark.parametrize("name", ["diagonal", "corner-nondegenerate"])
+def test_lag_interior_term_against_reference(name):
+    # the reference integrates both coordinates by nested scipy quad; the lag
+    # integral meets it to 1e-12 in at most 500 integrand points (a count,
+    # so the pin repeats exactly)
+    for u in (3.0, 4.5, 6.0, 7.5, 9.0):
+        ref = REFERENCE_SUMS[f"{name}|u={u:g}|full"]["terms"]["Interior-Interior"]
+        est = kr.face_pair_integral(fixture(name), "Interior", "Interior", u).value
+        assert est.value == pytest.approx(ref, rel=1e-12, abs=0.0), u
+        assert est.n <= 500, u
+
+
+def test_lag_integral_makes_one_integrand_call_per_pass(monkeypatch):
+    # each call holds f(v) at (v, 0) and f(-v) at (0, v) for the same nodes
+    # v; n counts both points; the cubature is not run, and the spot check
+    # takes both points of v = 0.5 in one direct-route call
+    calls, routes = [], []
+    orig_route = gauss._route_quadrature
+
+    def record(nodes, vals):
+        calls.append(nodes)
+        return vals
+
+    def counting_route(regions, monomial):
+        routes.append(len(regions))
+        return orig_route(regions, monomial)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cubature called")
+
+    _wrap_integrands(monkeypatch, record)
+    monkeypatch.setattr(gauss, "_route_quadrature", counting_route)
+    monkeypatch.setattr(kr.quadrature, "integrate_nd", refuse)
+    term = kr.face_pair_integral(fixture("diagonal"), "Interior", "Interior", 6.0)
+    for nodes in calls:
+        plus, minus = np.split(nodes, 2)
+        assert np.all(plus[:, 1] == 0.0) and np.all(minus[:, 0] == 0.0)
+        assert np.array_equal(plus[:, 0], minus[:, 1]) and plus.shape[0] % 15 == 0
+    assert term.value.n == sum(len(nodes) for nodes in calls)
+    assert routes == [2]
+
+
+@pytest.mark.parametrize("probe", [(0.5, 0.0), (0.0, 0.5)])
+def test_lag_spot_check_reads_both_points_of_the_centre_node(monkeypatch, probe):
+    def bump(nodes, vals):
+        return vals + np.where(np.all(nodes == probe, axis=1), 1e-3, 0.0)
+
+    _wrap_integrands(monkeypatch, bump)
+    with pytest.raises(ConsistencyError, match=r"\(t,s\)=\(%g, %g\)" % probe):
+        kr.face_pair_integral(fixture("diagonal"), "Interior", "Interior", 3.0)
+
+
 def test_full_sum_never_classifies(monkeypatch):
     # the face-pair sum does not depend on where r peaks; only the
     # restricted sum needs the maximizer
@@ -426,10 +510,13 @@ DIAGONAL_FULL_REFERENCE = {
 
 @pytest.mark.parametrize("u", sorted(DIAGONAL_FULL_REFERENCE))
 def test_diagonal_ridge_through_the_cubature(u):
+    # the ridge through the cubature (the undeclared twin) and through the
+    # lag integral (the fixture itself)
     ref = DIAGONAL_FULL_REFERENCE[u]
-    total = kr.eec(fixture("diagonal"), u).total
-    assert total.value == pytest.approx(ref, rel=1e-8, abs=0.0)
-    assert total.error >= abs(total.value - ref)
+    for mod in (_cubature_twin(fixture("diagonal")), fixture("diagonal")):
+        total = kr.eec(mod, u).total
+        assert total.value == pytest.approx(ref, rel=1e-8, abs=0.0)
+        assert total.error >= abs(total.value - ref)
 
 
 def test_narrow_ridge_interior_term():

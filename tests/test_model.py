@@ -182,6 +182,28 @@ def test_transpose_swaps_arguments():
         assert transpose(tr).cross == mod.cross
 
 
+def test_lag_only_is_declared_by_shift_mixtures_alone():
+    # a form that does not declare it (PointAnchor, a partials-only
+    # wrapper) reads False; transpose keeps what the form declares
+    lag_only = {"diagonal", "corner-nondegenerate"}
+    for mod in [fixture(name) for name in FIXTURES] + list(PARTIALS_ONLY):
+        assert mod.cross.lag_only is (mod.label in lag_only), mod.label
+        assert transpose(mod).cross.lag_only is mod.cross.lag_only, mod.label
+    assert ShiftMixture(0.0, 0.3, SquaredExponential(1.0)).lag_only
+
+
+@pytest.mark.parametrize("name", ["diagonal", "corner-nondegenerate"])
+def test_lag_only_partials_move_with_the_lag(name):
+    # the declaration holds: every partial is unchanged by a shift of
+    # t and s together
+    for mod in (fixture(name), transpose(fixture(name))):
+        t, s = np.array([0.1, 0.45, 0.9]), np.array([0.7, 0.2, 0.9])
+        for h in (0.05, -0.3):
+            np.testing.assert_allclose(mod.cross.partials(t + h, s + h, JET_ORDERS),
+                                       mod.cross.partials(t, s, JET_ORDERS),
+                                       rtol=1e-13, atol=1e-15)
+
+
 def test_joint_grid_cov_shape_and_symmetry():
     mod = fixture("interior-point")
     grid = np.linspace(0.0, 1.0, 33)
