@@ -14,10 +14,21 @@ array, so every caller reads the same bits for the same point.
 Dimension 1 is that closed form.  Dimension
 2 is one bivariate kernel, a 1-d integral along the correlation path
 rho = sin(theta) by a Gauss-Legendre rule sized per point, which every
-caller uses.  Dimensions 3-4 condition on the coordinates with the
-lowest thresholds and integrate them with a fixed tensor Gauss-Legendre
-rule against that kernel for the other two (the reduction of Genz 2004),
-so every result is deterministic by construction.
+caller uses.  Dimensions 3-4 take Plackett's identity (Plackett 1954;
+Genz 2004 uses it for trivariate probabilities): split the coordinates
+into two blocks and move the correlation from the block-diagonal part to
+the whole matrix; the orthant is the product of the block probabilities
+plus, per nonzero cross-block correlation, a 1-d integral of the pair's
+density times the law of the rest given the pair, by a fixed
+Gauss-Legendre rule on the kernel's path variable with the kernel's node
+count.  The split is one with no negative cross entry where there is
+one, so no part is negative; a corner that maximizes r always has one.
+Where every split has a negative cross entry the parts can cancel: on
+corner-shaped correlations with a negative correlation between X and Y
+they exceed the orthant by up to 50 orders at thresholds (9, 9, 0, 0),
+and the value keeps none of its digits.  The reported error counts the
+magnitudes of the parts, so it covers the loss.  Every result is
+deterministic by construction.
 
 The kernel is batch-invariant: a point's value has the same bits whatever
 other points share its call and wherever it sits among them.  Its path
@@ -33,7 +44,6 @@ alone.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -366,85 +376,111 @@ def _near_one_integral(h, k, rho, from_minus_one, n: int) -> np.ndarray:
     return np.sum(np.exp(expo) * weight, axis=1) / (2.0 * math.pi)
 
 
-@functools.lru_cache(maxsize=None)
-def _active_sets(d: int):
-    """Every nonempty subset of range(d), as one index array per size."""
-    return tuple(np.array(list(itertools.combinations(range(d), k)))
-                 for k in range(1, d + 1))
+# The three ways to split the coordinates into two blocks, pair block
+# first: two pairs in dimension 4, a pair and a single in dimension 3.
+_SPLITS = {
+    3: (((0, 1), (2,)), ((0, 2), (1,)), ((1, 2), (0,))),
+    4: (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))),
+}
 
 
-def _dominating_point(corr: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The point of {z >= a} nearest the origin in the metric of corr^-1,
-    where the law restricted to the orthant peaks.  The minimizer has
-    some active set S with z_S = a_S and z = corr[:, S] corr_SS^-1 a_S;
-    every feasible such point is a candidate, so the best of them is the
-    minimizer (a quadratic program in at most four variables)."""
-    if np.all(a <= 0.0):
-        return np.zeros(len(a))
-    best, best_q = a, math.inf
-    for sets in _active_sets(len(a)):
-        sol = np.linalg.solve(corr[sets[:, :, None], sets[:, None, :]], a[sets][:, :, None])
-        z = (np.swapaxes(corr[sets], 1, 2) @ sol)[:, :, 0]
-        q = (a[sets][:, None, :] @ sol)[:, 0, 0]
-        q[~np.all(z >= a - 1e-12, axis=1)] = math.inf
-        i = int(np.argmin(q))
-        if q[i] < best_q:
-            best, best_q = z[i], q[i]
-    return best
+def _block_products(corr: np.ndarray, a: np.ndarray, splits) -> np.ndarray:
+    """P(block 1) P(block 2) for each split: one kernel call for the pair
+    blocks, one ndtr call for the single ones."""
+    blocks = {b for split in splits for b in split}
+    pairs = sorted(b for b in blocks if len(b) == 2)
+    singles = sorted(b for b in blocks if len(b) == 1)
+    i, j = np.array(pairs).T
+    prob = dict(zip(pairs, _bvn_survival_batch(a[i], a[j], corr[i, j])))
+    prob.update(zip(singles, ndtr(-a[[k for k, in singles]])))
+    return np.array([prob[b1] * prob[b2] for b1, b2 in splits])
 
 
-def _orthant_conditioned(corr: np.ndarray, a: np.ndarray) -> tuple[float, float, int]:
-    """P{Z >= a} for dims 3-4 by conditioning onto the bivariate kernel.
+def _choose_split(corr: np.ndarray, a: np.ndarray):
+    """The split of _orthant_plackett: the first with no negative cross
+    entry, so that no part is negative, or else the one with the smallest
+    block product."""
+    splits = _SPLITS[len(a)]
+    for b1, b2 in splits:
+        if all(corr[i, j] >= 0.0 for i in b1 for j in b2):
+            return b1, b2
+    return splits[int(np.argmin(_block_products(corr, a, splits)))]
 
-    A holds the d-2 coordinates with the lowest thresholds, B the other
-    two.  Given A = x the law of B is Gaussian with mean beta x and a
-    covariance that does not depend on x, so
-        P = int_{x >= a_A} phi_A(x) P2((a_B - beta x) / sd_B; rho) dx,
-    integrated by a tensor Gauss-Legendre rule over the box
-    [max(a_j, z_j - 9), z_j + 9], where z is the dominating point of the
-    orthant (_dominating_point).  The orthant law is log-concave with
-    coordinate variances at most one, so what the box cuts off is a
-    nine-sigma tail around its peak, whether the thresholds are high, low
-    or mixed.  Returns the value with 32 nodes per panel, its gap to the
-    16-node value and the node count."""
-    order = np.argsort(a, kind="stable")
-    corr = corr[np.ix_(order, order)]
-    a = a[order]
-    m = len(a) - 2
-    s_aa, s_ab, s_bb = corr[:m, :m], corr[:m, m:], corr[m:, m:]
-    beta = np.linalg.solve(s_aa, s_ab).T
-    resid = s_bb - beta @ s_ab
-    sd_b = np.sqrt(np.diag(resid))
-    rho = resid[0, 1] / (sd_b[0] * sd_b[1])
-    peak = _dominating_point(corr, a)[:m]
-    lo = np.maximum(a[:m], peak - 9.0)
-    # a peak more than two units above the lower edge splits its axis into
-    # one panel on each side, so the mass sits at a panel end, where the
-    # Gauss-Legendre nodes cluster; nearer, those nodes resolve it as is
-    edges = [(lo[j], peak[j], peak[j] + 9.0) if peak[j] - lo[j] > 2.0
-             else (lo[j], peak[j] + 9.0) for j in range(m)]
-    pdf = _density_eval(_cholesky_named(s_aa, tuple(range(m)), 1e-300))
 
-    def rule(n):
-        t, w = _gl(n)
-        nodes = [np.concatenate([p + (q - p) * t for p, q in zip(e[:-1], e[1:])])
-                 for e in edges]
-        weights = [np.concatenate([(q - p) * w for p, q in zip(e[:-1], e[1:])])
-                   for e in edges]
-        x = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=1)
-        return x, functools.reduce(np.multiply.outer, weights).ravel()
+def _orthant_plackett(corr: np.ndarray, a: np.ndarray) -> tuple[float, float, int]:
+    """P{Z >= a} for dims 3-4 by Plackett's identity: the value, its error
+    and the kernel points spent.
 
-    # both rules' nodes go through the kernels in one batch
-    x_fine, w_fine = rule(32)
-    x_coarse, w_coarse = rule(16)
-    x = np.concatenate([x_fine, x_coarse])
-    shift = x @ beta.T
-    tail = _bvn_survival_batch((a[m] - shift[:, 0]) / sd_b[0],
-                               (a[m + 1] - shift[:, 1]) / sd_b[1], rho)
-    vals = pdf(x) * tail
-    value = float(w_fine @ vals[:len(w_fine)])
-    coarse = float(w_coarse @ vals[len(w_fine):])
-    return value, abs(value - coarse), len(x)
+    With C0 the block-diagonal part of corr over the split of
+    _choose_split and C(t) = C0 + t (corr - C0),
+        P = P(block 1) P(block 2) + sum over cross pairs (i, j), c_ij != 0,
+            c_ij int_0^1 phi2(a_i, a_j; t c_ij) P_t(rest >= a_rest | z_i = a_i, z_j = a_j) dt,
+    where P_t is under C(t) and the rest is the other member of the pair
+    block and, in dimension 4, the other member of the second block; its
+    law given the pair comes from the 2 x 2 inverse in closed form.  Each
+    integral runs on the bivariate kernel's path variable, t c_ij =
+    sin(theta), where phi2 dt has no 1 / sqrt(1 - t^2 c_ij^2) factor, by a
+    Gauss-Legendre rule in theta and one of half its nodes for the error.
+    Every pair's integrand carries the exponents of the others, whose
+    correlations move with t too, so all take the node count of the
+    largest _path_nodes(a_i, a_j, c_ij).  The conditional probabilities and
+    the pair blocks go through one kernel call, the single block and the
+    one-coordinate rests of dimension 3 through one ndtr call.  The error
+    is the gap between the two rules plus _BVN_REL_ERR times the block
+    product and the magnitudes of the parts, so a split whose parts cancel
+    reports its loss; the value is clipped at 0."""
+    b1, b2 = _choose_split(corr, a)
+    cross = [(i, j) for i in b1 for j in b2 if corr[i, j] != 0.0]
+    if not cross:  # the blocks are independent
+        block = float(_block_products(corr, a, [(b1, b2)])[0])
+        return block, _BVN_REL_ERR * block, 2
+    i, j = (np.array(c)[:, None] for c in zip(*cross))  # one row per cross pair
+    n = int(np.max(_path_nodes(a[i[:, 0]], a[j[:, 0]], corr[i[:, 0], j[:, 0]],
+                               np.zeros(len(cross), dtype=bool))))
+    # one column per node: the n-node rule, then the n/2-node one
+    (x_fine, w_fine), (x_coarse, w_coarse) = _gl(n), _gl(n // 2)
+    span = np.arcsin(corr[i, j])
+    tau = np.sin(span * np.concatenate([x_fine, x_coarse]))
+    t = tau / corr[i, j]
+    det = 1.0 - tau * tau
+    in_b2 = np.array([m in b2 for m in range(len(a))])
+
+    def entry(p, q):  # C(t)[p, q]
+        return corr[p, q] * np.where(in_b2[p] == in_b2[q], 1.0, t)
+
+    def given_pair(r):
+        """Coordinate r given the pair under C(t): its standardized
+        threshold, its sd and its coefficients on the pair."""
+        r_i, r_j = entry(r, i), entry(r, j)
+        coef = (r_i - tau * r_j) / det, (r_j - tau * r_i) / det
+        sd = np.sqrt(1.0 - (coef[0] * r_i + coef[1] * r_j))
+        return (a[r] - coef[0] * a[i] - coef[1] * a[j]) / sd, sd, coef
+
+    # the rest: the other member of the pair block, and of the second block in d = 4
+    k = np.where(i == b1[0], b1[1], b1[0])
+    h, sd_k, coef_k = given_pair(k)
+    if len(b2) == 1:
+        tails = ndtr(-np.append(h, a[b2[0]]))
+        rest = tails[:-1]
+        block = float(_bvn_survival_batch(a[b1[0]], a[b1[1]], corr[b1])[0] * tails[-1])
+    else:
+        l = np.where(j == b2[0], b2[1], b2[0])
+        g, sd_l, _ = given_pair(l)
+        rho = (entry(k, l) - coef_k[0] * entry(l, i) - coef_k[1] * entry(l, j)) / (sd_k * sd_l)
+        probs = _bvn_survival_batch(np.append(h, [a[b1[0]], a[b2[0]]]),
+                                    np.append(g, [a[b1[1]], a[b2[1]]]),
+                                    np.append(rho, [corr[b1], corr[b2]]))
+        rest = probs[:-2]
+        block = float(probs[-2] * probs[-1])
+    # c_ij phi2(a_i, a_j; tau) dt = exp(...) / (2 pi) dtheta, with dtheta = span dx
+    f = np.exp((tau * a[i] * a[j] - 0.5 * (a[i] ** 2 + a[j] ** 2)) / det) * span / (2.0 * math.pi)
+    f *= rest.reshape(f.shape)
+    fine = np.einsum("ij,j->i", f[:, :n], w_fine)
+    coarse = np.einsum("ij,j->i", f[:, n:], w_coarse)
+    value = block + float(np.sum(fine))
+    error = (abs(float(np.sum(fine) - np.sum(coarse)))
+             + _BVN_REL_ERR * (block + float(np.sum(np.abs(fine)))))
+    return max(value, 0.0), error, f.size + 2
 
 
 def _orthant_region(cov, lower):
@@ -486,9 +522,13 @@ def mvn_cdf(cov, lower) -> Estimate:
 
     Dimension 2 is _bvn_parts, with error _BVN_REL_ERR times the sum of
     the magnitudes of its parts and its node count as the evaluations.
-    Dims 3-4 condition on all but two coordinates (_orthant_conditioned)
-    and hold for any thresholds; the value is the 32-node rule, the error
-    the gap to the 16-node rule plus a rounding floor."""
+    Dims 3-4 are Plackett's identity over a split into two blocks
+    (_orthant_plackett), for any thresholds: the value is the block
+    product plus one 1-d integral per nonzero cross-block correlation, the
+    error the gap to the rule with half the nodes plus _BVN_REL_ERR times
+    the block product and the magnitudes of the parts (so a split whose
+    parts cancel reports its loss), and the evaluations the kernel points,
+    the block probabilities counted."""
     region = _orthant_region(cov, lower)
     if isinstance(region, Estimate):
         return region
@@ -501,8 +541,7 @@ def mvn_cdf(cov, lower) -> Estimate:
         start, path, nodes = _bvn_parts(a[0], a[1], corr[0, 1])
         error = _BVN_REL_ERR * (start[0] + abs(path[0]))
         return Estimate(float(start[0] + path[0]), float(error), int(nodes[0]), QUADRATURE)
-    value, gap, evals = _orthant_conditioned(corr, a)
-    return Estimate(value, gap + 1e-14 * value, evals, QUADRATURE)
+    return Estimate(*_orthant_plackett(corr, a), QUADRATURE)
 
 
 # ---------------------------------------------------------------------------

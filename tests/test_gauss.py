@@ -482,6 +482,124 @@ def test_orthant_equicorrelated_one_factor(d, rho, a):
     assert est.error >= abs(est.value - ref)
 
 
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("rho", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize("a", [-8.0, -3.0, 0.0, 3.0, 6.0, 9.0])
+def test_orthant_high_equicorrelation_one_factor(d, rho, a):
+    # Plackett's path from the block-diagonal part runs on the kernel's
+    # arcsine variable, so the pair density's peak at t c = rho needs no
+    # more nodes than the kernel gives it
+    cov = np.full((d, d), rho) + (1.0 - rho) * np.eye(d)
+    est = mvn_cdf(cov, np.full(d, a))
+    ref = one_factor_orthant(d, rho, a)
+    assert est.value == pytest.approx(ref, rel=1e-7, abs=0.0)
+    assert est.error >= abs(est.value - ref)
+
+
+def corner_orthant_reference(corr, u, keep):
+    """P{z_0 >= u, z_1 >= u, z_k >= 0 for k in keep}, keep one or both of
+    the derivative coordinates 2 and 3, by nested scipy quad: over
+    z_keep >= 0, their density times the survival of (z_0, z_1) given
+    them, itself a quad of phi times erfc (the route of
+    perfbench/make_reference.corner_term).  Relative tolerance 1e-13;
+    about 0.05 s for one derivative coordinate, 1.5 to 8 s for two."""
+    keep = list(keep)
+    s_vd, s_dd = corr[np.ix_([0, 1], keep)], corr[np.ix_(keep, keep)]
+    s_dd_inv = np.linalg.inv(s_dd)
+    regress = s_vd @ s_dd_inv
+    cond = corr[:2, :2] - regress @ s_vd.T
+    sd0 = math.sqrt(cond[0, 0])
+    beta, sdc = cond[0, 1] / cond[0, 0], math.sqrt(cond[1, 1] - cond[0, 1] ** 2 / cond[0, 0])
+    norm = 1.0 / ((2.0 * math.pi) ** (len(keep) / 2.0) * math.sqrt(np.linalg.det(s_dd)))
+    # the mass sits near E{D | z_0 = z_1 = u}; 10 sd past it loses < 1e-20
+    hi = [max(m, 0.0) + 10.0 for m in s_vd.T @ np.linalg.solve(corr[:2, :2], [u, u])]
+
+    def survival(a, b):  # P{z_0 >= a, z_1 >= b} under cond
+        val, _ = integrate.quad(
+            lambda x: math.exp(-0.5 * x * x / cond[0, 0])
+            * math.erfc((b - beta * x) / (sdc * math.sqrt(2.0))),
+            a, max(a, 0.0) + 12.0 * sd0, epsabs=0.0, epsrel=2e-14, limit=200)
+        return val / (2.0 * sd0 * math.sqrt(2.0 * math.pi))
+
+    def g(*d):
+        d = np.array(d)
+        shift = regress @ d
+        return norm * math.exp(-0.5 * d @ s_dd_inv @ d) * survival(u - shift[0], u - shift[1])
+
+    if len(keep) == 1:
+        return integrate.quad(g, 0.0, hi[0], epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return integrate.dblquad(lambda y, x: g(x, y), 0.0, hi[0], 0.0, hi[1],
+                             epsabs=0.0, epsrel=1e-13)[0]
+
+
+def corner_shaped(r, p, q, s):
+    # (X, Y, X', Y') at a corner: a process and its own derivative at one
+    # point are uncorrelated
+    return np.array([[1.0, r, 0.0, p], [r, 1.0, q, 0.0], [0.0, q, 1.0, s], [p, 0.0, s, 1.0]])
+
+
+# Corner-shaped correlations (r, p, q, s) in which every split of the four
+# coordinates into two pairs has a negative cross entry, drawn uniform on
+# [-0.8, 0.8] by numpy.random.default_rng(20261019), rounded to two places
+# and kept if the smallest eigenvalue exceeds 0.05; with
+# corner_orthant_reference(corner_shaped(*c), u, (2, 3)) at u = 3, 6, 9.
+CANCELLING_CORNERS = (
+    ((-0.4, 0.38, -0.56, 0.06), (1.9494490398288753e-13, 5.6179169201549396e-42, 1.1955627735886381e-88)),
+    ((0.46, -0.16, -0.01, -0.57), (5.4602951286993826e-06, 8.326722004802173e-15, 7.34487486708708e-29)),
+    ((-0.2, -0.24, 0.03, 0.12), (1.2944914387747975e-08, 1.611446543102654e-24, 2.5509888774809115e-50)),
+    ((0.69, -0.1, -0.49, -0.34), (4.623375413342697e-06, 5.6032476323694835e-15, 4.222882183127012e-29)),
+    ((-0.42, -0.07, 0.1, -0.77), (1.4090771583177843e-10, 2.1576322426267313e-31, 1.501174671352796e-65)),
+    ((-0.19, -0.33, -0.7, -0.29), (2.5632264754259495e-16, 1.0984975404586522e-49, 4.123779057928195e-104)),
+    ((0.58, -0.24, 0.53, -0.27), (3.100180582655844e-05, 2.425309138757161e-13, 2.2514905318391204e-26)),
+    ((0.79, -0.17, -0.38, -0.1), (2.5652402391522857e-05, 5.186561193296719e-13, 3.3285514723412986e-25)),
+    ((-0.49, 0.18, -0.62, -0.44), (5.72256820569034e-20, 3.198076510513958e-64, 8.172074783214167e-137)),
+    ((-0.18, -0.18, 0.65, -0.21), (4.2093950134776134e-08, 2.1308437582176004e-23, 3.524047502992857e-48)),
+    ((-0.02, -0.25, -0.6, -0.36), (7.961730387185147e-11, 3.463830550885958e-30, 2.2714837928954904e-61)),
+    ((0.41, 0.43, -0.19, -0.01), (1.3478641607219851e-05, 1.3778530747439351e-14, 4.783479208184216e-29)),
+)
+
+
+@pytest.mark.parametrize("corr, refs", CANCELLING_CORNERS)
+def test_orthant_bars_cover_cancelling_splits(corr, refs):
+    # where every split has a negative cross entry Plackett's parts can
+    # cancel: for r < 0 the parts exceed the orthant by up to 50 orders at
+    # u = 9, where the value keeps none of its digits.  It never turns
+    # negative, and its error, which counts the magnitudes of the parts,
+    # covers what is lost
+    cov = corner_shaped(*corr)
+    assert all(np.any(cov[np.ix_(b1, b2)] < 0.0) for b1, b2 in gauss._SPLITS[4])
+    for u, ref in zip((3.0, 6.0, 9.0), refs):
+        est = mvn_cdf(cov, [u, u, 0.0, 0.0])
+        assert est.value >= 0.0
+        assert abs(est.value - ref) <= est.error, u
+
+
+def test_cancelling_corner_references_repeat():
+    # the pinned 4-D values are corner_orthant_reference's
+    corr, refs = CANCELLING_CORNERS[7]
+    assert corner_orthant_reference(corner_shaped(*corr), 6.0, (2, 3)) == pytest.approx(
+        refs[1], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("corr", [c for c, _ in CANCELLING_CORNERS])
+def test_orthant_three_coordinates_of_cancelling_corners(corr):
+    # each derivative coordinate alone: where some coordinate has no
+    # negative correlation with the other two (r >= 0, or X' or Y' with
+    # none), that split has positive parts and the value holds 1e-12;
+    # elsewhere the error covers the loss
+    cov = corner_shaped(*corr)
+    for keep in (2, 3):
+        sub = cov[np.ix_([0, 1, keep], [0, 1, keep])]
+        positive = any(np.all(np.delete(sub[k], k) >= 0.0) for k in range(3))
+        for u in (3.0, 6.0, 9.0):
+            est = mvn_cdf(sub, [u, u, 0.0])
+            ref = corner_orthant_reference(cov, u, (keep,))
+            assert est.value >= 0.0
+            assert abs(est.value - ref) <= est.error, (keep, u)
+            if positive:
+                assert est.value == pytest.approx(ref, rel=1e-12, abs=0.0), (keep, u)
+
+
 def conditioned_on_one(cov, a, k):
     # 3-D orthant by conditioning on coordinate k alone: adaptive quad over
     # it, with the 2-D route inside, so no box and no fixed rule
@@ -505,7 +623,7 @@ def conditioned_on_one(cov, a, k):
     ([[1.0, 0.5, -0.5], [0.5, 1.0, -0.9], [-0.5, -0.9, 1.0]], [-2.0, -8.0, 9.0], 1e-9),
     ([[1.0, 0.6, -0.3], [0.6, 1.0, 0.5], [-0.3, 0.5, 1.0]], [-3.0, 1.0, 6.0], 1e-9),
     # the lowest threshold is carried far above itself by a 0.99
-    # correlation: a 0.14-sigma peak inside the panel (measured 2.6e-7)
+    # correlation
     ([[1.0, 0.99, 0.0], [0.99, 1.0, 0.0], [0.0, 0.0, 1.0]], [-5.0, 9.0, 9.0], 1e-6),
 ])
 def test_orthant_dim3_low_and_mixed_thresholds(cov, lower, rel):

@@ -446,6 +446,62 @@ def test_lag_interior_term_against_reference(name):
         assert est.n <= 500, u
 
 
+def _reference_corners():
+    """Every 3-/4-D corner term of the reference sums: (sum key, pair,
+    model, u, constrain_x, constrain_y, reference value)."""
+    cases = []
+    for key, entry in REFERENCE_SUMS.items():
+        name, level, mode = key.split("|")
+        mod, u = fixture(name), float(level[len("u="):])
+        if mode == "full":
+            cx = cy = True
+        else:
+            _, cx, cy = kr._restricted_pairs(mod, asy.classify(mod), DEFAULT_TOL.gradient_tol)
+        if cx or cy:  # else a 2-D orthant
+            cases += [(key, pair, mod, u, cx, cy, ref) for pair, ref in entry["terms"].items()
+                      if "Interior" not in pair]
+    return cases
+
+
+def test_reference_corner_terms_and_their_cost():
+    # the reference conditions on the derivative coordinates by nested scipy
+    # quad at 1e-12; Plackett's identity meets it to 5e-14, with an error
+    # bar that covers the gap and stays within 1e-10 of the value, in at
+    # most 200 kernel points
+    cases = _reference_corners()
+    assert len(cases) == 150
+    for key, pair, mod, u, cx, cy, ref in cases:
+        fx, fy = pair.split("-")
+        est = kr.corner_corner_term(mod, kr._POINT[fx], kr._POINT[fy], u, cx, cy)
+        assert est.value == pytest.approx(ref, rel=5e-14, abs=0.0), (key, pair)
+        assert abs(est.value - ref) <= est.error <= 1e-10 * est.value, (key, pair)
+        assert est.n <= 200, (key, pair)
+
+
+@pytest.mark.parametrize("mod", [m for name in ("corner-nondegenerate", "corner-semidegenerate",
+                                                "corner-degenerate")
+                                 for m in (fixture(name), transpose(fixture(name)))],
+                         ids=lambda m: m.label)
+def test_maximizing_corner_splits_without_negative_cross_entries(monkeypatch, mod):
+    # r_1 and r_2 point outward at a corner maximizer of r, so the split
+    # {X, Y} | {X', Y'} has no negative cross entry and Plackett's parts
+    # are all positive: under every constraint pattern, the chosen split
+    # has none either
+    ((t0, s0),) = asy.classify(mod).maximizers
+    choose, chosen = gauss._choose_split, []
+
+    def spy(corr, a):
+        split = choose(corr, a)
+        chosen.append(corr[np.ix_(*split)])
+        return split
+
+    monkeypatch.setattr(gauss, "_choose_split", spy)
+    for cx, cy in ((True, True), (True, False), (False, True)):
+        kr.corner_corner_term(mod, t0, s0, 6.0, cx, cy)
+    assert len(chosen) == 3
+    assert all(np.all(cross >= 0.0) for cross in chosen)
+
+
 def test_lag_integral_makes_one_integrand_call_per_pass(monkeypatch):
     # each call holds f(v) at (v, 0) and f(-v) at (0, v) for the same nodes
     # v; n counts both points; the cubature is not run, and the spot check
