@@ -401,7 +401,8 @@ def closed_form(
 ) -> AsymptoticTerm:
     """Assemble the leading-order coefficient for a classified regime.
 
-    u is not read: the term holds for every level (AsymptoticTerm.evaluate)."""
+    Neither model nor u is read: the classification carries the geometry,
+    and the term holds for every level (AsymptoticTerm.evaluate)."""
     tag = classification.tag
     if tag == "GeneralFallback":
         raise RegimeError("no closed form for GeneralFallback; use the numeric sum")

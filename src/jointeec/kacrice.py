@@ -18,18 +18,19 @@ points, two per node.  Any other cross form goes through the adaptive
 Genz-Malik cubature.
 
 For N=1 the determinant factors inside the integrals are the scalars
-X''(t) and Y''(s), so every integrand reduces to a Gaussian first or
-second truncated moment.  Those are evaluated in closed form through
-face-factor identities (E{xi 1_A} = Sigma G with G the density-weighted
-conditional survivals), vectorized over quadrature nodes, with every
+X''(t) and Y''(s), so each integrand is a Gaussian truncated moment, in
+closed form by the Tallis (1961) identities over one set of face factors
+G_j (_face_g, the density-weighted conditional survivals): an edge's
+first moment E{X'' 1_A} = sum_j S_3j G_j, the interior pair's second
+moment E{X''Y'' 1_A} = S_23 P + sum_j S_2j (u S_3j G_j + ... G_01) / S_jj
+(interior_interior_integrand), vectorized over nodes with every
 conditional covariance written out entrywise.  Each integrated term is
-additionally spot-checked at one node against gauss.truncated_moments,
-which recomputes the same quantity by direct cubature of the truncated
-density.  The probe is the rule's own centre node, t = 0.5 for the
-Gauss-Kronrod rule and (0.5, 0.5) for the cubature, and the value checked
-is the one the rule computed there in its first batch.  The lag integral's
-centre node v = 0.5 is checked at both of its points, (0.5, 0) and
-(0, 0.5), in one call.
+also spot-checked at one node (_spot_check) against the direct cubature
+of its truncated density, gauss.truncated_moments.  The probe is the
+rule's own centre node, t = 0.5 for the Gauss-Kronrod rule and (0.5, 0.5)
+for the cubature, and the value checked is the one the rule computed
+there in its first batch.  The lag integral's centre node v = 0.5 is
+checked at both of its points, (0.5, 0) and (0, 0.5), in one call.
 
 The four vertex x edge integrals of a sum (the "edge terms") are refined
 in lockstep (quadrature.lockstep_1d): each pass evaluates the nodes of
@@ -296,64 +297,28 @@ def _interior_conditional(model: model_mod.BivariateModel, t, s):
     return c, dens0
 
 
-def _hessian_regression(c):
-    """Affine structure of E{(X'', Y'') | X, Y} under the conditional law
-    of _interior_conditional, through the explicit inverse of the 2 x 2
-    covariance of (X, Y): coefficients (a1, b1), (a2, b2) and the residual
-    cross-covariance c12."""
-    sxx, sxy, syy = c[0, 0], c[0, 1], c[1, 1]
-    det = sxx * syy - sxy * sxy
-    a1 = (syy * c[0, 2] - sxy * c[1, 2]) / det
-    b1 = (sxx * c[1, 2] - sxy * c[0, 2]) / det
-    a2 = (syy * c[0, 3] - sxy * c[1, 3]) / det
-    b2 = (sxx * c[1, 3] - sxy * c[0, 3]) / det
-    c12 = c[2, 3] - (a1 * c[0, 3] + b1 * c[1, 3])
-    return a1, b1, a2, b2, c12
-
-
-def _tallis_pairs(sxx, sxy, syy, u):
-    """H_jj = phi_j(u) u P{xi_k >= u | xi_j = u} and
-    H_jk = phi_j(u) E{xi_k 1{xi_k >= u} | xi_j = u} for the Gaussian pair
-    (xi_0, xi_1) with covariance [[sxx, sxy], [sxy, syy]] and both bounds
-    at u, where phi_j is the density of xi_j.  Returns H_00, H_01, H_11,
-    H_10; both conditional survivals take one normal-tail call."""
-    vjj, vkk = np.stack([sxx, syy]), np.stack([syy, sxx])
-    sdj = np.sqrt(vjj)
-    dens = _phi(u / sdj) / sdj
-    mu_k = sxy / vjj * u
-    sd_k = np.sqrt(np.maximum(vkk - sxy ** 2 / vjj, 1e-300))
-    z = (u - mu_k) / sd_k
-    surv = gauss.ndtr(-z)
-    h_jj = dens * u * surv
-    h_jk = dens * (mu_k * surv + sd_k * _phi(z))
-    return h_jj[0], h_jk[0], h_jj[1], h_jk[1]
-
-
 def interior_interior_integrand(model: model_mod.BivariateModel, t, s, u: float):
     """p_{X'(t),Y'(s)}(0,0) * E{X''Y'' 1{X>=u, Y>=u} | X'=Y'=0},
-    vectorized over nodes; scalar in, scalar out."""
+    vectorized over nodes; scalar in, scalar out.
+
+    The second-moment identity (the edge integrand's first moment is
+    E{X'' 1_A} = sum_j S_3j G_j): with S the covariance of (X, Y, X'', Y'')
+    from _interior_conditional, G_j = _face_g(S, (u, u)), G_01 the density
+    of (X, Y) at (u, u) and P = P{X>=u, Y>=u},
+    E{X''Y'' 1_A} = S_23 P
+    + sum_{j=0,1; k=1-j} S_2j (u S_3j G_j + (S_jj S_3k - S_jk S_3j) G_01) / S_jj."""
     scalar = np.ndim(t) == 0 and np.ndim(s) == 0
     c, dens0 = _interior_conditional(model, t, s)
-    a1, b1, a2, b2, c12 = _hessian_regression(c)
-    sxx, sxy, syy = c[0, 0], c[0, 1], c[1, 1]
-
-    sd0 = np.sqrt(sxx)
-    sd1 = np.sqrt(syy)
-    rho = np.clip(sxy / (sd0 * sd1), -1.0, 1.0)
-    prob = gauss._bvn_survival_batch(u / sd0, u / sd1, rho)
-
-    # Tallis: E{xi_i xi_k 1{X>=u, Y>=u}} = S_ik P + sum_j S_ij H_jk
-    h00, h01, h11, h10 = _tallis_pairs(sxx, sxy, syy, u)
-    m00 = sxx * prob + sxx * h00 + sxy * h10
-    m01 = sxy * prob + sxx * h01 + sxy * h11
-    m11 = syy * prob + sxy * h01 + syy * h11
-
-    expect = (
-        a1 * a2 * m00
-        + (a1 * b2 + b1 * a2) * m01
-        + b1 * b2 * m11
-        + c12 * prob
-    )
+    sd0, sd1 = np.sqrt(c[0, 0]), np.sqrt(c[1, 1])
+    prob = gauss._bvn_survival_batch(u / sd0, u / sd1,
+                                     np.clip(c[0, 1] / (sd0 * sd1), -1.0, 1.0))
+    g = _face_g(c, (u, u))
+    # G_01: the density of X at u times that of Y given X = u
+    sd = np.sqrt(np.maximum(c[1, 1] - c[0, 1] ** 2 / c[0, 0], 1e-300))
+    g01 = _phi(u / sd0) / sd0 * _phi((u - c[0, 1] / c[0, 0] * u) / sd) / sd
+    expect = c[2, 3] * prob + sum(
+        c[j, 2] * (u * c[j, 3] * g[j] + (c[j, j] * c[1 - j, 3] - c[0, 1] * c[j, 3]) * g01)
+        / c[j, j] for j in (0, 1))
     out = dens0 * expect
     return float(out[0]) if scalar else out
 
@@ -388,36 +353,21 @@ def _value_at(nodes, vals, probe):
     return float(vals[i])
 
 
-def _check_against_cubature(what, value_at_probe, ref):
-    if abs(ref - value_at_probe) > DEFAULT_TOL.moment_consistency_tol:
-        raise ConsistencyError(
-            f"{what} disagrees with the direct cubature of its truncated "
-            f"moment: {value_at_probe:.9e} vs {ref:.9e}",
-            value_a=value_at_probe,
-            value_b=ref,
-        )
-
-
-def _edge_region(model, s0, u, constrain):
-    """The truncated-moment region of the edge integrand at t = 0.5."""
-    cov4 = _dense(_edge_conditional(model, 0.5, s0))
-    lower = np.array([u, u, 0.0, -np.inf]) if constrain else np.array(
-        [u, u, -np.inf, -np.inf]
-    )
-    return cov4, lower
-
-
-def _spot_check_interior(model, u, first, probes):
-    """Check the interior integrand's first-batch value at each (t, s) of
-    probes against the direct cubature of its truncated moment, all the
-    cubatures in one gauss.truncated_moments call."""
-    c, dens0 = _interior_conditional(model, *zip(*probes))
-    lower = np.array([u, u, -np.inf, -np.inf])
-    moments = gauss.truncated_moments([(_dense(c, i), lower) for i in range(len(probes))],
-                                      (0, 0, 1, 1))
-    for i, ((t, s), mom) in enumerate(zip(probes, moments)):
-        _check_against_cubature(f"interior integrand at (t,s)=({t:g}, {s:g})",
-                                _value_at(*first[0], (t, s)), float(dens0[i]) * mom.value)
+def _spot_check(checks, monomial):
+    """Compare each (label, value at the probe, cov, lower, scale) of checks
+    with scale times the direct cubature of the monomial's truncated moment
+    over (cov, lower), all the cubatures in one gauss.truncated_moments
+    call.  A gap above moment_consistency_tol raises ConsistencyError."""
+    moments = gauss.truncated_moments([(cov, lower) for _, _, cov, lower, _ in checks], monomial)
+    for (label, value, _, _, scale), mom in zip(checks, moments):
+        ref = scale * mom.value
+        if abs(ref - value) > DEFAULT_TOL.moment_consistency_tol:
+            raise ConsistencyError(
+                f"{label} disagrees with the direct cubature of its truncated "
+                f"moment: {value:.9e} vs {ref:.9e}",
+                value_a=value,
+                value_b=ref,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +426,10 @@ def face_pair_integral(
         res = quadrature.integrate_nd(interior, np.zeros(2), np.ones(2), **_TOLS)
         probes = ((0.5, 0.5),)
     est = res.estimate("interior x interior quadrature")
-    _spot_check_interior(model, u, first, probes)
+    c, dens0 = _interior_conditional(model, *zip(*probes))
+    _spot_check([(f"interior integrand at (t,s)=({t:g}, {s:g})", _value_at(*first[0], (t, s)),
+                  _dense(c, i), (u, u, -np.inf, -np.inf), float(dens0[i]))
+                 for i, (t, s) in enumerate(probes)], (0, 0, 1, 1))
     return FacePairTerm(face_x, face_y, est)
 
 
@@ -503,12 +456,11 @@ def _edge_terms(model, pairs, u: float, constrain_x: bool, constrain_y: bool) ->
     terms = [FacePairTerm(face_x, face_y,
                           res.estimate(f"face pair ({face_x},{face_y}) quadrature"))
              for (face_x, face_y), res in zip(pairs, results)]
-    moments = gauss.truncated_moments([_edge_region(work, s0, u, constrain)
-                                       for work, s0, constrain in specs], (0, 0, 0, 1))
-    for i, ((work, _, _), mom) in enumerate(zip(specs, moments)):
-        _check_against_cubature("edge integrand at t=0.5",
-                                _value_at(first[0][0][i], first[0][1][i], 0.5),
-                                mom.value / math.sqrt(2.0 * math.pi * work.lambda1))
+    _spot_check([("edge integrand at t=0.5", _value_at(first[0][0][i], first[0][1][i], 0.5),
+                  _dense(_edge_conditional(work, 0.5, s0)),
+                  (u, u, 0.0 if constrain else -np.inf, -np.inf),
+                  1.0 / math.sqrt(2.0 * math.pi * work.lambda1))
+                 for i, (work, s0, constrain) in enumerate(specs)], (0, 0, 0, 1))
     return terms
 
 

@@ -73,18 +73,20 @@ class PathBatch:
 
 def _pivoted_cholesky(model: model_mod.BivariateModel, grid: np.ndarray):
     """F (2n x k) with F F^T equal to the joint grid covariance up to a
-    residual whose diagonal is at most _PIVOT_TOL, and its conditioning
-    (first pivot / last kept pivot)^2.  Both kernels are correlation
-    functions, so the diagonal starts at 1."""
+    residual whose diagonal is at most _PIVOT_TOL, its conditioning
+    (first pivot / last kept pivot)^2, and its pivot rows P in pivot order.
+    F[P] is lower triangular up to rounding: each column vanishes on the
+    rows pivoted before it.  Both kernels are correlation functions, so
+    the diagonal starts at 1."""
     n = grid.size
     rows = [("X", grid, 0), ("Y", grid, 0)]
     resid = np.ones(2 * n)
     factor = np.empty((2 * n, 32))
-    pivots = []
+    pivots, order = [], []
     while True:
         p = int(np.argmax(resid))
         if resid[p] <= _PIVOT_TOL:
-            return factor[:, : len(pivots)], pivots[0] / pivots[-1]
+            return factor[:, : len(pivots)], pivots[0] / pivots[-1], order
         pivot, k = float(resid[p]), len(pivots)
         if k == factor.shape[1]:
             factor = np.hstack([factor, np.empty_like(factor)])
@@ -92,6 +94,7 @@ def _pivoted_cholesky(model: model_mod.BivariateModel, grid: np.ndarray):
         factor[:, k] = (col - factor[:, :k] @ factor[p, :k]) / math.sqrt(pivot)
         resid -= factor[:, k] ** 2
         pivots.append(pivot)
+        order.append(p)
         q = int(np.argmin(resid))
         if resid[q] < -_PIVOT_TOL:
             raise DegeneracyError(f"joint grid covariance is indefinite: residual variance "
@@ -128,7 +131,7 @@ def _chunks(factor: np.ndarray, reps: int, seed: int):
 def sample_paths(
     model: model_mod.BivariateModel, grid_n: int, reps: int, seed: int
 ) -> PathBatch:
-    grid, factor, cond = _factor(model, grid_n, reps)
+    grid, factor, cond, _ = _factor(model, grid_n, reps)
     paths = np.empty((reps, 2 * grid_n))
     for start, _, p in _chunks(factor, reps, seed):
         paths[start : start + len(p)] = p
@@ -157,11 +160,17 @@ def _conditional_mean_path(model, grid, t_star, s_star, u):
     return cov @ weights
 
 
-def _tilt(model, grid, factor, shift, u):
+def _tilt(model, grid, factor, pivot_rows, shift, u):
     """(w, u - F w, |w|^2 / 2) for the w with F w = m, m the conditional
-    mean path given X(t*)=Y(s*)=u; a residual above _TILT_TOL raises."""
+    mean path given X(t*)=Y(s*)=u; a residual above _TILT_TOL raises.
+    w solves F[P] w = m[P] on the pivot rows P by forward substitution in
+    one fixed order, so that it has the same bits under any BLAS thread
+    count (LAPACK's least-squares and k x k solves do not)."""
     m = _conditional_mean_path(model, grid, float(shift[0]), float(shift[1]), u)
-    w = np.linalg.lstsq(factor, m, rcond=None)[0]
+    tri, rhs = factor[pivot_rows], m[pivot_rows]
+    w = np.zeros(len(pivot_rows))
+    for i in range(len(w)):
+        w[i] = (rhs[i] - tri[i, :i] @ w[:i]) / tri[i, i]
     fw = factor @ w
     resid = float(np.linalg.norm(fw - m) / np.linalg.norm(m))
     if not resid <= _TILT_TOL:
@@ -241,8 +250,9 @@ def simulate(
         raise ArgumentError("levels must be nonempty")
     for u in levels:
         check_level(u)
-    grid, factor, cond = _factor(model, grid_n, reps)
-    tilts = [None if shift is None else _tilt(model, grid, factor, shift, u) for u in levels]
+    grid, factor, cond, pivot_rows = _factor(model, grid_n, reps)
+    tilts = [None if shift is None else _tilt(model, grid, factor, pivot_rows, shift, u)
+             for u in levels]
     contribs = np.zeros((len(levels), reps))
     prods = np.zeros((len(levels), reps), dtype=np.int64)
     for start, z, p in _chunks(factor, reps, seed):

@@ -266,19 +266,21 @@ def test_compare_reruns_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# the bytes `simulate` wrote for this run before its paths were multiplied
-# and reduced in 128-row chunks: tilted, three levels, a short last block.
-# A rerun only compares the code with itself; this pin also catches a
-# change in the rounding of the paths or of the estimators.
+# the bytes `simulate` writes for this run: tilted, three levels, a short
+# last block.  A rerun only compares the code with itself; this pin also
+# catches a change in the rounding of the paths, of the tilt or of the
+# estimators.  The tilt's forward substitution on the pivot rows moved the
+# excursion and ess columns by at most 3.5e-10 relative from the bytes the
+# least-squares tilt wrote; the eec columns and the factor did not move.
 PINNED_SIMULATE = (
     "u,excursion_mc,excursion_stderr,excursion_method,eec_mc,eec_stderr,ess,"
     "factor_rank,factorization_cond\n"
-    "2,0.0087094424936082528,0.00054406643512405436,ImportanceSampled,"
-    "0.0080000000000000002,0.0023009120215153455,218.99148460969917,16,30837343234.242771\n"
-    "2.5,0.0015001893512444143,0.00011327818058589272,ImportanceSampled,"
-    "0.00066666666666666664,0.00066666666666666675,157.12120786902031,16,30837343234.242771\n"
-    "3,0.00020697465734605315,1.9174985924170429e-05,ImportanceSampled,0,0,"
-    "108.1796994946873,16,30837343234.242771\n"
+    "2,0.0087094424949361576,0.00054406643531039933,ImportanceSampled,"
+    "0.0080000000000000002,0.0023009120215153455,218.99148453861781,16,30837343234.242771\n"
+    "2.5,0.0015001893514586205,0.00011327818059239002,ImportanceSampled,"
+    "0.00066666666666666664,0.00066666666666666675,157.12120789305379,16,30837343234.242771\n"
+    "3,0.00020697465740787365,1.9174985928265417e-05,ImportanceSampled,0,0,"
+    "108.17969951177716,16,30837343234.242771\n"
 )
 
 

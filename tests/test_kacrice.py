@@ -122,6 +122,38 @@ def test_interior_integrand_pin():
     assert val == pytest.approx(1.8708610805910145e-4, rel=1e-8)
 
 
+# interior_interior_integrand off the spot checks' probes, at u = 3, 6, 9,
+# as the regression of (X'', Y'') on (X, Y) computed it: interior-point, a
+# transposed corner, and the lag integral's points (v, 0) and (0, v)
+INTERIOR_OFF_PROBE = (
+    (fixture("interior-point"), (0.2, 0.7),
+     (1.1229943460862128e-04, 1.0272170702141293e-12, 3.8233583288828637e-26)),
+    (fixture("interior-point"), (0.8, 0.35),
+     (1.1635938031404102e-04, 1.1438417660727784e-12, 4.796589335922333e-26)),
+    (transpose(fixture("corner-nondegenerate")), (0.15, 0.9),
+     (2.2370302643646395e-05, 2.654282138675825e-14, 3.1781294865563386e-29)),
+    (transpose(fixture("corner-nondegenerate")), (0.6, 0.3),
+     (3.7016433420483285e-06, 5.556649001698912e-17, 4.949229982028634e-35)),
+    (fixture("diagonal"), (0.3, 0.0),
+     (1.1188938118610206e-04, 8.230248588656533e-13, 2.2922595474202675e-26)),
+    (fixture("diagonal"), (0.0, 0.3),
+     (1.1188938118610206e-04, 8.230248588656533e-13, 2.2922595474202675e-26)),
+    (fixture("diagonal"), (0.85, 0.0),
+     (1.5805585341376208e-05, 7.182305611682543e-15, 1.7564314965868565e-30)),
+    (fixture("diagonal"), (0.0, 0.85),
+     (1.5805585341376208e-05, 7.182305611682543e-15, 1.7564314965868565e-30)),
+)
+
+
+@pytest.mark.parametrize("mod,node,pins", INTERIOR_OFF_PROBE,
+                         ids=[f"{m.label}-{t:g}-{s:g}" for m, (t, s), _ in INTERIOR_OFF_PROBE])
+def test_interior_integrand_off_the_probe(mod, node, pins):
+    # the spot check sees the centre node only; these pin the rest
+    for u, pin in zip((3.0, 6.0, 9.0), pins):
+        val = kr.interior_interior_integrand(mod, *node, u)
+        assert val == pytest.approx(pin, rel=1e-13, abs=0.0), u
+
+
 def test_interior_integrand_independent_closed_form():
     # independent marginals: density of (X',Y') at 0 is 1/(2 pi) and each
     # factor reduces to -phi(u)
@@ -143,8 +175,9 @@ def test_conditional_hessian_coefficients_at_anchor():
     # E{X'' | X=x, Y=y, X'=Y'=0} = a1 x + b1 y; at the anchor of the
     # interior-point fixture the combined slope along x = y = u is exactly
     # (r11 - lambda1)/(1 + R) = -1, and likewise for Y''
-    c, _ = kr._interior_conditional(fixture("interior-point"), 0.5, 0.5)
-    a1, b1, a2, b2, c12 = (float(v[0]) for v in kr._hessian_regression(c))
+    cov = kr._dense(kr._interior_conditional(fixture("interior-point"), 0.5, 0.5)[0])
+    (a1, a2), (b1, b2) = np.linalg.solve(cov[:2, :2], cov[:2, 2:])
+    c12 = cov[2, 3] - (a1 * cov[0, 3] + b1 * cov[1, 3])
     assert a1 + b1 == pytest.approx(-1.0, rel=1e-12)
     assert a2 + b2 == pytest.approx(-1.0, rel=1e-12)
     assert c12 == pytest.approx(0.0, abs=1e-13)

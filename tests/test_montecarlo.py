@@ -1,5 +1,8 @@
 """Path sampling, excursion counting, and the two estimators."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
@@ -82,7 +85,7 @@ def test_sample_paths_match_whole_block_products(mod, grid_n):
     # row of the whole-block product z F^T from the same Philox stream
     # (ranks 16 and 110 at grid 4096; one row, a short last block, and one
     # row past two full blocks)
-    _, factor, _ = mc._factor(mod, grid_n, 1)
+    factor = mc._factor(mod, grid_n, 1)[1]
     for reps in (1, 1500, 2 * mc._BLOCK + 1):
         batch = mc.sample_paths(mod, grid_n, reps, 9)
         for b, start in enumerate(range(0, reps, mc._BLOCK)):
@@ -236,7 +239,7 @@ def test_factor_reproduces_grid_covariance(mod, grid_n):
     # the factor is built from the diagonal and k pivot columns only; the
     # full covariance it must reproduce comes from the one grid builder
     grid = np.linspace(0.0, 1.0, grid_n)
-    factor, cond = mc._pivoted_cholesky(mod, grid)
+    factor, cond, _ = mc._pivoted_cholesky(mod, grid)
     cov = joint_cov(mod, [("X", grid, 0), ("Y", grid, 0)])
     assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-10
     assert cond >= 1.0
@@ -306,6 +309,45 @@ def test_tilt_outside_factor_span_raises(monkeypatch):
                                     shift=(0.5, 0.5))
 
 
+def _short_scale_model():
+    k = SquaredExponential(0.05)
+    return BivariateModel(k, k, ShiftMixture(0.5, 0.1, k), label="short-scale")
+
+
+@pytest.mark.parametrize("mod", [fixture("interior-point"), fixture("diagonal"),
+                                 _short_scale_model()], ids=lambda m: m.label)
+def test_tilt_solves_on_the_pivot_rows(mod):
+    # the factor's pivot rows are lower triangular up to rounding, so the
+    # tilt is their forward substitution; it must still reproduce the mean
+    # path on every grid row, far inside _TILT_TOL
+    grid, factor, _, pivot_rows = mc._factor(mod, 512, 1)
+    tri = factor[pivot_rows]
+    assert np.max(np.abs(np.triu(tri, 1))) <= 1e-9
+    assert np.all(np.diag(tri) > 0.0)
+    w, thr, half_ww = mc._tilt(mod, grid, factor, pivot_rows, (0.55, 0.45), 3.0)
+    m = mc._conditional_mean_path(mod, grid, 0.55, 0.45, 3.0)
+    assert np.linalg.norm(factor @ w - m) <= 1e-12 * np.linalg.norm(m)
+    assert np.array_equal(thr, 3.0 - factor @ w) and half_ww == 0.5 * float(w @ w)
+
+
+def test_tilted_estimate_is_blas_thread_invariant():
+    # at grid 4096 the rank-111 factor's least-squares solve took a
+    # different LAPACK path under one and two BLAS threads; the forward
+    # substitution gives the same bits under both
+    code = ("import sys; sys.path[:0] = " + repr(sys.path) + "\n"
+            "from jointeec import montecarlo as mc\n"
+            "from jointeec.model import BivariateModel, ShiftMixture, SquaredExponential\n"
+            "k = SquaredExponential(0.05)\n"
+            "mod = BivariateModel(k, k, ShiftMixture(0.5, 0.1, k))\n"
+            "sim = mc.simulate(mod, (2.0, 3.0), 4096, 1024, 3, shift=(0.55, 0.45))\n"
+            "print(sim.rank, [lv.excursion.value.hex() for lv in sim.levels])\n")
+    out = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": str(n)}).stdout
+           for n in (1, 2)]
+    assert out[0].startswith("111 ")
+    assert out[0] == out[1]
+
+
 # (fixture, maximizer) pairs for the sweep tests: an interior point, the
 # middle of the diagonal ridge and a corner
 SWEEP_CASES = (("interior-point", (0.5, 0.5)), ("diagonal", (0.5, 0.5)),
@@ -315,9 +357,8 @@ SWEEP_CASES = (("interior-point", (0.5, 0.5)), ("diagonal", (0.5, 0.5)),
 def _tilted_reference(mod, u, grid_n, reps, seed, shift):
     """The importance-sampled estimate with the tilted paths (z + w) F^T
     formed in full, block by block from the same Philox streams."""
-    grid, factor, _ = mc._factor(mod, grid_n, reps)
-    m = mc._conditional_mean_path(mod, grid, shift[0], shift[1], u)
-    w = np.linalg.lstsq(factor, m, rcond=None)[0]
+    grid, factor, _, pivot_rows = mc._factor(mod, grid_n, reps)
+    w = mc._tilt(mod, grid, factor, pivot_rows, shift, u)[0]
     contrib = []
     for b, start in enumerate(range(0, reps, mc._BLOCK)):
         key = np.array([seed, b], dtype=np.uint64)
