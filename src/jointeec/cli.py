@@ -171,9 +171,10 @@ def _cmd_eec(mod, args):
     header = ("u", "eec_numeric", "quad_error", "low_confidence")
     for u in args.u:  # every level in range before any sum is run
         check_level(u)
+    cls = asymptotics.classify(mod) if restricted else None  # once for every level
     rows = []
     for u in args.u:
-        result = kacrice.eec(mod, u, restricted=restricted)
+        result = kacrice.eec(mod, u, restricted=restricted, classification=cls)
         for note in result.total.notes:
             print(f"eec: {note}", file=sys.stderr)
         rows.append((u, result.total.value, result.total.error, result.total.low_confidence))
@@ -239,7 +240,7 @@ def _cmd_simulate(mod, args):
 
 def _cmd_compare(mod, args):
     restricted = args.theorem == "3.3-restricted"
-    _, term = _closed_form_term(mod, args)
+    cls, term = _closed_form_term(mod, args)
     sim = montecarlo.simulate(mod, args.u, args.grid, args.reps, args.seed)
     header = (
         "u",
@@ -254,7 +255,7 @@ def _cmd_compare(mod, args):
     violations = []
     for u, lv in zip(args.u, sim.levels):
         cf = term.evaluate(u)
-        ee = kacrice.eec(mod, u, restricted=restricted).total.value
+        ee = kacrice.eec(mod, u, restricted=restricted, classification=cls).total.value
         mc = lv.eec
         ratio_cf = cf / ee if ee != 0.0 else math.nan
         ratio_mc = ee / mc.value if mc.value != 0.0 else math.nan

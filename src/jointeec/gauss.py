@@ -129,12 +129,13 @@ def ndtr(x):
     # piece before the cast, which would warn on it, and t carries the NaN
     i = np.fmin(8.0 * h / hp4, 7.0).astype(np.intp)
     t = ((15.0 - 2.0 * i) * h - (8.0 * i + 4.0)) / hp4
-    coef = _MILLS_T[:, i]
-    p = coef[12] * t
-    for c in coef[11:0:-1]:
-        p += c
+    # Horner over the rows of _MILLS_T, one row's coefficients gathered at a
+    # time (gathering all 13 at once would hold a 13 x size array)
+    p = _MILLS_T[12][i] * t
+    for row in _MILLS_T[11:0:-1]:
+        p += row[i]
         p *= t
-    p += coef[0]
+    p += _MILLS_T[0][i]
     hi = np.floor(h * 64.0) / 64.0
     lo = h - hi
     q = np.exp(-0.5 * hi * hi) * np.exp(-lo * (hi + 0.5 * lo)) * p

@@ -7,15 +7,25 @@ interval, giving a 1D integral), and one interior x interior 2D
 integral, each weighted by (-1)^(k+l) where k and l are the face
 dimensions.
 
-When the cross form is lag-only (model.CrossCorrelation.lag_only:
-r(t,s) depends on t - s alone, as for ShiftMixture), every covariance of
-the interior integrand f is a function of v = t - s too, and the 2D
-integral over [0,1]^2 is exactly the 1D integral
-int_0^1 (1 - v) (f(v) + f(-v)) dv, with f(v) taken at (t,s) = (v, 0) and
-f(-v) at (0, v).  That one is integrated by the Gauss-Kronrod rule, both
-halves of each node in one integrand call, and its n counts integrand
-points, two per node.  Any other cross form goes through the adaptive
-Genz-Malik cubature.
+The interior pair takes one of three routes, chosen from what the cross
+form declares:
+
+* lag-only (model.CrossCorrelation.lag_only: r(t,s) depends on t - s
+  alone, as for ShiftMixture): every covariance of the interior integrand
+  f is a function of v = t - s too, and the 2D integral over [0,1]^2 is
+  exactly the 1D integral int_0^1 (1 - v) (f(v) + f(-v)) dv, with f(v)
+  taken at (t,s) = (v, 0) and f(-v) at (0, v).  That one is integrated by
+  the Gauss-Kronrod rule, both halves of each node in one integrand call,
+  and its n counts integrand points, two per node.
+* anchored (model.CrossCorrelation.anchor: r(t,s) = c C_X(t - t*)
+  C_Y(s - s*) with the model's own kernels, as for PointAnchor): given one
+  standard normal xi, X and Y are independent (model's PointAnchor notes
+  give the construction), so the 2D integral is int phi(xi) I_X(xi)
+  I_Y(xi) dxi with I_X and I_Y 1D integrals, each node one normal tail
+  and no bivariate normal (_anchored_interior).  On the fixtures its cost
+  does not grow with u: the xi rule is centred and scaled on the
+  integrand's exponent.
+* any other cross form goes through the adaptive Genz-Malik cubature.
 
 For N=1 the determinant factors inside the integrals are the scalars
 X''(t) and Y''(s), so each integrand is a Gaussian truncated moment, in
@@ -30,7 +40,10 @@ of its truncated density, gauss.truncated_moments.  The probe is the
 rule's own centre node, t = 0.5 for the Gauss-Kronrod rule and (0.5, 0.5)
 for the cubature, and the value checked is the one the rule computed
 there in its first batch.  The lag integral's centre node v = 0.5 is
-checked at both of its points, (0.5, 0) and (0, 0.5), in one call.
+checked at both of its points, (0.5, 0) and (0, 0.5), in one call.  The
+anchored route checks (0.5, 0.5) too: every call of a new xi order
+carries t = s = 0.5 beside its panels' nodes, and the value checked is
+the final xi rule's sum_k W_k f_X(xi_k, 0.5) f_Y(xi_k, 0.5).
 
 The four vertex x edge integrals of a sum (the "edge terms") are refined
 in lockstep (quadrature.lockstep_1d): each pass evaluates the nodes of
@@ -52,6 +65,7 @@ super-exponential order in u.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -324,6 +338,148 @@ def interior_interior_integrand(model: model_mod.BivariateModel, t, s, u: float)
 
 
 # ---------------------------------------------------------------------------
+# the interior pair of an anchored cross form, r(t, s) = c C_X(t - t*) C_Y(s - s*):
+# with xi ~ N(0, 1), X(t) = sqrt(c) C_X(t - t*) xi + V(t) and likewise Y, V and
+# W independent, so given xi the pair factors and
+# int int (interior integrand) dt ds = int phi(xi) I_X(xi) I_Y(xi) dxi.
+
+_XI_ORDERS = (24, 32, 48, 64, 96, 128)  # the Gauss-Hermite ladder in xi
+_EPS = float(np.finfo(float).eps)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite(n: int):
+    """Gauss-Hermite nodes and weights for the weight exp(-x^2 / 2)."""
+    return np.polynomial.hermite_e.hermegauss(n)
+
+
+def _anchored_integrands(c: float, sides, ts, xi, u: float) -> list:
+    """f(xi, t) = p_{X'(t)|xi}(0) E{X''(t) 1{X(t)>=u} | X'(t)=0, xi} for each
+    side (kernel, lambda, anchor point) at its own 1-d nodes ts[i] and every
+    xi, one (xi, t) array per side, all normal tails in one gauss.ndtr call.
+
+    Given xi, X(t) = a(t) sqrt(c) xi + V(t) with a = C(t - anchor); the jet
+    (X, X', X'') has mean sqrt(c) xi (a, a', a'') and covariance K_ij =
+    (-1)^i C^(i+j)(0) - c a^(i) a^(j) (C is even: C'(0) = C^(3)(0) = 0), so X'
+    has the density phi(sqrt(c) xi a' / sqrt(K_11)) / sqrt(K_11) at 0.  With
+    rho = lambda / K_11, conditioning on X' = 0 leaves X and X'' the means
+    (mu0, mu2) = sqrt(c) xi rho (a, a''), the variance s00 = 1 - c rho a^2
+    >= 1 - c and the covariance s02 = -lambda - c rho a a'', so
+    E{X'' 1{X>=u}} = mu2 Q(z) + s02 / sqrt(s00) phi(z), z = (u - mu0) /
+    sqrt(s00)."""
+    alpha = math.sqrt(c)
+    parts = []
+    for (kernel, lam, anchor), t in zip(sides, ts):
+        a0, a1, a2 = kernel.derivs(t - anchor, 2)
+        k11 = lam - c * a1 * a1
+        rho = lam / k11
+        sd = np.sqrt(1.0 - c * rho * a0 * a0)
+        z = (u - np.multiply.outer(xi, alpha * rho * a0)) / sd
+        parts.append((z, np.multiply.outer(xi, alpha * rho * a2),
+                      (-lam - c * rho * a0 * a2) / sd,
+                      _phi(np.multiply.outer(xi, alpha * a1 / np.sqrt(k11))) / np.sqrt(k11)))
+    tails = np.split(gauss.ndtr(-np.concatenate([z.ravel() for z, *_ in parts])),
+                     np.cumsum([z.size for z, *_ in parts])[:-1])
+    return [(mu2 * tail.reshape(z.shape) + g * _phi(z)) * dens
+            for (z, mu2, g, dens), tail in zip(parts, tails)]
+
+
+def _xi_envelope(c: float, sides, u: float):
+    """Centre and scale of the xi rule from the quadratic exponent
+    xi^2 / 2 + sum_sides (u - a xi)^2 / (2 (1 - a^2)), with a = sqrt(c) C at
+    the largest |C(t - anchor)| over t in [0, 1]: P = 1 + sum a^2 / (1 - a^2),
+    centre u sum(a / (1 - a^2)) / P, scale P^(-1/2)."""
+    prec, lin = 1.0, 0.0
+    for kernel, _, anchor in sides:
+        t = np.append(np.linspace(0.0, 1.0, 101), min(max(anchor, 0.0), 1.0))
+        (vals,) = kernel.derivs(t - anchor, 0)
+        a = math.sqrt(c) * float(vals[np.argmax(np.abs(vals))])
+        prec += a * a / (1.0 - a * a)
+        lin += a / (1.0 - a * a)
+    return u * lin / prec, 1.0 / math.sqrt(prec)
+
+
+def _anchored(model: model_mod.BivariateModel) -> bool:
+    """True if the cross form declares an anchor whose kernels are the
+    model's own marginal kernels, as _anchored_interior needs."""
+    anchor = model.cross.anchor
+    return anchor is not None and anchor[3:] == (model.kernel_x, model.kernel_y)
+
+
+def _anchored_interior(model: model_mod.BivariateModel, u: float):
+    """The interior pair of an anchored cross form, sum_k W_k I_X(xi_k)
+    I_Y(xi_k), and the interior integrand at the probe (0.5, 0.5) by the
+    same rule, sum_k W_k f_X(xi_k, 0.5) f_Y(xi_k, 0.5).
+
+    xi runs over a Gauss-Hermite rule of the ladder _XI_ORDERS, mapped by
+    xi = centre + scale sinh(k x) / k with (centre, scale) from _xi_envelope
+    and k = 0.3 (1 - scale): the stretch reaches the unit-scale tail of
+    phi(xi) that a near-1 c leaves past the level where X's conditional
+    mean crosses u, and vanishes for c = 0.  I_X and I_Y are GK15 sums over
+    one panel mesh per side, shared by every xi node
+    (quadrature.shared_mesh_1d) and started as two panels on each side of
+    the anchor (clipped to [0, 1]).
+
+    Each rung of the ladder evaluates its order and the one below it, and
+    its first call carries the probe point t = s = 0.5.  The gap between
+    the two orders is an error no panel split lowers: above half the
+    target quad_rel_tol |value| the rule climbs to the next rung, from the
+    mesh the last one left, and above the whole target at the top rung it
+    stops unconverged.  A panel's propagated error is sum_k W_k |K15 -
+    G7| times the other side's |I| (plus its error, on the X side, which
+    covers the product of the two errors).  The error is the order gap plus
+    every panel's, plus 16 ulps of the terms' magnitudes for the rounding
+    of the sums.  n counts the (xi, t) and (xi, s) points evaluated; past
+    quad_max_evals the result is returned unconverged."""
+    c, t_star, s_star, _, _ = model.cross.anchor
+    sides = ((model.kernel_x, model.lambda1, t_star), (model.kernel_y, model.lambda2, s_star))
+    centre, scale = _xi_envelope(c, sides, u)
+    stretch = 0.3 * (1.0 - scale)
+
+    def rule(level):
+        x, w = _hermite(_XI_ORDERS[level])
+        xi = centre + scale * (np.sinh(stretch * x) / stretch if stretch > 0.0 else x)
+        return xi, (scale * w * np.cosh(stretch * x) * np.exp(0.5 * (x * x - xi * xi))
+                    / math.sqrt(2.0 * math.pi))
+
+    def start(anchor):
+        cut = min(max(anchor, 0.0), 1.0)
+        edges = sorted({0.0, 0.5 * cut, cut, 0.5 * (cut + 1.0), 1.0})
+        return np.array(edges[:-1]), np.array(edges[1:])
+
+    meshes, n = [start(t_star), start(s_star)], 0
+    for level in range(1, len(_XI_ORDERS)):
+        (xi, w), (xi_below, w_below) = rule(level), rule(level - 1)
+        m, both, probe = len(xi), np.concatenate([xi, xi_below]), []
+
+        def f(ts):
+            if probe:
+                return _anchored_integrands(c, sides, ts, both, u)
+            out = _anchored_integrands(c, sides, [np.append(t, 0.5) for t in ts], both, u)
+            probe.extend(v[:m, -1] for v in out)
+            return [v[:, :-1] for v in out]
+
+        def weigh(sums):
+            (kx, ex), (ky, ey) = sums
+            ix, iy = kx.sum(axis=1), ky.sum(axis=1)
+            terms = w * ix[:m] * iy[:m]
+            value = math.fsum(terms)
+            gap = abs(value - math.fsum(w_below * ix[m:] * iy[m:]))
+            panel_err = [np.einsum("kp,k->p", ex[:m], w * (np.abs(iy[:m]) + ey[:m].sum(axis=1))),
+                         np.einsum("kp,k->p", ey[:m], w * np.abs(ix[:m]))]
+            # plus 16 ulps of the terms for the rounding of the sums
+            return value, panel_err, gap + 16.0 * _EPS * math.fsum(np.abs(terms))
+
+        top = level + 1 == len(_XI_ORDERS)
+        res, meshes = quadrature.shared_mesh_1d(f, meshes, weigh, DEFAULT_TOL.quad_rel_tol,
+                                                DEFAULT_TOL.quad_max_evals - n, 1.0 if top else 0.5)
+        n += res.n_evals + 2 * len(both)  # with the probe's points
+        if res.converged or n >= DEFAULT_TOL.quad_max_evals:
+            break
+    return replace(res, n_evals=n), math.fsum(w * probe[0] * probe[1])
+
+
+# ---------------------------------------------------------------------------
 # spot checks: one node per integrated term is recomputed by the direct
 # cubature of gauss.truncated_moments.  The integrand value compared is the
 # one the rule computed at that node in its first batch, so a check makes
@@ -395,8 +551,9 @@ def face_pair_integral(
     integral int_0^1 (1 - v) (f(v) + f(-v)) dv by Gauss-Kronrod, each
     pass one integrand call at (v, 0) and (0, v) for all its nodes v; its
     n counts both points of each node, and its probe points are (0.5, 0)
-    and (0, 0.5).  Any other cross form takes the cubature over [0,1]^2,
-    probed at (0.5, 0.5)."""
+    and (0, 0.5).  That of an anchored cross form is _anchored_interior's
+    sum over xi, probed at (0.5, 0.5) by the final xi rule.  Any other
+    cross form takes the cubature over [0,1]^2, probed at (0.5, 0.5)."""
     k = int(face_x == "Interior") + int(face_y == "Interior")
 
     if k == 0:
@@ -408,28 +565,33 @@ def face_pair_integral(
         (term,) = _edge_terms(model, [(face_x, face_y)], u, constrain_x, constrain_y)
         return term
 
-    first: list = []
-    interior = _keeping_first_batch(
-        lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u), first)
-    if model.cross.lag_only:
-        def lag(v):
-            m = v.size
-            p = np.zeros((2 * m, 2))
-            p[:m, 0] = p[m:, 1] = v  # f(v) at (v, 0), f(-v) at (0, v)
-            vals = interior(p)
-            return (1.0 - v) * (vals[:m] + vals[m:])
-
-        res = quadrature.integrate_1d(lag, 0.0, 1.0, **_TOLS)
-        res = replace(res, n_evals=2 * res.n_evals)
-        probes = ((0.5, 0.0), (0.0, 0.5))
+    if _anchored(model):
+        res, at_probe = _anchored_interior(model, u)
+        probes, values = ((0.5, 0.5),), (at_probe,)
     else:
-        res = quadrature.integrate_nd(interior, np.zeros(2), np.ones(2), **_TOLS)
-        probes = ((0.5, 0.5),)
+        first: list = []
+        interior = _keeping_first_batch(
+            lambda p: interior_interior_integrand(model, p[:, 0], p[:, 1], u), first)
+        if model.cross.lag_only:
+            def lag(v):
+                m = v.size
+                p = np.zeros((2 * m, 2))
+                p[:m, 0] = p[m:, 1] = v  # f(v) at (v, 0), f(-v) at (0, v)
+                vals = interior(p)
+                return (1.0 - v) * (vals[:m] + vals[m:])
+
+            res = quadrature.integrate_1d(lag, 0.0, 1.0, **_TOLS)
+            res = replace(res, n_evals=2 * res.n_evals)
+            probes = ((0.5, 0.0), (0.0, 0.5))
+        else:
+            res = quadrature.integrate_nd(interior, np.zeros(2), np.ones(2), **_TOLS)
+            probes = ((0.5, 0.5),)
+        values = [_value_at(*first[0], probe) for probe in probes]
     est = res.estimate("interior x interior quadrature")
     c, dens0 = _interior_conditional(model, *zip(*probes))
-    _spot_check([(f"interior integrand at (t,s)=({t:g}, {s:g})", _value_at(*first[0], (t, s)),
+    _spot_check([(f"interior integrand at (t,s)=({t:g}, {s:g})", value,
                   _dense(c, i), (u, u, -np.inf, -np.inf), float(dens0[i]))
-                 for i, (t, s) in enumerate(probes)], (0, 0, 1, 1))
+                 for i, ((t, s), value) in enumerate(zip(probes, values))], (0, 0, 1, 1))
     return FacePairTerm(face_x, face_y, est)
 
 
@@ -488,19 +650,22 @@ def eec(
     model: model_mod.BivariateModel,
     u: float,
     restricted: bool = False,
+    classification=None,
 ) -> EecResult:
     """Sum the face-pair terms in a fixed order; exposes the per-term
     breakdown.  The edge terms are refined in lockstep (_edge_terms), the
     other pairs one by one through face_pair_integral.
 
     The full sum integrates all nine pairs whatever the shape of r; only
-    the restricted sum classifies the model, to find its maximizer.  A sum
+    the restricted sum needs the model's maximizer, from classification
+    (asymptotics.classify(model), computed here when not given).  A sum
     whose every term is exactly 0.0 has underflowed, not converged: it is
     returned low-confidence with a note.  A level beyond
     common.MAX_LEVEL in magnitude is an ArgumentError."""
     check_level(u)
     if restricted:
-        classification = asymptotics.classify(model)
+        if classification is None:
+            classification = asymptotics.classify(model)
         pairs, constrain_x, constrain_y = _restricted_pairs(
             model, classification, DEFAULT_TOL.gradient_tol
         )

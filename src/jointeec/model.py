@@ -14,7 +14,11 @@ blocks of `joint_cov`) reads any cross form through r'(t,s) = r(s,t).
 A cross form may also declare `lag_only`: r(t,s) depends on t - s alone,
 so with stationary marginals every covariance of the face-pair
 integrands does too, and the interior pair integrates in the lag (see
-kacrice).  The default False is always correct, only slower.
+kacrice).  The default False is always correct, only slower.  A cross
+form may likewise declare `anchor`, (c, t*, s*, t_kernel, s_kernel) when
+r(t,s) = c t_kernel(t-t*) s_kernel(s-s*); the interior pair then
+integrates given one standard normal (see PointAnchor below).  The
+default None is always correct, only slower.
 No finite differences anywhere in the computational path; they appear
 only in tests as an independent check.
 
@@ -25,7 +29,17 @@ Supported cross forms:
 * PointAnchor: Y is coupled to X through the single value X(t*),
   Y(s) = a(s)*X(t*) + orthogonal remainder with a(s) = c*C_Y(s-s*), so
   r(t,s) = c * C_X(t-t*) * C_Y(s-s*).  The anchor points may lie outside
-  [0,1]; that only moves where r peaks.
+  [0,1]; that only moves where r peaks.  With the model's own kernels as
+  C_X and C_Y the pair also has the law X(t) = alpha C_X(t-t*) xi + V(t),
+  Y(s) = alpha C_Y(s-s*) xi + W(s), alpha = sqrt(c), with xi ~ N(0, 1) and
+  V, W independent centred processes: Cov V(t, t') = C_X(t-t') - c
+  C_X(t-t*) C_X(t'-t*) = (1-c) C_X(t-t') + c (C_X(t-t') - C_X(t-t*)
+  C_X(t'-t*)) is (1-c) times a covariance plus c times the covariance of
+  X given X(t*), so it is positive semi-definite, and so is W's; the
+  cross covariance is alpha^2 C_X C_Y = r.  Splitting c as sqrt(c) on each
+  side leaves every conditional variance of V and W at least 1 - c times
+  that of X or Y, so given xi neither side degenerates.  Given xi, X and Y
+  are independent, which kacrice's anchored route uses.
 """
 
 from __future__ import annotations
@@ -142,6 +156,12 @@ class CrossCorrelation:
         """True only if r(t, s) is a function of t - s alone."""
         return False
 
+    @property
+    def anchor(self):
+        """(c, t*, s*, t_kernel, s_kernel) if r(t, s) = c * t_kernel(t - t*)
+        * s_kernel(s - s*), else None."""
+        return None
+
 
 @dataclass(frozen=True)
 class ShiftMixture(CrossCorrelation):
@@ -184,6 +204,10 @@ class PointAnchor(CrossCorrelation):
         if not (np.isfinite(self.t_star) and np.isfinite(self.s_star)):
             raise ArgumentError(
                 f"anchor points must be finite, got t_star={self.t_star!r}, s_star={self.s_star!r}")
+
+    @property
+    def anchor(self):
+        return self.c, self.t_star, self.s_star, self.t_kernel, self.s_kernel
 
     def partials(self, t, s, orders):
         _check_orders(orders)
@@ -235,6 +259,14 @@ class _Transposed(CrossCorrelation):
     @property
     def lag_only(self) -> bool:
         return self.cross.lag_only
+
+    @property
+    def anchor(self):
+        inner = self.cross.anchor
+        if inner is None:
+            return None
+        c, t_star, s_star, t_kernel, s_kernel = inner
+        return c, s_star, t_star, s_kernel, t_kernel
 
 
 def transpose(model: BivariateModel) -> BivariateModel:

@@ -87,6 +87,29 @@ def test_run_builds_the_parser_once(monkeypatch, capsys):
         cli._parser.cache_clear()
 
 
+def test_eec_and_compare_classify_once(monkeypatch, capsys):
+    # the restricted sum needs the maximizer at every level; one command
+    # classifies its model once and hands the result to every level's sum
+    from jointeec import asymptotics, cli
+
+    calls = []
+    orig = asymptotics.classify
+
+    def counting(mod):
+        calls.append(1)
+        return orig(mod)
+
+    monkeypatch.setattr(asymptotics, "classify", counting)
+    assert cli.run(["eec", "--model", "edge-point-degenerate", "--theorem", "3.3-restricted",
+                    "--u", "3,4.5,6,7.5,9"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    cli.run(["compare", "--model", "edge-point-degenerate", "--theorem", "3.3-restricted",
+             "--u", "3,4.5,6", "--grid", "64", "--reps", "200", "--seed", "1"])
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_validate_fixture_ok():
     proc = run_cli("validate", "--model", "corner-nondegenerate", check=True)
     lines = proc.stdout.strip().splitlines()

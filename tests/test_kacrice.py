@@ -8,13 +8,15 @@ a product closed form for independent marginals.
 import json
 import math
 import os
-from dataclasses import dataclass
+import subprocess
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from jointeec.common import DEFAULT_TOL, ConsistencyError, RegimeError
+from jointeec.common import DEFAULT_TOL, AccuracyError, ConsistencyError, RegimeError
 from jointeec.gauss import condition, mvn_cdf
 from jointeec.model import (
     _FIXTURE_NAMES,
@@ -251,7 +253,7 @@ def test_spot_checks_make_no_integrand_call(monkeypatch):
     _wrap_integrands(monkeypatch, record)
     for fx, fy in INTEGRATED_PAIRS:
         sizes.clear()
-        kr.face_pair_integral(fixture("interior-point"), fx, fy, 3.0)
+        kr.face_pair_integral(_cubature_twin(fixture("interior-point")), fx, fy, 3.0)
         assert sizes and all(ndim == 1 and n >= 15 for ndim, n in sizes), (fx, fy)
 
 
@@ -265,7 +267,7 @@ def test_spot_check_reads_the_centre_node(monkeypatch, fx, fy):
 
     _wrap_integrands(monkeypatch, bump)
     with pytest.raises(ConsistencyError):
-        kr.face_pair_integral(fixture("interior-point"), fx, fy, 3.0)
+        kr.face_pair_integral(_cubature_twin(fixture("interior-point")), fx, fy, 3.0)
 
 
 def test_spot_check_runs_the_direct_cubature_alone(monkeypatch):
@@ -289,7 +291,7 @@ def test_spot_check_runs_the_direct_cubature_alone(monkeypatch):
     for fx, fy in pairs:
         orthants.clear()
         cubatures.clear()
-        kr.face_pair_integral(fixture("interior-point"), fx, fy, 3.0)
+        kr.face_pair_integral(_cubature_twin(fixture("interior-point")), fx, fy, 3.0)
         assert (len(orthants), len(cubatures)) == (0, 1), (fx, fy)
 
 
@@ -297,8 +299,9 @@ def test_spot_check_runs_the_direct_cubature_alone(monkeypatch):
 def test_integrand_batches_evaluate_the_cross_form_once(monkeypatch, name):
     # every cross-correlation partial a batch of nodes needs comes from one
     # evaluation of the cross form (its kernels' exp taken once), not one
-    # per derivative order
-    mod = fixture(name)
+    # per derivative order; the point anchor behind PartialsOnly, whose
+    # interior pair takes the cubature over this integrand
+    mod = fixture(name) if name == "diagonal" else _cubature_twin(fixture(name))
     calls = []
     for attr in ("partial", "partials"):
         real = getattr(type(mod.cross), attr, None)
@@ -429,17 +432,31 @@ PARTIALS_ONLY = tuple(
 @pytest.mark.parametrize("mod", PARTIALS_ONLY, ids=lambda m: m.label)
 def test_any_cross_form_reaches_eec(mod):
     # the Y-edges and the mirrored classification read transpose(model),
-    # which takes any cross form through r'(t, s) = r(s, t)
+    # which takes any cross form through r'(t, s) = r(s, t).  The point
+    # anchor itself integrates its interior pair given the anchor, the
+    # undeclared form by the cubature: those two agree within their errors,
+    # and the interior integrand both would integrate is the same, bit for bit
     wrapped = BivariateModel(mod.kernel_x, mod.kernel_y, mod.cross.inner)
+    t, s = (a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)))
     for u in (3.0, 6.0):
+        assert np.array_equal(kr.interior_interior_integrand(mod, t, s, u),
+                              kr.interior_interior_integrand(wrapped, t, s, u)), u
         for restricted in (False, True):
-            assert (kr.eec(mod, u, restricted=restricted).terms
-                    == kr.eec(wrapped, u, restricted=restricted).terms), (u, restricted)
+            terms = kr.eec(mod, u, restricted=restricted).terms
+            ref = kr.eec(wrapped, u, restricted=restricted).terms
+            assert [(t.face_x, t.face_y) for t in terms] == [(t.face_x, t.face_y) for t in ref]
+            for term, other in zip(terms, ref):
+                if (term.face_x, term.face_y) == ("Interior", "Interior"):
+                    gap = abs(term.value.value - other.value.value)
+                    assert gap <= term.value.error + other.value.error, (u, restricted)
+                else:
+                    assert term == other, (u, restricted, term.face_x, term.face_y)
 
 
 def _cubature_twin(mod):
-    """mod with its cross form behind PartialsOnly, which does not declare
-    lag_only: its interior pair goes through the cubature over [0,1]^2."""
+    """mod with its cross form behind PartialsOnly, which declares neither
+    lag_only nor an anchor: its interior pair goes through the cubature
+    over [0,1]^2."""
     return BivariateModel(mod.kernel_x, mod.kernel_y, PartialsOnly(mod.cross), label=mod.label)
 
 
@@ -477,6 +494,163 @@ def test_lag_interior_term_against_reference(name):
         est = kr.face_pair_integral(fixture(name), "Interior", "Interior", u).value
         assert est.value == pytest.approx(ref, rel=1e-12, abs=0.0), u
         assert est.n <= 500, u
+
+
+# the five point-anchor fixtures and their transposes, and point anchors
+# with unequal scales, anchors outside [0, 1], c = 0, c near 1 and a short
+# scale
+_ANCHOR_CASES = (
+    ("unequal-0.7-1.2", 0.5, 0.3, 0.6, 0.7, 1.2),
+    ("outside-1.4--0.5", 0.5, 1.4, -0.5, 1.0, 1.0),
+    ("c-0", 0.0, 0.5, 0.5, 1.0, 1.0),
+    ("c-0.95", 0.95, 0.5, 0.5, 1.0, 1.0),
+    ("c-0.99", 0.99, 0.5, 0.5, 1.0, 1.0),
+    ("scale-0.15", 0.5, 0.5, 0.5, 0.15, 0.15),
+)
+ANCHORED = tuple(m for name in ("interior-point", "corner-semidegenerate", "corner-degenerate",
+                                "edge-point", "edge-point-degenerate")
+                 for m in (fixture(name), transpose(fixture(name)))) + tuple(
+    BivariateModel(SquaredExponential(sx), SquaredExponential(sy),
+                   PointAnchor(c, ts, ss, SquaredExponential(sx), SquaredExponential(sy)),
+                   label=label)
+    for label, c, ts, ss, sx, sy in _ANCHOR_CASES)
+
+
+@pytest.mark.parametrize("mod", ANCHORED, ids=lambda m: m.label)
+def test_anchored_interior_term_agrees_with_the_cubature(mod):
+    # two routes to one double integral: one Gauss-Hermite sum in the
+    # anchor's xi of two 1-D integrals, and the 2-D cubature for the same
+    # form undeclared
+    twin = _cubature_twin(mod)
+    assert kr._anchored(mod) and not kr._anchored(twin)
+    for u in (3.0, 6.0, 9.0):
+        anchored = kr.face_pair_integral(mod, "Interior", "Interior", u).value
+        cubature = kr.face_pair_integral(twin, "Interior", "Interior", u).value
+        assert abs(anchored.value - cubature.value) <= anchored.error + cubature.error, u
+
+
+def test_anchored_interior_independent_closed_form():
+    # c = 0: X and Y are independent, and each 1-D factor is
+    # -sqrt(lambda) phi(u) / sqrt(2 pi) whatever xi
+    (mod,) = [m for m in ANCHORED if m.label == "c-0"]
+    for u in (3.0, 6.0, 9.0):
+        est = kr.face_pair_integral(mod, "Interior", "Interior", u).value
+        assert est.value == pytest.approx(norm.pdf(u) ** 2 / (2.0 * math.pi), rel=1e-13, abs=0.0)
+
+
+def test_anchored_interior_terms_against_reference():
+    # every interior pair of a point-anchor sum in perfbench/reference.json
+    # (nested scipy quad at 1e-12), read only: within 1e-12, and the error
+    # bar covers the gap
+    cases = [(key, entry["terms"]["Interior-Interior"]) for key, entry in REFERENCE_SUMS.items()
+             if "Interior-Interior" in entry["terms"]
+             and fixture(key.split("|")[0]).cross.anchor is not None]
+    assert len(cases) == 35
+    for key, ref in cases:
+        name, level, _ = key.split("|")
+        est = kr.face_pair_integral(fixture(name), "Interior", "Interior",
+                                    float(level[len("u="):])).value
+        assert est.value == pytest.approx(ref, rel=1e-12, abs=0.0), key
+        assert est.error >= abs(est.value - ref), key
+
+
+def test_anchored_interior_cost_is_flat_in_u():
+    # the xi rule is centred and scaled on the exponent's envelope, so the
+    # points it takes at u = 25 stay within twice those at u = 3 (the
+    # cubature takes 1,003 at u = 3 and 8,619 at u = 25)
+    mod = fixture("interior-point")
+    n3, n25 = (kr.face_pair_integral(mod, "Interior", "Interior", u).value.n for u in (3.0, 25.0))
+    assert n25 <= 2 * n3
+
+
+def test_anchored_interior_past_its_budget_raises(monkeypatch):
+    # at c = 0.99 the first call (6,832 points) leaves the xi orders 24 and
+    # 32 apart by more than the target; with a budget below that call the
+    # rule stops there unconverged, and the term raises
+    (mod,) = [m for m in ANCHORED if m.label == "c-0.99"]
+    monkeypatch.setattr(kr, "DEFAULT_TOL", replace(DEFAULT_TOL, quad_max_evals=6000))
+    with pytest.raises(AccuracyError):
+        kr.face_pair_integral(mod, "Interior", "Interior", 3.0)
+
+
+def test_anchored_interior_stops_when_the_top_order_cannot_converge(monkeypatch):
+    # at c = 0.99999 the xi orders 96 and 128 still differ by more than the
+    # target; no panel split closes that gap, so the rule raises after
+    # climbing the ladder once (77,104 points), not past quad_max_evals
+    k = SquaredExponential(1.0)
+    mod = BivariateModel(k, k, PointAnchor(0.99999, 0.5, 0.5, k, k))
+    real, points = kr._anchored_integrands, []
+
+    def count(c, sides, ts, xi, u):
+        out = real(c, sides, ts, xi, u)
+        points.append(sum(f.size for f in out))
+        return out
+
+    monkeypatch.setattr(kr, "_anchored_integrands", count)
+    with pytest.raises(AccuracyError):
+        kr.face_pair_integral(mod, "Interior", "Interior", 3.0)
+    assert 0 < sum(points) <= 100_000
+
+
+def test_cubature_interior_term_is_blas_thread_invariant():
+    # no fixture's interior pair takes the 2-D cubature any more; its
+    # PartialsOnly twin does, and its sums read the same bits under one and
+    # two BLAS threads
+    code = ("import sys; sys.path[:0] = " + repr([os.path.dirname(__file__)] + sys.path) + "\n"
+            "from jointeec import kacrice as kr\n"
+            "from jointeec.model import fixture\n"
+            "from test_kacrice import _cubature_twin\n"
+            "mod = _cubature_twin(fixture('interior-point'))\n"
+            "for u in (3.0, 6.0, 9.0):\n"
+            "    res = kr.eec(mod, u)\n"
+            "    print(res.total.value.hex(), [t.value.value.hex() for t in res.terms])\n")
+    out = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": str(n)}).stdout
+           for n in (1, 2)]
+    assert out[0].count("\n") == 3
+    assert out[0] == out[1]
+
+
+def _wrap_anchored(monkeypatch, change):
+    """Route the anchored integrands through change(ts, values), one call
+    per side with its 1-d nodes ts and its (xi, t) values."""
+    real = kr._anchored_integrands
+
+    def shim(c, sides, ts, xi, u):
+        return [change(t, f) for t, f in zip(ts, real(c, sides, ts, xi, u))]
+
+    monkeypatch.setattr(kr, "_anchored_integrands", shim)
+
+
+def test_anchored_spot_check_makes_no_single_node_call(monkeypatch):
+    # the probe t = s = 0.5 rides in the rule's own calls: every call holds
+    # whole panels, and the cubature is not run
+    sizes = []
+
+    def record(t, f):
+        sizes.append(np.size(t))
+        return f
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cubature called")
+
+    _wrap_anchored(monkeypatch, record)
+    monkeypatch.setattr(kr.quadrature, "integrate_nd", refuse)
+    for u in (3.0, 9.0):
+        sizes.clear()
+        kr.face_pair_integral(fixture("interior-point"), "Interior", "Interior", u)
+        assert sizes and all(n == 0 or n >= 15 for n in sizes), u
+
+
+def test_anchored_spot_check_reads_the_probe(monkeypatch):
+    # doubling f_X and f_Y at t = s = 0.5 alone leaves the integral as it is
+    # (0.5 is a panel edge, no node of the mesh) and must trip the check
+    def bump(t, f):
+        return np.where(t == 0.5, 2.0, 1.0) * f
+
+    _wrap_anchored(monkeypatch, bump)
+    with pytest.raises(ConsistencyError, match=r"\(t,s\)=\(0.5, 0.5\)"):
+        kr.face_pair_integral(fixture("interior-point"), "Interior", "Interior", 3.0)
 
 
 def _reference_corners():

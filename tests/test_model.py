@@ -192,6 +192,32 @@ def test_lag_only_is_declared_by_shift_mixtures_alone():
     assert ShiftMixture(0.0, 0.3, SquaredExponential(1.0)).lag_only
 
 
+def test_anchor_is_declared_by_point_anchors_alone():
+    # PointAnchor declares (c, t*, s*, t_kernel, s_kernel), transpose swaps
+    # the two sides, and any other form (a shift mixture, a partials-only
+    # wrapper) declares none
+    for mod in [fixture(name) for name in FIXTURES] + list(PARTIALS_ONLY):
+        cr = mod.cross
+        if isinstance(cr, PointAnchor):
+            assert cr.anchor == (cr.c, cr.t_star, cr.s_star, cr.t_kernel, cr.s_kernel)
+            c, t_star, s_star, kt, ks = cr.anchor
+            assert transpose(mod).cross.anchor == (c, s_star, t_star, ks, kt), mod.label
+        else:
+            assert cr.anchor is None and transpose(mod).cross.anchor is None, mod.label
+
+
+def test_anchor_reproduces_the_cross_form():
+    # r(t, s) = c t_kernel(t - t*) s_kernel(s - s*), and the same for the
+    # transposed form, from the declared anchor alone
+    k1, k2 = SquaredExponential(0.7), SquaredExponential(1.2)
+    mod = BivariateModel(k1, k2, PointAnchor(0.5, 0.3, 0.6, k1, k2))
+    t, s = np.array([0.1, 0.45, 0.9]), np.array([0.7, 0.2, 0.95])
+    for m in (mod, transpose(mod)):
+        c, t_star, s_star, kt, ks = m.cross.anchor
+        want = c * kt.derivs(t - t_star, 0)[0] * ks.derivs(s - s_star, 0)[0]
+        np.testing.assert_allclose(cross_eval(m, t, s, 0, 0), want, rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("name", ["diagonal", "corner-nondegenerate"])
 def test_lag_only_partials_move_with_the_lag(name):
     # the declaration holds: every partial is unchanged by a shift of
