@@ -169,8 +169,6 @@ def _cmd_classify(mod, args):
 def _cmd_eec(mod, args):
     restricted = args.theorem == "3.3-restricted"
     header = ("u", "eec_numeric", "quad_error", "low_confidence")
-    for u in args.u:  # every level in range before any sum is run
-        check_level(u)
     cls = asymptotics.classify(mod) if restricted else None  # once for every level
     rows = []
     for u in args.u:
@@ -183,14 +181,12 @@ def _cmd_eec(mod, args):
 
 def _closed_form_term(mod, args):
     """The model's classification and closed-form term, once every level of
-    args.u is in range (common.check_level) and positive."""
-    cls = asymptotics.classify(mod)
-    term = asymptotics.closed_form(mod, cls, 1.0)
+    args.u is positive."""
     for u in args.u:
-        check_level(u)
         if u <= 0.0:
             raise ArgumentError("%s needs u > 0, got %g" % (args.command, u))
-    return cls, term
+    cls = asymptotics.classify(mod)
+    return cls, asymptotics.closed_form(mod, cls, 1.0)
 
 
 def _cmd_closed_form(mod, args):
@@ -308,6 +304,8 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for u in getattr(args, "u", ()):  # every level in range before any work
+            check_level(u)
         header, rows, code = _COMMANDS[args.command](_load_model(args), args)
         _write_table(args.out, header, rows)
     except ArgumentError as exc:

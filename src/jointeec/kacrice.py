@@ -41,8 +41,8 @@ rule's own centre node, t = 0.5 for the Gauss-Kronrod rule and (0.5, 0.5)
 for the cubature, and the value checked is the one the rule computed
 there in its first batch.  The lag integral's centre node v = 0.5 is
 checked at both of its points, (0.5, 0) and (0, 0.5), in one call.  The
-anchored route checks (0.5, 0.5) too: every call of a new xi order
-carries t = s = 0.5 beside its panels' nodes, and the value checked is
+anchored route checks (0.5, 0.5) too: every pass of its refinement
+carries t = s = 0.5 beside its new panels' nodes, and the value checked is
 the final xi rule's sum_k W_k f_X(xi_k, 0.5) f_Y(xi_k, 0.5).
 
 The four vertex x edge integrals of a sum (the "edge terms") are refined
@@ -415,22 +415,25 @@ def _anchored_interior(model: model_mod.BivariateModel, u: float):
     xi = centre + scale sinh(k x) / k with (centre, scale) from _xi_envelope
     and k = 0.3 (1 - scale): the stretch reaches the unit-scale tail of
     phi(xi) that a near-1 c leaves past the level where X's conditional
-    mean crosses u, and vanishes for c = 0.  I_X and I_Y are GK15 sums over
-    one panel mesh per side, shared by every xi node
-    (quadrature.shared_mesh_1d) and started as two panels on each side of
-    the anchor (clipped to [0, 1]).
+    mean crosses u, and vanishes for c = 0.  I_X and I_Y are GK15 sums
+    (quadrature's helpers) over one panel mesh per side, shared by every xi
+    node and started as two panels on each side of the anchor (clipped to
+    [0, 1]).
 
-    Each rung of the ladder evaluates its order and the one below it, and
-    its first call carries the probe point t = s = 0.5.  The gap between
-    the two orders is an error no panel split lowers: above half the
-    target quad_rel_tol |value| the rule climbs to the next rung, from the
-    mesh the last one left, and above the whole target at the top rung it
-    stops unconverged.  A panel's propagated error is sum_k W_k |K15 -
-    G7| times the other side's |I| (plus its error, on the X side, which
-    covers the product of the two errors).  The error is the order gap plus
-    every panel's, plus 16 ulps of the terms' magnitudes for the rounding
-    of the sums.  n counts the (xi, t) and (xi, s) points evaluated; past
-    quad_max_evals the result is returned unconverged."""
+    A rung of the ladder evaluates its order and the one below it.  Each
+    pass makes one _anchored_integrands call on the panels new to the rung,
+    the probe t = s = 0.5 appended, and carries the others' sums forward.
+    A panel's propagated error is sum_k W_k |K15 - G7| times the other
+    side's |I| (plus its error, on the X side, which covers the product of
+    the two errors).  The fixed error, the gap between the two orders plus
+    16 ulps of the terms' magnitudes for the rounding of the sums, is one
+    no split lowers; the error is it plus every panel's.  A pass stops at
+    an error within the target quad_rel_tol |value|, or unconverged at
+    quad_max_evals points or at a fixed error above the target on the top
+    rung.  Else a fixed error above half the target climbs a rung, which
+    re-evaluates the mesh, and a smaller one bisects every panel whose
+    error exceeds its share of what the fixed error leaves of the target.
+    n counts the (xi, t) and (xi, s) points evaluated, the probe's too."""
     c, t_star, s_star, _, _ = model.cross.anchor
     sides = ((model.kernel_x, model.lambda1, t_star), (model.kernel_y, model.lambda2, s_star))
     centre, scale = _xi_envelope(c, sides, u)
@@ -447,36 +450,43 @@ def _anchored_interior(model: model_mod.BivariateModel, u: float):
         edges = sorted({0.0, 0.5 * cut, cut, 0.5 * (cut + 1.0), 1.0})
         return np.array(edges[:-1]), np.array(edges[1:])
 
-    meshes, n = [start(t_star), start(s_star)], 0
-    for level in range(1, len(_XI_ORDERS)):
+    # per side, (lo, hi, K15, |K15 - G7|) of the panels carried forward and
+    # the (lo, hi) of those to evaluate; kept is None on a new rung
+    level, n, kept, new = 1, 0, None, [start(t_star), start(s_star)]
+    while True:
         (xi, w), (xi_below, w_below) = rule(level), rule(level - 1)
-        m, both, probe = len(xi), np.concatenate([xi, xi_below]), []
-
-        def f(ts):
-            if probe:
-                return _anchored_integrands(c, sides, ts, both, u)
-            out = _anchored_integrands(c, sides, [np.append(t, 0.5) for t in ts], both, u)
-            probe.extend(v[:m, -1] for v in out)
-            return [v[:, :-1] for v in out]
-
-        def weigh(sums):
-            (kx, ex), (ky, ey) = sums
-            ix, iy = kx.sum(axis=1), ky.sum(axis=1)
-            terms = w * ix[:m] * iy[:m]
-            value = math.fsum(terms)
-            gap = abs(value - math.fsum(w_below * ix[m:] * iy[m:]))
-            panel_err = [np.einsum("kp,k->p", ex[:m], w * (np.abs(iy[:m]) + ey[:m].sum(axis=1))),
-                         np.einsum("kp,k->p", ey[:m], w * np.abs(ix[:m]))]
-            # plus 16 ulps of the terms for the rounding of the sums
-            return value, panel_err, gap + 16.0 * _EPS * math.fsum(np.abs(terms))
-
+        m, both = len(xi), np.concatenate([xi, xi_below])
+        vals = _anchored_integrands(
+            c, sides, [np.append(quadrature._gk15_place(lo, hi), 0.5) for lo, hi in new], both, u)
+        n += sum(v.size for v in vals)
+        probe = [v[:m, -1] for v in vals]
+        panels = [(lo, hi, *quadrature._gk15_reduce(v[:, :-1].reshape(len(both), len(lo), 15),
+                                                     lo, hi)) for v, (lo, hi) in zip(vals, new)]
+        if kept is not None:
+            panels = [tuple(np.concatenate([a, b], axis=-1) for a, b in zip(old, add))
+                      for old, add in zip(kept, panels)]
+        (_, _, kx, ex), (_, _, ky, ey) = panels
+        ix, iy = kx.sum(axis=1), ky.sum(axis=1)
+        terms = w * ix[:m] * iy[:m]
+        value = math.fsum(terms)
+        fixed = (abs(value - math.fsum(w_below * ix[m:] * iy[m:]))
+                 + 16.0 * _EPS * math.fsum(np.abs(terms)))
+        errs = [np.einsum("kp,k->p", ex[:m], w * (np.abs(iy[:m]) + ey[:m].sum(axis=1))),
+                np.einsum("kp,k->p", ey[:m], w * np.abs(ix[:m]))]
+        error = fixed + math.fsum(np.concatenate(errs))
+        target = DEFAULT_TOL.quad_rel_tol * abs(value)
         top = level + 1 == len(_XI_ORDERS)
-        res, meshes = quadrature.shared_mesh_1d(f, meshes, weigh, DEFAULT_TOL.quad_rel_tol,
-                                                DEFAULT_TOL.quad_max_evals - n, 1.0 if top else 0.5)
-        n += res.n_evals + 2 * len(both)  # with the probe's points
-        if res.converged or n >= DEFAULT_TOL.quad_max_evals:
+        if error <= target or n >= DEFAULT_TOL.quad_max_evals or (top and fixed > target):
             break
-    return replace(res, n_evals=n), math.fsum(w * probe[0] * probe[1])
+        if not top and fixed > 0.5 * target:
+            level, kept, new = level + 1, None, [(lo, hi) for lo, hi, *_ in panels]
+            continue
+        share = (target - fixed) / sum(e.size for e in errs)
+        cuts = [~(e <= share) for e in errs]  # NaN errors split too
+        kept = [tuple(a[..., ~cut] for a in side) for side, cut in zip(panels, cuts)]
+        new = [quadrature._bisect(lo[cut], hi[cut]) for (lo, hi, *_), cut in zip(panels, cuts)]
+    return (quadrature.QuadratureResult(value, error, n, error <= target),
+            math.fsum(w * probe[0] * probe[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,9 @@ What the lockstep saves is the fixed cost of an integrand call: the
 face-pair edge integrand takes about 0.7 ms for 15 nodes and 0.9 ms for
 60 (2-core x86-64 guest).
 
-shared_mesh_1d applies the same GK15 rule to vector-valued integrands:
-one panel mesh per integrand, shared by all its components, refined on
-one joint error that the caller forms from the per-component panel sums
-(as kacrice does for its sum over xi of products of two 1-d integrals).
-Its panel sums go through a fixed-order einsum, not a BLAS product.
+_adapt is the one refinement loop here.  The GK15 helpers (_gk15_place,
+_gk15_reduce, _bisect) also serve kacrice's anchored interior pair, whose
+vector-valued integrands share one panel mesh across their xi nodes.
 """
 
 from __future__ import annotations
@@ -180,9 +178,10 @@ def _gk15_place(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _gk15_reduce(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Per-panel Kronrod values and error estimates from the (panels, 15)
     integrand values, or (components, panels) arrays of them from the
-    (components, panels, 15) values of a vector-valued integrand.  Those
-    go through a fixed-order einsum: a BLAS product over the stacked
-    components would round a value by where it sits in the batch."""
+    (components, panels, 15) values of a vector-valued integrand, as
+    kacrice._anchored_interior passes them.  Those go through a fixed-order
+    einsum: a BLAS product over the stacked components would round a value
+    by where it sits in the batch."""
     half = 0.5 * (hi - lo)
     if vals.ndim == 2:
         k15, g7 = vals @ _W_K, vals @ _W_G
@@ -226,49 +225,6 @@ def lockstep_1d(f, intervals, rel_tol: float = 1e-6, abs_tol: float = 0.0,
     cells = [(np.array([a], dtype=float), np.array([b], dtype=float)) if a != b
              else (np.empty(0), np.empty(0)) for a, b in intervals]  # a == b: no cell, 0
     return _adapt(f, _GK15, cells, rel_tol, abs_tol, max_evals)
-
-
-def shared_mesh_1d(f, meshes, weigh, rel_tol: float, max_evals: int,
-                   fixed_share: float = 1.0) -> tuple[QuadratureResult, list]:
-    """GK15 of vector-valued integrands, each over one adaptive panel mesh
-    shared by all its components, refined under one joint error.
-
-    meshes holds one (lo, hi) pair of panel arrays per integrand.  Each
-    pass makes one call f(ts), ts the GK15 nodes of each mesh's new panels,
-    which returns one (components, nodes) value array per mesh.  weigh
-    takes one (K15, |K15 - G7|) pair of (components, panels) arrays per
-    mesh and returns (value, panel errors, fixed error): one array of
-    errors per mesh and the part of the error no split can lower.  The
-    result's error is their sum, converged at most rel_tol |value|.  A
-    fixed error above fixed_share times that target, or max_evals values
-    of f spent, stops it unconverged; otherwise it bisects the panels of
-    largest error until the rest carry at most a quarter of the target.
-    Returns the result and the final meshes."""
-    new, sums, n = meshes, None, 0
-    while True:
-        vals = f([_gk15_place(lo, hi) for lo, hi in new])
-        n += sum(v.size for v in vals)
-        add = [_gk15_reduce(v.reshape(len(v), len(lo), 15), lo, hi)
-               for v, (lo, hi) in zip(vals, new)]
-        if sums is None:
-            sums = add
-        else:
-            meshes = [tuple(np.concatenate([a[~cut], b]) for a, b in zip(mesh, halves))
-                      for mesh, halves, cut in zip(meshes, new, split)]
-            sums = [tuple(np.concatenate([a[:, ~cut], b], axis=1) for a, b in zip(old, more))
-                    for old, more, cut in zip(sums, add, split)]
-        value, panel_err, fixed = weigh(sums)
-        errs = np.concatenate(panel_err)
-        error = fixed + math.fsum(errs)
-        target = rel_tol * abs(value)
-        if error <= target or fixed > fixed_share * target or n >= max_evals:
-            return QuadratureResult(value, error, n, error <= target), meshes
-        order = np.argsort(-errs, kind="stable")
-        rest = math.fsum(errs) - np.cumsum(errs[order])
-        worst = np.zeros(errs.size, dtype=bool)
-        worst[order[:1 + int(np.argmax(rest <= 0.25 * target))]] = True
-        split = np.split(worst, np.cumsum([len(lo) for lo, _ in meshes])[:-1])
-        new = [_bisect(lo[cut], hi[cut]) for (lo, hi), cut in zip(meshes, split)]
 
 
 # ---------------------------------------------------------------------------

@@ -468,6 +468,27 @@ def test_closed_form_without_a_regime_is_exit_3(tmp_path, capsys):
         "error: no closed form for GeneralFallback; use the numeric sum\n")
 
 
+
+@pytest.mark.parametrize("command,u", [("closed-form", "-1"), ("compare", "inf"),
+                                       ("simulate", "inf")])
+def test_levels_are_checked_before_the_model_is_classified(tmp_path, monkeypatch, capsys,
+                                                           command, u):
+    # an r = 0 model has no closed form, and classifying it takes about
+    # 0.7 s: a bad level is an argument problem, found before either
+    from jointeec import asymptotics
+
+    def refuse(mod):
+        raise AssertionError("classified before the levels were checked")
+
+    monkeypatch.setattr(asymptotics, "classify", refuse)
+    f = _write_model(tmp_path / "m.model", dict(MODEL_FILES["shift-mixture"], c="0"))
+    argv = [command, "--model-file", f, "--u", u]
+    if command != "closed-form":
+        argv += ["--grid", "64", "--reps", "200", "--seed", "1"]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{float(u):g}" in err, err
+
 @pytest.mark.skipif(shutil.which("jointeec") is None,
                     reason="the jointeec console script is not on PATH "
                            "(install the package with pip install -e .)")

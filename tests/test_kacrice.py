@@ -592,6 +592,38 @@ def test_anchored_interior_stops_when_the_top_order_cannot_converge(monkeypatch)
     assert 0 < sum(points) <= 100_000
 
 
+_SHORT_ANCHOR = BivariateModel(SquaredExponential(0.3), SquaredExponential(0.2),
+                               PointAnchor(0.95, 0.2, 0.9, SquaredExponential(0.3),
+                                           SquaredExponential(0.2)), label="short-0.3-0.2")
+
+
+@pytest.mark.parametrize("mod,u,cap", [(_SHORT_ANCHOR, 3.0, 43_696), (_SHORT_ANCHOR, 25.0, 21_952),
+                                       (fixture("corner-semidegenerate"), 25.0, 8_512)],
+                         ids=["short-u3", "short-u25", "corner-semidegenerate-u25"])
+def test_anchored_interior_splits_panels_on_both_sides(monkeypatch, mod, u, cap):
+    # no fixture at u <= 9 splits an anchored panel; these do, on both
+    # sides: later passes bring t and s nodes the first pass had not.  They
+    # converge, at u = 3 to the cubature's value, within 1.25 times the
+    # points cap that bisecting the worst panels until the rest held a
+    # quarter of the target took
+    real, calls = kr._anchored_integrands, []
+
+    def record(c, sides, ts, xi, u):
+        calls.append(ts)
+        return real(c, sides, ts, xi, u)
+
+    monkeypatch.setattr(kr, "_anchored_integrands", record)
+    est = kr.face_pair_integral(mod, "Interior", "Interior", u).value
+    assert len(calls) > 1
+    for side in (0, 1):
+        assert len(np.unique(np.concatenate([ts[side] for ts in calls]))) > calls[0][side].size
+    assert est.n <= 1.25 * cap
+    if u == 3.0:
+        monkeypatch.setattr(kr, "_anchored_integrands", real)
+        twin = kr.face_pair_integral(_cubature_twin(mod), "Interior", "Interior", u).value
+        assert abs(est.value - twin.value) <= est.error + twin.error
+
+
 def test_cubature_interior_term_is_blas_thread_invariant():
     # no fixture's interior pair takes the 2-D cubature any more; its
     # PartialsOnly twin does, and its sums read the same bits under one and

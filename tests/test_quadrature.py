@@ -14,7 +14,6 @@ from jointeec.quadrature import (
     integrate_nd,
     lockstep_1d,
     lockstep_nd,
-    shared_mesh_1d,
 )
 
 
@@ -258,44 +257,3 @@ def test_lockstep_nd_needs_one_dimension():
     with pytest.raises(ValueError, match="one dimension"):
         lockstep_nd(lambda xs: [np.ones(len(x)) for x in xs],
                     [([0.0, 0.0], [1.0, 1.0]), ([0.0] * 3, [1.0] * 3)])
-
-
-_RATES = np.array([1.0, 5.0, 20.0])
-
-
-def _two_meshes(ts):
-    """exp(a t) for three rates a on the first mesh, t^30 twice on the second."""
-    return [np.exp(np.multiply.outer(_RATES, ts[0])), np.multiply.outer(np.ones(2), ts[1] ** 30)]
-
-
-def _total(fixed_rel):
-    """weigh for shared_mesh_1d: the sum of every component's integral, the
-    panel errors summed over components, and a fixed error of fixed_rel
-    times the value."""
-    def weigh(sums):
-        (k0, e0), (k1, e1) = sums
-        value = math.fsum(k0.ravel()) + math.fsum(k1.ravel())
-        return value, [e0.sum(axis=0), e1.sum(axis=0)], fixed_rel * abs(value)
-    return weigh
-
-
-def test_shared_mesh_refines_each_mesh_for_all_its_components():
-    start = [(np.array([0.0]), np.array([1.0])), (np.array([0.0]), np.array([2.0]))]
-    res, meshes = shared_mesh_1d(_two_meshes, start, _total(0.0), 1e-12, 100_000)
-    exact = math.fsum((np.exp(_RATES) - 1.0) / _RATES) + 2.0 * 2.0**31 / 31.0
-    assert res.converged and res.value == pytest.approx(exact, rel=1e-12, abs=0.0)
-    # both meshes were split, and each still tiles its interval
-    for (lo, hi), (a, b) in zip(meshes, start):
-        assert len(lo) > 1
-        lo, hi = np.sort(lo), np.sort(hi)
-        assert lo[0] == a[0] and hi[-1] == b[0] and np.array_equal(lo[1:], hi[:-1])
-
-
-def test_shared_mesh_stops_on_a_fixed_error_above_its_share():
-    # a fixed error no split lowers, above fixed_share of the target: the
-    # first pass (5 components x 15 nodes) is the last
-    start = [(np.array([0.0]), np.array([1.0])), (np.array([0.0]), np.array([2.0]))]
-    res, _ = shared_mesh_1d(_two_meshes, start, _total(1e-6), 1e-5, 100_000, fixed_share=0.05)
-    assert not res.converged and res.n_evals == 75
-    res, _ = shared_mesh_1d(_two_meshes, start, _total(1e-6), 1e-5, 100_000)
-    assert res.converged
