@@ -2,9 +2,11 @@
 
 Contents: the standard normal CDF, conditioning (Schur complements with
 named pivots), survival CDFs P{xi >= lower} for dims 1-4, truncated
-moments of degree <= 2 by direct cubature (the independent reference the
-face-pair integrands are spot-checked against; truncated_moments runs
-the cubatures of several regions in lockstep).
+moments of degree <= 2 by a direct route (the independent reference the
+face-pair integrands are spot-checked against): the free coordinates and
+the last bounded one in closed form, the other bounded ones by GK15
+cubature, and truncated_moments runs the cubatures of several regions
+in lockstep.
 
 The normal CDF is written as Phi(-h) = exp(-h^2 / 2) R(h) for h >= 0,
 with R the Mills ratio over sqrt(2 pi) taken from piecewise polynomials
@@ -546,23 +548,7 @@ def mvn_cdf(cov, lower) -> Estimate:
 
 
 # ---------------------------------------------------------------------------
-# truncated moments by direct cubature
-
-def _density_eval(low: np.ndarray):
-    """The N(0, L L') density on (m, n) point batches, from the Cholesky
-    factor L.  Its inverse is formed once, so a batch costs one product:
-    x' cov^-1 x = |L^-1 x|^2."""
-    n = low.shape[0]
-    norm = (2.0 * math.pi) ** (n / 2.0) * float(np.prod(np.diag(low)))
-    inv_low_t = np.linalg.solve(low, np.eye(n)).T
-
-    def pdf(x: np.ndarray) -> np.ndarray:
-        sol = x @ inv_low_t
-        q = np.sum(sol * sol, axis=1)
-        return np.exp(-0.5 * q) / norm
-
-    return pdf
-
+# truncated moments by the direct route
 
 _ROUTE_ABS_TOL = 2e-6
 _ROUTE_MAX_EVALS = 400_000
@@ -570,18 +556,23 @@ _ROUTE_MAX_EVALS = 400_000
 
 def _route_integrand(cov: np.ndarray, lower: np.ndarray, monomial):
     """The direct route's integrand over the region, in its bounded
-    coordinates only: (m, g) with g on points of [0, 1]^m, m the number of
-    bounded coordinates, or the finished QuadratureResult of a region with
-    no cubature to do.
+    coordinates but the last: (m, g) with g on points of [0, 1]^m, m the
+    number of bounded coordinates less one, or the finished
+    QuadratureResult of a region with at most one bounded coordinate.
 
     Given the bounded block x_B, the free coordinates (lower bound -inf)
     are Gaussian with mean A x_B and a covariance S that does not depend
     on x_B, so their factor of a monomial of degree <= 2 has a closed
-    conditional mean: 1, (A x_B)_r, or (A x_B)_r (A x_B)_s + S_rs.  That
-    polynomial times x_B's own factor and density is the integrand, with
-    each bounded coordinate mapped to the unit interval by
-    x = l + t / (1 - t); with no bounded coordinate the result is the
-    Gaussian moment itself."""
+    conditional mean: 1, (A x_B)_r, or (A x_B)_r (A x_B)_s + S_rs.  One
+    Cholesky factor of the bounded block gives the rest: its leading block
+    is the density of the first m bounded coordinates, and its last row
+    the law N(mu, sigma^2) of the last one, y, given them.  The free
+    factor is affine in y, so the integrand is a polynomial of degree <= 2
+    in y, whose moments over y >= l are closed, with z = (l - mu) / sigma:
+    Q(z), mu Q + sigma phi(z) and (mu^2 + sigma^2) Q + sigma (mu + l) phi(z).
+    That times the others' density and monomial factor is the integrand,
+    with each of them mapped to the unit interval by x = l + t / (1 - t);
+    with no bounded coordinate the result is the Gaussian moment itself."""
     bounded = np.flatnonzero(np.isfinite(lower))
     free = np.flatnonzero(np.isneginf(lower))
     if len(bounded) + len(free) < len(lower):  # a +inf bound: the region is empty
@@ -592,31 +583,45 @@ def _route_integrand(cov: np.ndarray, lower: np.ndarray, monomial):
         value = (1.0 if not pick else 0.0 if len(pick) == 1
                  else float(cov[free[pick[0]], free[pick[1]]]))
         return quadrature.QuadratureResult(value, 0.0, 0, True)
-    m = len(bounded)
-    # one factor of the bounded block serves the density and, for a free
-    # factor, the conditioning on the bounded block
+    m = len(bounded) - 1
     factor = _observed_factor(cov, bounded)
-    pdf = _density_eval(factor)
-    low = lower[bounded]
-    powers = [(j, monomial[b]) for j, b in enumerate(bounded) if monomial[b]]
+    inv_lead_t = np.linalg.solve(factor[:m, :m], np.eye(m)).T
+    norm = (2.0 * math.pi) ** (m / 2.0) * float(np.prod(np.diag(factor)[:m]))
+    row, sigma, last = factor[m, :m], factor[m, m], lower[bounded[m]]
+    low = lower[bounded[:m]]
+    powers = [(j, monomial[b]) for j, b in enumerate(bounded[:m]) if monomial[b]]
     if pick:
         law = _conditional_law(cov, bounded, factor)
-        mean_map = law.mean_map[pick].T
+        mean_map = law.mean_map[pick]
         resid = law.residual_cov[pick[0], pick[-1]]
+
+    def at(x: np.ndarray) -> np.ndarray:
+        sol = x @ inv_lead_t  # L^-1 x: the density's exponent and y's mean
+        mu = sol @ row
+        z = (last - mu) / sigma
+        tail, dens = ndtr(-z), np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        moments = (tail, mu * tail + sigma * dens,
+                   (mu * mu + sigma * sigma) * tail + sigma * (mu + last) * dens)
+        # the coefficients in y: y's own power, times each affine free mean
+        poly = [0.0] * monomial[bounded[m]] + [1.0]
+        for r in range(len(pick)):
+            a, b = x @ mean_map[r, :m], mean_map[r, m]
+            poly = [a * c + b * prev for c, prev in zip(poly + [0.0], [0.0] + poly)]
+        if len(pick) == 2:
+            poly[0] = poly[0] + resid
+        vals = sum(c * mom for c, mom in zip(poly, moments))
+        vals = vals * np.exp(-0.5 * np.sum(sol * sol, axis=1)) / norm
+        for j, p in powers:
+            vals = vals * x[:, j] ** p
+        return vals
+
+    if not m:
+        return quadrature.QuadratureResult(float(at(np.zeros((1, 0)))[0]), 0.0, 0, True)
 
     def g(tpts: np.ndarray) -> np.ndarray:
         tpts = tpts.reshape(-1, m)
         om = 1.0 - tpts
-        x = low + tpts / om
-        vals = pdf(x) / np.prod(om * om, axis=1)
-        for j, p in powers:
-            vals = vals * x[:, j] ** p
-        if len(pick) == 1:
-            vals = vals * (x @ mean_map)[:, 0]
-        elif pick:
-            mean = x @ mean_map
-            vals = vals * (mean[:, 0] * mean[:, 1] + resid)
-        return vals
+        return at(low + tpts / om) / np.prod(om * om, axis=1)
 
     return m, g
 
@@ -624,9 +629,9 @@ def _route_integrand(cov: np.ndarray, lower: np.ndarray, monomial):
 def _route_quadrature(regions, monomial) -> list:
     """Direct cubature of x^monomial times the density over each (cov,
     lower) of regions (_route_integrand): one cubature dimension per
-    finite bound, by GK15 for one (lockstep_1d) and Genz-Malik for more
-    (lockstep_nd).  The cubatures of one dimension run in lockstep, each
-    with its own tolerance and budget."""
+    finite bound but the last, by GK15 for one (lockstep_1d) and by its
+    tensor product on boxes for more (lockstep_nd).  The cubatures of one
+    dimension run in lockstep, each with its own tolerance and budget."""
     results = [None] * len(regions)
     by_dim: dict = {}
     for i, (cov, lower) in enumerate(regions):
@@ -653,7 +658,7 @@ def _route_quadrature(regions, monomial) -> list:
 
 def truncated_moment(cov, lower, monomial) -> Estimate:
     """E{ prod_j xi_j^monomial_j * 1{xi >= lower} } for centered
-    xi ~ N(0, cov), dim <= 4, degree <= 2, by direct cubature over the
+    xi ~ N(0, cov), dim <= 4, degree <= 2, by the direct route over the
     bounded coordinates (_route_quadrature): truncated_moments for one
     region."""
     (est,) = truncated_moments([(cov, lower)], monomial)

@@ -25,7 +25,8 @@ form declares:
   and no bivariate normal (_anchored_interior).  On the fixtures its cost
   does not grow with u: the xi rule is centred and scaled on the
   integrand's exponent.
-* any other cross form goes through the adaptive Genz-Malik cubature.
+* any other cross form goes through the adaptive tensor-product GK15
+  cubature (quadrature.integrate_nd).
 
 For N=1 the determinant factors inside the integrals are the scalars
 X''(t) and Y''(s), so each integrand is a Gaussian truncated moment, in
@@ -512,8 +513,8 @@ def _value_at(nodes, vals, probe):
     rule's first batch, as kept by _keeping_first_batch.  That batch holds
     the centre of its starting cells: t = 0.5 is the centre node of GK15 on
     [0, 1], (0.5, 0) and (0, 0.5) the two points of the lag integral's
-    centre node v = 0.5, and (0.5, 0.5) the centre of the middle cell of
-    integrate_nd's 3 x 3 grid."""
+    centre node v = 0.5, and (0.5, 0.5) the centre node of integrate_nd's
+    first box, 15 x 15 nodes on [0, 1]^2."""
     hit = np.all(np.reshape(nodes, (len(vals), -1)) == probe, axis=1)
     (i,) = np.flatnonzero(hit)
     return float(vals[i])

@@ -1,19 +1,21 @@
 """Adaptive quadrature engines.
 
-One globally adaptive driver (_adapt, after QUADPACK's QAG and DCUHRE)
-refines a set of cells under a rule supplied per kind of region: the
-Gauss-Kronrod 7/15 pair on panels (integrate_1d, from [a, b]) and the
-Genz-Malik degree-7/5 embedded rule on boxes of dimension 2 to 4
-(integrate_nd, from the box split 3 per axis: one rule application can
-miss a concentrated integrand and certify a spurious zero).  Integrands
-are vectorized: a 1-d integrand maps an array of abscissae to an array of
+One rule, the Gauss-Kronrod 7/15 pair, and one globally adaptive driver
+(_adapt, after QUADPACK's QAG and DCUHRE) that refines a set of cells
+under it: panels of an interval (integrate_1d, from [a, b]) and, as the
+tensor product of the panel rule, boxes of dimension 2 to 4 (integrate_nd,
+from the whole box, 15^d nodes per box).  A box's value is the Kronrod
+product rule, its error the distance to the Gauss product rule, and it is
+bisected on the axis where Kronrod and Gauss differ most.  Integrands are
+vectorized: a 1-d integrand maps an array of abscissae to an array of
 values, an n-d integrand maps an (m, d) point array to an (m,) array.
 
-Both rules refine under one policy: each pass pops up to _BATCH (16) of
-the worst cells and splits every one whose error is not 0, NaN included,
-or else the worst one.  A cell leaves the heap only by being split, so no
-cell is dropped: a non-finite value or error stays in the totals, and a
-result is converged only when the total error is at most the target.
+Panels and boxes refine under one policy: each pass pops up to _BATCH
+(16) of the worst cells and splits every one whose error is not 0, NaN
+included, or else the worst one.  A cell leaves the heap only by being
+split, so no cell is dropped: a non-finite value or error stays in the
+totals, and a result is converged only when the total error is at most
+the target.
 
 Refinement order is deterministic (worst-error first with a fixed
 tie-break), and each pass takes the value and error totals as math.fsum
@@ -46,7 +48,6 @@ vector-valued integrands share one panel mesh across their xi nodes.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -228,99 +229,52 @@ def lockstep_1d(f, intervals, rel_tol: float = 1e-6, abs_tol: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# Genz-Malik degree-7 rule with embedded degree-5 error estimate.
+# The same pair on boxes: the tensor product of the panel rule.
 
-@functools.lru_cache(maxsize=None)
-def _gm_rule(d: int):
-    """The degree-7/5 Genz-Malik point set on [-1,1]^d and its weights.
-
-    Returns (points, w7, w5, ax2, ax3), where ax2 and ax3 locate the
-    +/-lambda2 and +/-lambda3 evaluations per axis for the
-    fourth-difference direction heuristic.
-    """
-    l2, l3, l5 = math.sqrt(9.0 / 70.0), math.sqrt(9.0 / 10.0), math.sqrt(9.0 / 19.0)
-    l4 = l3
-    pts = [np.zeros(d)]
-    for lam in (l2, l3):
-        for i in range(d):
-            for s in (-1.0, 1.0):
-                p = np.zeros(d)
-                p[i] = s * lam
-                pts.append(p)
-    start_pairs = len(pts)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for si in (-1.0, 1.0):
-                for sj in (-1.0, 1.0):
-                    p = np.zeros(d)
-                    p[i], p[j] = si * l4, sj * l4
-                    pts.append(p)
-    start_corners = len(pts)
-    for mask in range(1 << d):
-        pts.append(np.array([l5 if (mask >> i) & 1 else -l5 for i in range(d)]))
-    pts = np.array(pts)
-    n = len(pts)
-
-    two_d = float(2 ** d)
-    w7, w5 = np.zeros(n), np.zeros(n)
-    w7[0] = two_d * (12824.0 - 9120.0 * d + 400.0 * d * d) / 19683.0
-    w5[0] = two_d * (729.0 - 950.0 * d + 50.0 * d * d) / 729.0
-    lo3 = 1 + 2 * d
-    w7[1:lo3] = two_d * 980.0 / 6561.0
-    w5[1:lo3] = two_d * 245.0 / 486.0
-    w7[lo3:lo3 + 2 * d] = two_d * (1820.0 - 400.0 * d) / 19683.0
-    w5[lo3:lo3 + 2 * d] = two_d * (265.0 - 100.0 * d) / 1458.0
-    w7[start_pairs:start_corners] = two_d * 200.0 / 19683.0
-    w5[start_pairs:start_corners] = two_d * 25.0 / 729.0
-    w7[start_corners:] = 6859.0 / 19683.0
-    # degree-5 rule does not touch the corners: w5 stays 0 there
-
-    ax2 = [(1 + 2 * i, 2 + 2 * i) for i in range(d)]
-    ax3 = [(lo3 + 2 * i, lo3 + 2 * i + 1) for i in range(d)]
-    return pts, w7, w5, ax2, ax3
-
-
-_GM_RATIO = (9.0 / 70.0) / (9.0 / 10.0)  # lambda2^2 / lambda3^2
-
-
-def _gm_place(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The rule's points in each (m, d) cell of a batch, as (m * points, d)."""
-    pts = _gm_rule(lo.shape[1])[0]
-    x = 0.5 * (lo + hi)[:, None, :] + 0.5 * (hi - lo)[:, None, :] * pts[None, :, :]
-    return x.reshape(-1, lo.shape[1])
-
-
-def _gm_reduce(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """(values, errors, split_axis) per cell from the (m, points) integrand
-    values."""
+def _box_place(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 15^d tensor-product Kronrod nodes of each (m, d) box of a batch,
+    box by box with the last axis fastest, as (m * 15^d, d)."""
     m, d = lo.shape
-    _, w7, w5, ax2, ax3 = _gm_rule(d)
-    half = 0.5 * (hi - lo)
-    # template weights integrate 1 to 2^d over [-1,1]^d, so the cell
-    # volume ratio prod(2*half)/2^d collapses to prod(half)
-    scale = np.prod(half, axis=1)
-    i7 = scale * (vals @ w7)
-    i5 = scale * (vals @ w5)
-    err = np.abs(i7 - i5)
-    f0 = vals[:, 0]
-    diffs = np.empty((m, d))
+    axes = 0.5 * (lo + hi)[:, :, None] + 0.5 * (hi - lo)[:, :, None] * _NODES_1D  # (m, d, 15)
+    x = np.empty((m,) + (15,) * d + (d,))
     for i in range(d):
-        a2 = vals[:, ax2[i][0]] + vals[:, ax2[i][1]] - 2.0 * f0
-        a3 = vals[:, ax3[i][0]] + vals[:, ax3[i][1]] - 2.0 * f0
-        diffs[:, i] = np.abs(a2 - _GM_RATIO * a3)
+        x[..., i] = axes[:, i].reshape((m,) + (1,) * i + (15,) + (1,) * (d - 1 - i))
+    return x.reshape(-1, d)
+
+
+def _contract(vals: np.ndarray, weights) -> np.ndarray:
+    """The (m, 15, ..., 15) values summed against weights[i] on axis i + 1,
+    one axis at a time from the last, each by a fixed-order einsum (a
+    BLAS product would round a box by where it sits in the batch)."""
+    for w in reversed(weights):
+        vals = np.einsum("...n,n->...", vals, w)
+    return vals
+
+
+def _box_reduce(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(values, errors, split_axis) per box from the (m, 15^d) integrand
+    values: the Kronrod product rule, its distance from the Gauss product
+    rule, and the axis whose Kronrod-minus-Gauss sum (Kronrod on the other
+    axes) is largest."""
+    m, d = lo.shape
+    vals = vals.reshape((m,) + (15,) * d)
+    scale = np.prod(0.5 * (hi - lo), axis=1)
+    k15 = scale * _contract(vals, [_W_K] * d)
+    err = np.abs(k15 - scale * _contract(vals, [_W_G] * d))
+    diffs = np.abs(np.stack([_contract(vals, [_W_K] * i + [_W_K - _W_G] + [_W_K] * (d - 1 - i))
+                             for i in range(d)], axis=1))
     split_axis = np.argmax(diffs, axis=1)
-    # the axis heuristic only samples the center lines; an integrand
-    # vanishing there (but not at the off-axis points) zeroes every
-    # difference, and blindly taking argmax would then shave the same
-    # axis forever -- split the widest axis in that case
+    # an integrand the rule reads as exact on every axis (zero, say) zeroes
+    # every difference, and argmax would then shave the same axis forever:
+    # split the widest axis in that case
     flat = diffs[np.arange(m), split_axis] <= 0.0
     if np.any(flat):
         split_axis = np.where(flat, np.argmax(hi - lo, axis=1), split_axis)
-    return i7, err, split_axis
+    return k15, err, split_axis
 
 
-def _gm_halves(entries):
-    """Bisect each cell on its split axis (entry index 6)."""
+def _box_halves(entries):
+    """Bisect each box on its split axis (entry index 6)."""
     lo, hi = np.array([h[2] for h in entries]), np.array([h[3] for h in entries])
     rows, ax = np.arange(len(entries)), np.array([h[6] for h in entries])
     left_hi, right_lo = hi.copy(), lo.copy()
@@ -332,11 +286,11 @@ def _gm_halves(entries):
 
 def integrate_nd(f, lo, hi, rel_tol: float = 1e-6, abs_tol: float = 0.0,
                  max_evals: int = 1_000_000) -> QuadratureResult:
-    """Globally adaptive Genz-Malik cubature over the box [lo, hi]:
-    lockstep_nd with one box.
+    """Globally adaptive tensor-product GK15 cubature over the box
+    [lo, hi]: lockstep_nd with one box.
 
     f must accept an (m, d) array and return (m,) values; d = len(lo)
-    must be 2, 3 or 4.  The box starts split into 3 cells per axis.
+    must be 2, 3 or 4.
     """
     return lockstep_nd(lambda xs: [f(xs[0])], [(lo, hi)], rel_tol, abs_tol, max_evals)[0]
 
@@ -349,18 +303,13 @@ def lockstep_nd(f, boxes, rel_tol: float = 1e-6, abs_tol: float = 0.0,
     f takes a list of (m, d) node arrays, one per box (empty once its
     integral has stopped), and returns a list of matching value arrays.
     Each integral has its own budget max_evals."""
-    cells = []
-    for lo, hi in boxes:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        d = lo.size
-        if d < 2 or d > 4:
-            raise ValueError(f"integrate_nd supports dims 2..4, got {d}")
-        # cells in np.ndindex order: the last axis varies fastest
-        edges = [np.linspace(lo[i], hi[i], 4) for i in range(d)]
-        cells.append((np.array(list(itertools.product(*[e[:-1] for e in edges]))),
-                      np.array(list(itertools.product(*[e[1:] for e in edges])))))
-    if len({c[0].shape[1] for c in cells}) > 1:
+    cells = [(np.asarray(lo, dtype=float)[None, :], np.asarray(hi, dtype=float)[None, :])
+             for lo, hi in boxes]
+    dims = {lo.shape[1] for lo, _ in cells}
+    if len(dims) > 1:
         raise ValueError("lockstep_nd needs boxes of one dimension")
-    rule = (_gm_place, _gm_reduce, _gm_halves, len(_gm_rule(cells[0][0].shape[1])[0]))
-    return _adapt(f, rule, cells, rel_tol, abs_tol, max_evals)
+    (d,) = dims
+    if d < 2 or d > 4:
+        raise ValueError(f"integrate_nd supports dims 2..4, got {d}")
+    return _adapt(f, (_box_place, _box_reduce, _box_halves, 15**d), cells,
+                  rel_tol, abs_tol, max_evals)

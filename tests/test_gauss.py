@@ -721,15 +721,16 @@ TALLIS_4D = {
 
 
 @pytest.mark.parametrize("lower, monomial, nd_dims, calls_1d", [
-    ([1.0, 0.5, 0.0, -np.inf], (0, 0, 0, 1), [3], 0),  # the edge probe's shape
-    ([3.0, 3.0, -np.inf, -np.inf], (0, 0, 1, 1), [2], 0),  # the interior probe's
-    ([1.0, -np.inf, -np.inf, -np.inf], (0, 1, 0, 1), [], 1),
+    ([1.0, 0.5, 0.0, -np.inf], (0, 0, 0, 1), [2], 0),  # the edge probe's shape
+    ([3.0, 3.0, -np.inf, -np.inf], (0, 0, 1, 1), [], 1),  # the interior probe's
+    ([1.0, -np.inf, -np.inf, -np.inf], (0, 1, 0, 1), [], 0),  # one bound, no cubature
     ([-np.inf] * 4, (0, 1, 1, 0), [], 0),  # the Gaussian moment, no cubature
 ])
 def test_direct_route_integrates_the_bounded_coordinates(monkeypatch, lower, monomial,
                                                          nd_dims, calls_1d):
-    # the direct route integrates the free coordinates in closed form, so
-    # its cubature has one dimension per finite bound
+    # the direct route integrates the free coordinates and the last bounded
+    # one in closed form, so its cubature has one dimension per finite
+    # bound less one, and a single finite bound needs none
     cov4 = np.array([[1.0, 0.5, -0.3, 0.2], [0.5, 1.0, 0.1, -0.4],
                      [-0.3, 0.1, 0.8, 0.1], [0.2, -0.4, 0.1, 1.3]])
     dims, n_1d = [], []

@@ -260,8 +260,8 @@ def test_spot_checks_make_no_integrand_call(monkeypatch):
 @pytest.mark.parametrize("fx,fy", INTEGRATED_PAIRS)
 def test_spot_check_reads_the_centre_node(monkeypatch, fx, fy):
     # shifting the integrand at the probe node alone must trip the check:
-    # t = 0.5 is the centre node of GK15 on [0, 1], (0.5, 0.5) the centre of
-    # the middle cell of the cubature's 3 x 3 starting grid
+    # t = 0.5 is the centre node of GK15 on [0, 1], (0.5, 0.5) the centre
+    # node of the cubature's first 15 x 15 box
     def bump(nodes, vals):
         return vals + np.where(np.all(nodes == 0.5, axis=1), 1e-3, 0.0)
 
@@ -505,6 +505,7 @@ _ANCHOR_CASES = (
     ("c-0", 0.0, 0.5, 0.5, 1.0, 1.0),
     ("c-0.95", 0.95, 0.5, 0.5, 1.0, 1.0),
     ("c-0.99", 0.99, 0.5, 0.5, 1.0, 1.0),
+    ("c-0.9999", 0.9999, 0.5, 0.5, 1.0, 1.0),
     ("scale-0.15", 0.5, 0.5, 0.5, 0.15, 0.15),
 )
 ANCHORED = tuple(m for name in ("interior-point", "corner-semidegenerate", "corner-degenerate",
@@ -557,7 +558,7 @@ def test_anchored_interior_terms_against_reference():
 def test_anchored_interior_cost_is_flat_in_u():
     # the xi rule is centred and scaled on the exponent's envelope, so the
     # points it takes at u = 25 stay within twice those at u = 3 (the
-    # cubature takes 1,003 at u = 3 and 8,619 at u = 25)
+    # cubature takes 225 at u = 3 and 6,975 at u = 25)
     mod = fixture("interior-point")
     n3, n25 = (kr.face_pair_integral(mod, "Interior", "Interior", u).value.n for u in (3.0, 25.0))
     assert n25 <= 2 * n3

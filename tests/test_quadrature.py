@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from jointeec.quadrature import (
+    _BATCH,
     integrate_1d,
     integrate_nd,
     lockstep_1d,
@@ -68,7 +69,7 @@ def test_product_gaussian_2d():
     res = integrate_nd(f, [-8.0, -8.0], [8.0, 8.0], rel_tol=1e-8)
     assert res.converged
     assert res.value == pytest.approx(1.0, rel=1e-7)
-    assert bits(res) == (0.9999999999567891, 9.827299514015883e-09, 39627, True)
+    assert bits(res) == (0.9999999999999976, 2.3852920726246277e-10, 21375, True)
 
 
 def test_polynomial_2d():
@@ -76,30 +77,28 @@ def test_polynomial_2d():
     f = lambda x: x[..., 0] ** 2 * x[..., 1] ** 4
     res = integrate_nd(f, [0.0, -1.0], [2.0, 3.0], rel_tol=1e-10)
     assert res.value == pytest.approx((8.0 / 3.0) * (244.0 / 5.0), rel=1e-9)
-    assert bits(res) == (130.13333333333333, 5.545300970017652e-09, 9707, True)
+    assert bits(res) == (130.13333333333333, 2.842170943040401e-14, 225, True)
 
 
 def test_concentrated_mass_2d():
-    # Regression: a tight Gaussian away from the box centre used to be
-    # invisible to the first rule application before the pre-split was
-    # added, reporting a converged near-zero integral.
+    # A tight Gaussian off the box centre: the first box must see it, not
+    # certify a converged near-zero integral.
     w = 2000.0
     f = lambda x: np.exp(-w * ((x[..., 0] - 0.51) ** 2 + (x[..., 1] - 0.49) ** 2))
     res = integrate_nd(f, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-7)
     assert res.value == pytest.approx(math.pi / w, rel=1e-6)
-    assert bits(res) == (0.0015707963266559622, 1.4675678779046874e-10, 21131, True)
+    assert bits(res) == (0.0015707963267948967, 2.0567532060017267e-13, 50175, True)
 
 
 def test_odd_slice_mass_3d():
-    # Regression for the split-axis choice: an integrand that is odd in one
-    # coordinate on the rule's nodes can zero out the fourth-difference
-    # heuristic; the widest-axis fallback still has to make progress.
+    # The split-axis choice on a box whose third axis is twice as wide as
+    # the others: every split has to make progress on the integral.
     f = lambda x: x[..., 0] * x[..., 1] * np.exp(-2.0 * np.sum(x**2, axis=-1))
     res = integrate_nd(f, [0.0, 0.0, -2.0], [2.0, 2.0, 2.0], rel_tol=1e-7)
     one = integrate_1d(lambda t: t * np.exp(-2.0 * t**2), 0.0, 2.0, rel_tol=1e-12).value
     flat = integrate_1d(lambda t: np.exp(-2.0 * t**2), -2.0, 2.0, rel_tol=1e-12).value
     assert res.value == pytest.approx(one * one * flat, rel=1e-6)
-    assert bits(res) == (0.07827462896636421, 7.776804305017856e-09, 319803, True)
+    assert bits(res) == (0.07827462896709202, 9.408709946670708e-11, 104625, True)
 
 
 def test_eval_budget_reported():
@@ -108,15 +107,16 @@ def test_eval_budget_reported():
     f = lambda x: np.exp(-1e6 * (x[..., 0] - 0.5) ** 2) * np.exp(-1e6 * (x[..., 1] - 0.5) ** 2)
     res = integrate_nd(f, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-13, max_evals=2000)
     assert not res.converged
-    assert res.n_evals <= 2000 + 17 * 32  # one generation of overshoot at most
-    assert bits(res) == (2.1506657126272334e-07, 2.2945168622562044e-07, 2227, False)
+    # one pass of overshoot at most: _BATCH boxes split in two, 15^2 nodes each
+    assert res.n_evals <= 2000 + 2 * _BATCH * 15**2
+    assert bits(res) == (0.00022580632911350538, 0.00022566974922511967, 2475, False)
 
 
 def test_zero_integrand():
     res = integrate_nd(lambda x: np.zeros(x.shape[:-1]), [0.0, 0.0], [1.0, 1.0], rel_tol=1e-9)
     assert res.value == 0.0
     assert res.converged
-    assert bits(res) == (0.0, 0.0, 153, True)
+    assert bits(res) == (0.0, 0.0, 225, True)
 
 
 def _beyond_09(fill):
@@ -159,11 +159,11 @@ def _gauss_4d(x):
 def test_integrate_nd_bits_pinned():
     res = integrate_nd(_peak_2d, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-9)
     assert (res.value, res.error, res.n_evals, res.converged) == (
-        0.0157079632523878, 1.5425089189244304e-11, 80971, True)
+        0.015707963252451676, 6.493612978858798e-14, 35775, True)
     res = integrate_nd(_gauss_4d, [-1.0, -0.5, 0.0, -2.0], [2.0, 1.5, 1.0, 0.5],
                        rel_tol=1e-6)
     assert (res.value, res.error, res.n_evals, res.converged) == (
-        0.12457109944923829, 1.217909687580535e-07, 61161, True)
+        0.1245710992710986, 9.82914072356067e-09, 50625, True)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_lockstep_4d_matches_solo_run():
     together = lockstep_nd(_recording([_gauss_4d, _gauss_4d], calls), boxes, rel_tol=1e-6)
     assert [bits(r) for r in together] == [
         bits(integrate_nd(_gauss_4d, lo, hi, rel_tol=1e-6)) for lo, hi in boxes]
-    assert bits(together[0]) == (0.12457109944923829, 1.217909687580535e-07, 61161, True)
+    assert bits(together[0]) == (0.1245710992710986, 9.82914072356067e-09, 50625, True)
 
 
 def test_lockstep_budget_is_per_integral():
