@@ -172,8 +172,8 @@ def _refine(model: model_mod.BivariateModel, t: float, s: float, step_floor: flo
         gf = g[free]
         step = np.zeros(2)
         newton = None
-        try:
-            cand = np.linalg.solve(-hess[np.ix_(free, free)], gf)
+        try:  # no Newton step passes cand @ gf > 0 where gf is exactly 0
+            cand = np.linalg.solve(-hess[np.ix_(free, free)], gf) if gf.any() else gf
             if np.all(np.isfinite(cand)) and float(cand @ gf) > 0.0:
                 newton = cand
         except np.linalg.LinAlgError:

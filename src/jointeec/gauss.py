@@ -5,8 +5,8 @@ named pivots), survival CDFs P{xi >= lower} for dims 1-4, truncated
 moments of degree <= 2 by a direct route (the independent reference the
 face-pair integrands are spot-checked against): the free coordinates and
 the last bounded one in closed form, the other bounded ones by GK15
-cubature, and truncated_moments runs the cubatures of several regions
-in lockstep.
+cubature, and truncated_moments makes one stacked evaluation per
+coordinate pattern of its regions, their cubatures in lockstep.
 
 The normal CDF is written as Phi(-h) = exp(-h^2 / 2) R(h) for h >= 0,
 with R the Mills ratio over sqrt(2 pi) taken from piecewise polynomials
@@ -159,19 +159,25 @@ class ConditionalLaw:
     unobserved_idx: tuple[int, ...]
 
 
-def _cholesky_named(mat: np.ndarray, labels, floor: float) -> np.ndarray:
-    """Cholesky factor with pivot checking; failures name the index."""
-    n = mat.shape[0]
-    low = np.zeros((n, n))
-    for k in range(n):
-        s = mat[k, k] - low[k, :k] @ low[k, :k]
-        if s <= floor:
-            raise DegeneracyError(
-                f"matrix not positive definite: pivot {s:.3e} at index {labels[k]}",
-                pivot_index=labels[k])
-        low[k, k] = math.sqrt(s)
-        if k + 1 < n:
-            low[k + 1:, k] = (mat[k + 1:, k] - low[k + 1:, :k] @ low[k, :k]) / low[k, k]
+def _cholesky_named(mats: np.ndarray, labels, floor) -> np.ndarray:
+    """LAPACK's Cholesky factors of a stack of matrices, with pivot checking:
+    the first pivot at or below floor (a scalar, or one per matrix and
+    pivot) raises DegeneracyError naming its index from labels.  The pivots
+    are the squared diagonal of a factor, or the ratios of successive
+    leading principal minors where LAPACK finds no factor."""
+    try:
+        low = np.linalg.cholesky(mats)
+        piv = np.diagonal(low, axis1=1, axis2=2) ** 2
+    except np.linalg.LinAlgError:
+        low, dets = None, [np.linalg.det(mats[:, :k, :k]) for k in range(mats.shape[1] + 1)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            piv = np.stack([b / a for a, b in zip(dets, dets[1:])], axis=1)
+    bad = ~(piv > floor)  # NaN included
+    if low is None or bad.any():
+        i, k = np.unravel_index(np.argmax(bad) if bad.any() else np.argmin(piv), piv.shape)
+        raise DegeneracyError(
+            f"matrix not positive definite: pivot {piv[i, k]:.3e} at index {labels[k]}",
+            pivot_index=labels[k])
     return low
 
 
@@ -184,29 +190,23 @@ def condition(cov, observed_idx) -> ConditionalLaw:
         raise ArgumentError(f"bad observed index set {obs} for dimension {n}")
     if not obs:
         return ConditionalLaw(np.zeros((n, 0)), cov.copy(), (), tuple(range(n)))
-    return _conditional_law(cov, obs, _observed_factor(cov, obs))
+    uno = tuple(i for i in range(n) if i not in set(obs))
+    low = _cholesky_named(cov[np.ix_(obs, obs)][None], obs, DEFAULT_TOL.observed_pivot_floor)
+    mean_map, residual = _schur(cov[np.ix_(uno, obs)][None], cov[np.ix_(uno, uno)][None], low)
+    return ConditionalLaw(mean_map[0], residual[0], obs, uno)
 
 
-def _observed_factor(cov: np.ndarray, obs) -> np.ndarray:
-    """The Cholesky factor of the observed block that condition divides by."""
-    return _cholesky_named(cov[np.ix_(obs, obs)], tuple(obs), DEFAULT_TOL.observed_pivot_floor)
-
-
-def _conditional_law(cov: np.ndarray, obs, low: np.ndarray) -> ConditionalLaw:
-    """condition given the factor low of the observed block."""
-    obs = tuple(int(i) for i in obs)
-    uno = tuple(i for i in range(cov.shape[0]) if i not in set(obs))
-    s_uo = cov[np.ix_(uno, obs)]
-    s_uu = cov[np.ix_(uno, uno)]
-    # mean_map = S_uo S_oo^{-1} via two triangular solves
-    half = np.linalg.solve(low, s_uo.T)          # L^{-1} S_ou
-    mean_map = np.linalg.solve(low.T, half).T
-    residual = s_uu - half.T @ half
-    asym = float(np.max(np.abs(residual - residual.T))) if residual.size else 0.0
+def _schur(s_uo: np.ndarray, s_uu: np.ndarray, low: np.ndarray):
+    """The mean maps S_uo S_oo^{-1} and residual covariances S_uu - S_uo
+    S_oo^{-1} S_ou of a stack of blocks, given the Cholesky factors low of
+    their S_oo: two triangular solves each."""
+    half = np.linalg.solve(low, np.swapaxes(s_uo, 1, 2))  # L^{-1} S_ou
+    mean_map = np.swapaxes(np.linalg.solve(np.swapaxes(low, 1, 2), half), 1, 2)
+    residual = s_uu - np.swapaxes(half, 1, 2) @ half
+    asym = float(np.max(np.abs(residual - np.swapaxes(residual, 1, 2)))) if residual.size else 0.0
     if asym > DEFAULT_TOL.symmetry_tol:
         raise DegeneracyError(f"residual covariance asymmetric by {asym:.3e}")
-    residual = 0.5 * (residual + residual.T)
-    return ConditionalLaw(mean_map, residual, obs, uno)
+    return mean_map, 0.5 * (residual + np.swapaxes(residual, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +487,11 @@ def _orthant_plackett(corr: np.ndarray, a: np.ndarray) -> tuple[float, float, in
 
 
 def _orthant_region(cov, lower):
-    """The gates every orthant passes before any engine runs: shape,
-    dimension, positive diagonal and (from dimension 2) a Cholesky PSD
-    check with named pivots.  Returns the correlation matrix and the
-    standardized thresholds of the constrained coordinates, or the finished
-    Estimate of a region that is empty (a +inf bound) or unconstrained."""
+    """The gates every region passes before any engine runs: shape,
+    dimension and positive diagonal.  Returns the covariance and thresholds
+    of the constrained coordinates, or the finished Estimate of a region
+    that is empty (a +inf bound) or unconstrained.  The PSD gate is the
+    engine's Cholesky factor: mvn_cdf's, or the direct route's."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     n = cov.shape[0]
@@ -499,25 +499,19 @@ def _orthant_region(cov, lower):
         raise ArgumentError("cov must be square and lower of matching length")
     if n < 1 or n > 4:
         raise UnsupportedDimensionError(f"Gaussian regions of dims 1..4 only, got {n}")
-    if np.any(np.isposinf(lower)):
+    if np.isposinf(lower).any():
         return Estimate(0.0, 0.0, 0, QUADRATURE)
     keep = ~np.isneginf(lower)
-    if not np.all(keep):
+    if not keep.all():
         # a -inf threshold is no constraint at all: marginalize it away
-        cov = cov[np.ix_(keep, keep)]
-        lower = lower[keep]
-        n = len(lower)
-        if n == 0:
+        cov, lower = cov[keep][:, keep], lower[keep]
+        if not len(lower):
             return Estimate(1.0, 0.0, 0, QUADRATURE)
-    if np.any(np.diag(cov) <= 1e-12):
-        bad = int(np.argmin(np.diag(cov)))
+    if (cov.diagonal() <= 1e-12).any():
+        bad = int(np.argmin(cov.diagonal()))
         raise DegeneracyError(
             f"covariance diagonal not positive at index {bad}", pivot_index=bad)
-    sd = np.sqrt(np.diag(cov))
-    corr = cov / np.outer(sd, sd)
-    if n > 1:
-        _cholesky_named(corr, tuple(range(n)), 1e-12)
-    return corr, lower / sd
+    return cov, lower
 
 
 def mvn_cdf(cov, lower) -> Estimate:
@@ -535,8 +529,12 @@ def mvn_cdf(cov, lower) -> Estimate:
     region = _orthant_region(cov, lower)
     if isinstance(region, Estimate):
         return region
-    corr, a = region
+    cov, lower = region
+    sd = np.sqrt(np.diag(cov))
+    corr, a = cov / np.outer(sd, sd), lower / sd
     n = len(a)
+    if n > 1:
+        _cholesky_named(corr[None], tuple(range(n)), 1e-12)
     if n == 1:
         value = ndtr(-a[0])
         return Estimate(value, 1e-14 * value, 1, QUADRATURE)
@@ -554,104 +552,122 @@ _ROUTE_ABS_TOL = 2e-6
 _ROUTE_MAX_EVALS = 400_000
 
 
-def _route_integrand(cov: np.ndarray, lower: np.ndarray, monomial):
-    """The direct route's integrand over the region, in its bounded
-    coordinates but the last: (m, g) with g on points of [0, 1]^m, m the
-    number of bounded coordinates less one, or the finished
-    QuadratureResult of a region with at most one bounded coordinate.
+def _route_integrand(covs: np.ndarray, lowers: np.ndarray, monomial):
+    """The direct route's integrand over a stack of regions of one
+    coordinate pattern, in their bounded coordinates but the last: (m, g),
+    m the number of bounded coordinates less one and g one evaluation at
+    every region's points of [0, 1]^m (a list of arrays in, a list out), or
+    the finished QuadratureResults of regions with at most one bounded
+    coordinate.
 
     Given the bounded block x_B, the free coordinates (lower bound -inf)
     are Gaussian with mean A x_B and a covariance S that does not depend
     on x_B, so their factor of a monomial of degree <= 2 has a closed
     conditional mean: 1, (A x_B)_r, or (A x_B)_r (A x_B)_s + S_rs.  One
-    Cholesky factor of the bounded block gives the rest: its leading block
-    is the density of the first m bounded coordinates, and its last row
-    the law N(mu, sigma^2) of the last one, y, given them.  The free
-    factor is affine in y, so the integrand is a polynomial of degree <= 2
-    in y, whose moments over y >= l are closed, with z = (l - mu) / sigma:
-    Q(z), mu Q + sigma phi(z) and (mu^2 + sigma^2) Q + sigma (mu + l) phi(z).
-    That times the others' density and monomial factor is the integrand,
-    with each of them mapped to the unit interval by x = l + t / (1 - t);
-    with no bounded coordinate the result is the Gaussian moment itself."""
-    bounded = np.flatnonzero(np.isfinite(lower))
-    free = np.flatnonzero(np.isneginf(lower))
-    if len(bounded) + len(free) < len(lower):  # a +inf bound: the region is empty
-        return quadrature.QuadratureResult(0.0, 0.0, 0, True)
+    Cholesky factor of the bounded block, also the PSD gate (a correlation
+    pivot at or below 1e-12, or a pivot at or below observed_pivot_floor,
+    fails), gives the rest: its leading block is the density of the first
+    m bounded coordinates, and its last row the law N(mu, sigma^2) of the
+    last one, y, given them.  The free factor is affine in y, so the
+    integrand is a polynomial of degree <= 2 in y, whose moments over
+    y >= l are closed, with z = (l - mu) / sigma: Q(z), mu Q + sigma phi(z)
+    and (mu^2 + sigma^2) Q + sigma (mu + l) phi(z).  That times the others'
+    density and monomial factor is the integrand, each of them mapped to
+    [0, 1] by x = l + t / (1 - t); with no bounded coordinate it is the
+    Gaussian moment itself.  Every step is elementwise on a point and its
+    own region's entries, so a region gets the same bits in any stack."""
+    count = len(covs)
+    bounded = np.flatnonzero(np.isfinite(lowers[0]))
+    free = np.flatnonzero(np.isneginf(lowers[0]))
     # the free factor of the monomial, as positions in `free`, repeated by power
     pick = [pos for pos, j in enumerate(free) for _ in range(monomial[j])]
     if not len(bounded):  # the plain Gaussian moment: 1, 0 or a covariance
-        value = (1.0 if not pick else 0.0 if len(pick) == 1
-                 else float(cov[free[pick[0]], free[pick[1]]]))
-        return quadrature.QuadratureResult(value, 0.0, 0, True)
+        values = (np.ones(count) if not pick else np.zeros(count) if len(pick) == 1
+                  else covs[:, free[pick[0]], free[pick[1]]])
+        return [quadrature.QuadratureResult(float(v), 0.0, 0, True) for v in values]
     m = len(bounded) - 1
-    factor = _observed_factor(cov, bounded)
-    inv_lead_t = np.linalg.solve(factor[:m, :m], np.eye(m)).T
-    norm = (2.0 * math.pi) ** (m / 2.0) * float(np.prod(np.diag(factor)[:m]))
-    row, sigma, last = factor[m, :m], factor[m, m], lower[bounded[m]]
-    low = lower[bounded[:m]]
-    powers = [(j, monomial[b]) for j, b in enumerate(bounded[:m]) if monomial[b]]
+    block = covs[:, bounded[:, None], bounded]
+    floor = np.maximum(1e-12 * block.diagonal(0, 1, 2), DEFAULT_TOL.observed_pivot_floor)
+    factor = _cholesky_named(block, bounded.tolist(), floor)
+    log_norm = 0.5 * m * math.log(2.0 * math.pi) + np.log(factor.diagonal(0, 1, 2)[:, :m]).sum(1)
+    low, last = lowers[:, bounded[:m]], lowers[:, bounded[m]]
+    power = monomial[bounded[m]]
     if pick:
-        law = _conditional_law(cov, bounded, factor)
-        mean_map = law.mean_map[pick]
-        resid = law.residual_cov[pick[0], pick[-1]]
+        mean_map, resid = _schur(covs[:, free[:, None], bounded], covs[:, free[:, None], free],
+                                 factor)
 
-    def at(x: np.ndarray) -> np.ndarray:
-        sol = x @ inv_lead_t  # L^-1 x: the density's exponent and y's mean
-        mu = sol @ row
-        z = (last - mu) / sigma
-        tail, dens = ndtr(-z), np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        moments = (tail, mu * tail + sigma * dens,
-                   (mu * mu + sigma * sigma) * tail + sigma * (mu + last) * dens)
-        # the coefficients in y: y's own power, times each affine free mean
-        poly = [0.0] * monomial[bounded[m]] + [1.0]
-        for r in range(len(pick)):
-            a, b = x @ mean_map[r, :m], mean_map[r, m]
-            poly = [a * c + b * prev for c, prev in zip(poly + [0.0], [0.0] + poly)]
+    def at(x: list, reg: np.ndarray) -> np.ndarray:  # x: m columns, reg: their regions
+        # L^-1 x by forward substitution: the density's exponent, and y's mean
+        sol, mu, expo = [], 0.0, -log_norm[reg]
+        for i in range(m):
+            acc = x[i]
+            for j in range(i):
+                acc = acc - factor[:, i, j][reg] * sol[j]
+            sol.append(acc / factor[:, i, i][reg])
+            mu = mu + factor[:, m, i][reg] * sol[i]
+            expo = expo - 0.5 * sol[i] * sol[i]
+        sig, lim = factor[:, m, m][reg], last[reg]
+        nz = (mu - lim) / sig
+        tail, dens = ndtr(nz), np.exp(-0.5 * nz * nz) / math.sqrt(2.0 * math.pi)
+        # y's moments from its own power up, times each affine free mean a + b y
+        moms = [tail, mu * tail + sig * dens]
+        if power + len(pick) == 2:
+            moms.append((mu * mu + sig * sig) * tail + sig * (mu + lim) * dens)
+        vals = moms[power:]
+        for r in pick:
+            a = sum(x[i] * mean_map[:, r, i][reg] for i in range(m))
+            b = mean_map[:, r, m][reg]
+            vals = [a * lo + b * hi for lo, hi in zip(vals, vals[1:])]
         if len(pick) == 2:
-            poly[0] = poly[0] + resid
-        vals = sum(c * mom for c, mom in zip(poly, moments))
-        vals = vals * np.exp(-0.5 * np.sum(sol * sol, axis=1)) / norm
-        for j, p in powers:
-            vals = vals * x[:, j] ** p
+            vals[0] = vals[0] + resid[:, pick[0], pick[1]][reg] * tail
+        vals = vals[0] * np.exp(expo)
+        for i, b in enumerate(bounded[:m]):
+            if monomial[b]:
+                vals = vals * x[i] ** monomial[b]
         return vals
 
     if not m:
-        return quadrature.QuadratureResult(float(at(np.zeros((1, 0)))[0]), 0.0, 0, True)
+        return [quadrature.QuadratureResult(float(v), 0.0, 0, True)
+                for v in at([], np.arange(count))]
 
-    def g(tpts: np.ndarray) -> np.ndarray:
-        tpts = tpts.reshape(-1, m)
-        om = 1.0 - tpts
-        return at(low + tpts / om) / np.prod(om * om, axis=1)
+    def g(ts: list) -> list:
+        ts = [np.reshape(t, (-1, m)) for t in ts]
+        sizes = [len(t) for t in ts]
+        reg = np.repeat(np.arange(count), sizes)
+        t = np.concatenate(ts)
+        om = [1.0 - t[:, i] for i in range(m)]
+        vals = at([low[:, i][reg] + t[:, i] / om[i] for i in range(m)], reg)
+        vals /= math.prod(o * o for o in om)
+        return np.split(vals, np.cumsum(sizes)[:-1])
 
     return m, g
 
 
 def _route_quadrature(regions, monomial) -> list:
     """Direct cubature of x^monomial times the density over each (cov,
-    lower) of regions (_route_integrand): one cubature dimension per
+    lower) of regions, all of one dimension, by one stacked evaluation per
+    coordinate pattern (_route_integrand): one cubature dimension per
     finite bound but the last, by GK15 for one (lockstep_1d) and by its
-    tensor product on boxes for more (lockstep_nd).  The cubatures of one
-    dimension run in lockstep, each with its own tolerance and budget."""
-    results = [None] * len(regions)
-    by_dim: dict = {}
-    for i, (cov, lower) in enumerate(regions):
-        route = _route_integrand(cov, lower, monomial)
-        if isinstance(route, quadrature.QuadratureResult):
-            results[i] = route
+    tensor product on boxes for more (lockstep_nd).  A pattern's cubatures
+    run in lockstep, each with its own tolerance and budget."""
+    results, patterns = [None] * len(regions), {}
+    if not regions:
+        return results
+    covs, lowers = np.stack([c for c, _ in regions]), np.stack([low for _, low in regions])
+    empty = np.isposinf(lowers).any(axis=1).tolist()
+    for i, finite in enumerate(np.isfinite(lowers).tolist()):
+        if empty[i]:  # a +inf bound: the region is empty
+            results[i] = quadrature.QuadratureResult(0.0, 0.0, 0, True)
         else:
-            by_dim.setdefault(route[0], []).append((i, route[1]))
+            patterns.setdefault(tuple(finite), []).append(i)
     tols = dict(rel_tol=1e-7, abs_tol=_ROUTE_ABS_TOL, max_evals=_ROUTE_MAX_EVALS)
-    for m, members in by_dim.items():
-        gs = [g for _, g in members]
-
-        def f(xs):
-            return [g(x) for g, x in zip(gs, xs)]
-
-        if m == 1:
-            done = quadrature.lockstep_1d(f, [(0.0, 1.0)] * len(gs), **tols)
-        else:
-            done = quadrature.lockstep_nd(f, [(np.zeros(m), np.ones(m))] * len(gs), **tols)
-        for (i, _), res in zip(members, done):
+    for members in patterns.values():
+        done = _route_integrand(covs[members], lowers[members], monomial)
+        if not isinstance(done, list):
+            m, g = done
+            cells = [(0.0, 1.0) if m == 1 else (np.zeros(m), np.ones(m))] * len(members)
+            done = (quadrature.lockstep_1d if m == 1 else quadrature.lockstep_nd)(g, cells, **tols)
+        for i, res in zip(members, done):
             results[i] = res
     return results
 
@@ -667,9 +683,10 @@ def truncated_moment(cov, lower, monomial) -> Estimate:
 
 def truncated_moments(regions, monomial) -> list[Estimate]:
     """truncated_moment of one monomial over each (cov, lower) of regions,
-    the cubatures of one dimension in lockstep.  Each region passes
-    mvn_cdf's gates first; a cubature that misses its tolerance raises
-    AccuracyError."""
+    one stacked evaluation per coordinate pattern (_route_quadrature).
+    Each region passes mvn_cdf's gates first (_orthant_region), and the
+    route's Cholesky factor is its PSD gate; a cubature that misses its
+    tolerance raises AccuracyError."""
     m = tuple(int(p) for p in monomial)
     checked = []
     for cov, lower in regions:

@@ -49,8 +49,9 @@ the final xi rule's sum_k W_k f_X(xi_k, 0.5) f_Y(xi_k, 0.5).
 The four vertex x edge integrals of a sum (the "edge terms") are refined
 in lockstep (quadrature.lockstep_1d): each pass evaluates the nodes of
 every open edge integral in one call of _edge_integrands, which makes
-one _face_g call per dimension for all of them, and their spot checks'
-cubatures run in lockstep too (gauss.truncated_moments).  An integrand
+one _face_g call per dimension for all of them, and their spot checks
+are one stacked evaluation per coordinate pattern of the direct route
+(gauss.truncated_moments), which reads no face factor.  An integrand
 call costs about as much for 15 nodes as for 60, and an edge integral
 mostly converges on its first panel.  Each integral keeps its own cells
 and stopping test, and the bivariate kernel gives a point the same bits

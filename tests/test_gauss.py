@@ -18,6 +18,7 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from jointeec import gauss, quadrature
+from jointeec import kacrice as kr
 from jointeec.common import (
     AccuracyError,
     ArgumentError,
@@ -25,6 +26,7 @@ from jointeec.common import (
     UnsupportedDimensionError,
 )
 from jointeec.gauss import condition, mvn_cdf, truncated_moment
+from jointeec.model import fixture
 from test_acceptance import corner_tail, mills_product
 
 # frozen reference probabilities
@@ -805,6 +807,63 @@ def test_truncated_moments_rejects_bad_input():
             with pytest.raises(DegeneracyError) as info:
                 call()
             assert info.value.pivot_index == 1
+
+
+def test_truncated_moments_are_batch_invariant(monkeypatch):
+    # the direct route evaluates each coordinate pattern's regions as one
+    # stack; a region's moment must have the bits it has alone, wherever it
+    # sits and whatever shares its stack.  Here the regions of
+    # test_truncated_moments_match_one_at_a_time, reversed and each twice,
+    # alternate with the four edge probes of a face-pair sum at u = 3, each
+    # on its own covariance: the probes bound the same coordinates as three
+    # of those regions, one of them ahead of the probes, and two of them
+    # refine to 15 and 31 boxes while the probes stop after one
+    cov4 = np.array([[1.0, 0.5, -0.3, 0.2], [0.5, 1.0, 0.1, -0.4],
+                     [-0.3, 0.1, 0.8, 0.1], [0.2, -0.4, 0.1, 1.3]])
+    lowers = ([1.0, 0.5, 0.0, -np.inf], [3.0, 3.0, -np.inf, -np.inf],
+              [0.5, 1.0, -0.5, -np.inf], [1.0, -np.inf, -np.inf, -np.inf],
+              [-np.inf] * 4, [1.0, 2.0, -np.inf, -np.inf], [np.inf, 0.0, 0.0, -np.inf])
+    probes, orig = [], gauss.truncated_moments
+
+    def keep(regions, monomial):
+        if len(regions) == 4:  # the edge terms' checks
+            probes.extend(regions)
+        return orig(regions, monomial)
+
+    monkeypatch.setattr(gauss, "truncated_moments", keep)
+    kr.eec(fixture("corner-semidegenerate"), 3.0)
+    monkeypatch.undo()
+    assert len({cov.tobytes() for cov, _ in probes}) == 4
+    own = [(cov4, low) for low in reversed(lowers) for _ in range(2)]
+    stack = own[:9] + [r for pair in zip(probes, own[9:]) for r in pair] + own[13:]
+    together = gauss.truncated_moments(stack, (0, 0, 0, 1))
+    alone = [truncated_moment(cov, low, (0, 0, 0, 1)) for cov, low in stack]
+    assert together == alone
+    assert {est.n for est in alone} >= {225, 15 * 225, 31 * 225}
+
+    # a singular region third in a stack of its pattern is named as alone,
+    # not after one behind it that fails at another pivot
+    singular = [cov4.copy(), cov4.copy()]
+    for mat, k in zip(singular, (2, 1)):  # coordinate k a copy of coordinate 0
+        mat[k, :3] = mat[:3, k] = cov4[0, :3]
+        mat[k, k] = 1.0
+    regions = [(cov4, lowers[0]), (cov4, lowers[2]), (singular[0], lowers[0]),
+               (cov4, lowers[0]), (singular[1], lowers[2])]
+    with pytest.raises(DegeneracyError) as solo:
+        truncated_moment(singular[0], lowers[0], (0, 0, 0, 1))
+    with pytest.raises(DegeneracyError) as stacked:
+        gauss.truncated_moments(regions, (0, 0, 0, 1))
+    assert stacked.value.pivot_index == solo.value.pivot_index == 2
+
+    # a negative variance in a stack is named before any square root is taken
+    negative = cov4.copy()
+    negative[1, 1] = -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError) as info:
+            gauss.truncated_moments([(cov4, lowers[0]), (negative, lowers[0]),
+                                     (cov4, lowers[2])], (0, 0, 0, 1))
+    assert info.value.pivot_index == 1
 
 
 # ---------------------------------------------------------------------------
