@@ -8,6 +8,8 @@ directional derivatives of r vanish there.  This module locates the
 maximizer set, reads off the local geometry, and assembles the
 closed-form coefficient for each regime via the Laplace method;
 validate_model checks a model's covariances and its maximizers' curvature.
+The coefficients are algebra (a corner's orthant probabilities by
+Sheppard's formula): no kernel of the face-pair sum runs here.
 
 Orientation convention: the case formulas below are written for the
 canonical orientation in which the distinguished direction is t (for an
@@ -30,7 +32,6 @@ from .common import (
     ArgumentError,
     RegimeError,
 )
-from . import gauss
 from . import model as model_mod
 
 __all__ = [
@@ -394,6 +395,11 @@ def h_hessian_corner(geo: LocalGeometry, R: float, orient: float = 1.0) -> np.nd
     return pref * np.array([[h11, h12], [h12, h22]])
 
 
+def _orthant(cov: np.ndarray) -> float:
+    """P(X <= 0, Y <= 0) for a centred normal pair, by Sheppard's formula."""
+    return 0.25 + math.asin(cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1])) / (2.0 * math.pi)
+
+
 def closed_form(
     model: model_mod.BivariateModel,
     classification: CaseClassification,
@@ -439,11 +445,11 @@ def closed_form(
         _require(-r22, "-R22")
         orient = _corner_signs(*classification.maximizers[0])
         deriv_cov = np.array([[l1, orient * r12], [orient * r12, l2]])
-        p_deriv = gauss.mvn_cdf(deriv_cov, np.zeros(2)).value
+        p_deriv = _orthant(deriv_cov)
         hess = h_hessian_corner(geo, big_r, orient)
         if not (hess[0, 0] > 0.0 and np.linalg.det(hess) > 0.0):
             raise RegimeError("Hessian of h at the corner is not positive definite")
-        p_hess = gauss.mvn_cdf(hess, np.zeros(2)).value
+        p_hess = _orthant(hess)
         factor = (
             p_deriv
             + math.sqrt(l1 - r11) / (2.0 * math.sqrt(-r11))

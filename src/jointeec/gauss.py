@@ -337,8 +337,6 @@ def _path_integral(h, k, rho, from_minus_one, n: int) -> np.ndarray:
     x, w = _gl(n)
     start = np.where(from_minus_one, -0.5 * math.pi, 0.0)[:, None]
     span = np.arcsin(rho)[:, None] - start
-    if np.all(span == span[0]) and np.all(start == start[0]):
-        start, span = start[:1], span[:1]  # one path: the nodes are shared
     theta = span * x[None, :]
     if np.any(start):
         theta += start

@@ -10,32 +10,34 @@ bisected on the axis where Kronrod and Gauss differ most.  Integrands are
 vectorized: a 1-d integrand maps an array of abscissae to an array of
 values, an n-d integrand maps an (m, d) point array to an (m,) array.
 
-Panels and boxes refine under one policy: each pass pops up to _BATCH
-(16) of the worst cells and splits every one whose error is not 0, NaN
-included, or else the worst one.  A cell leaves the heap only by being
-split, so no cell is dropped: a non-finite value or error stays in the
-totals, and a result is converged only when the total error is at most
-the target.
+Panels and boxes refine under one policy, QUADPACK's global strategy:
+each integral keeps its cells as arrays, oldest first; each pass ranks
+them by error (NaN and +inf first, ties to the older cell) and splits
+every one of the _BATCH (16) worst whose error is not 0, or else the
+worst one: a pass always splits, so n_evals grows to the budget even
+under a negative tolerance.  A cell leaves only by being split, so no
+cell is dropped: a non-finite value or error stays in the totals, and a
+result is converged only when the total error is at most the target.
 
-Refinement order is deterministic (worst-error first with a fixed
-tie-break), and each pass takes the value and error totals as math.fsum
-over the heap, which rounds the exact sum once, so they do not depend on
-the order of the cells and repeated runs produce identical bits.  The driver
-never raises on budget exhaustion: it returns its best value with
-``converged=False``; QuadratureResult.estimate raises AccuracyError then.
+Each pass takes the value and error totals as math.fsum over the cells,
+which rounds the exact sum once, so they do not depend on the order of
+the cells, and the ranking is a stable sort, so repeated runs produce
+identical bits.  The driver never raises on budget exhaustion: it
+returns its best value with ``converged=False``;
+QuadratureResult.estimate raises AccuracyError then.
 
 _adapt refines a list of integrals of one rule in lockstep
 (lockstep_1d, lockstep_nd; integrate_1d and integrate_nd are the case of
 one integral).  Each pass places the nodes of the cells every open
-integral has popped, evaluates all of them in one integrand call (a list
-of node arrays in, a list of value arrays out, an empty array for an
+integral splits, evaluates all of them in one integrand call (a list of
+node arrays in, a list of value arrays out, an empty array for an
 integral that has stopped) and reduces each integral's cells on its own.
-Every integral keeps its own heap, tie-break, totals, stopping test
-and budget, so it splits the same cells in the same order, with the same
-n_evals, as it would alone, provided the integrand's value at a node does
-not depend on the other nodes of its call.  The rule's weighted sums run
-on each integral's own (cells, nodes) block, shaped as it would be alone:
-a BLAS product rounds a row according to where it sits in the batch, so
+Every integral keeps its own cells, totals, stopping test and budget, so
+it splits the same cells in the same order, with the same n_evals, as it
+would alone, provided the integrand's value at a node does not depend on
+the other nodes of its call.  The rule's weighted sums run on each
+integral's own (cells, nodes) block, shaped as it would be alone: a BLAS
+product rounds a row according to where it sits in the batch, so
 reducing the concatenated cells would move the integrals' last bits.
 What the lockstep saves is the fixed cost of an integrand call: the
 face-pair edge integrand takes about 0.7 ms for 15 nodes and 0.9 ms for
@@ -48,8 +50,6 @@ vector-valued integrands share one panel mesh across their xi nodes.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -109,7 +109,7 @@ class QuadratureResult:
         return Estimate(self.value, self.error, self.n_evals, QUADRATURE)
 
 
-_BATCH = 16  # cells popped per pass
+_BATCH = 16  # cells taken per pass
 
 
 def _adapt(f, rule, cells, rel_tol: float, abs_tol: float,
@@ -118,54 +118,38 @@ def _adapt(f, rule, cells, rel_tol: float, abs_tol: float,
     in lockstep (see the module docstring).  rule is (place, reduce,
     halves, nodes per cell): place(lo, hi) gives the nodes of a batch of
     cells, reduce(vals, lo, hi) their (values, errors, *extra) arrays from
-    the (cells, nodes) integrand values, and halves(entries) the (lo, hi)
-    of the halves of the entries' cells.  Each pass makes one call f(xs),
-    xs one node array per integral (empty for a finished one), which
-    returns one value array per integral."""
+    the (cells, nodes) integrand values, and halves(lo, hi, *extra) the
+    (lo, hi) of the halves of the cells given.  Each pass makes one call
+    f(xs), xs one node array per integral (empty for a finished one),
+    which returns one value array per integral.  An integral's cells are
+    the columns (lo, hi, value, error, *extra), oldest cell first."""
     place, reduce, halves, nodes = rule
-    runs = [_refine(halves, nodes, lo, hi, rel_tol, abs_tol, max_evals)
-            for lo, hi in cells]
-    due = [next(run) for run in runs]
-    results = [None] * len(runs)
+    due = list(cells)  # the (lo, hi) each integral evaluates next
+    kept = [None] * len(cells)  # each integral's unsplit cells, as columns
+    n_evals, results = [0] * len(cells), [None] * len(cells)
     while None in results:
         xs = [place(lo, hi) for lo, hi in due]
         vals = f(xs) if any(len(x) for x in xs) else xs  # no node: a == b in lockstep_1d
-        for i, run in enumerate(runs):
+        for i, (lo, hi) in enumerate(due):
             if results[i] is not None:
                 continue
-            lo, hi = due[i]
-            try:
-                due[i] = run.send(reduce(np.asarray(vals[i], dtype=float).reshape(len(lo), nodes),
-                                         lo, hi))
-            except StopIteration as stop:
-                results[i], due[i] = stop.value, (lo[:0], hi[:0])
+            v = np.asarray(vals[i], dtype=float).reshape(len(lo), nodes)
+            new = [lo, hi, *reduce(v, lo, hi)]
+            cols = new if kept[i] is None else [np.concatenate(c) for c in zip(kept[i], new)]
+            n_evals[i] += nodes * len(lo)
+            value, error = math.fsum(cols[2].tolist()), math.fsum(cols[3].tolist())
+            target = max(abs_tol, rel_tol * abs(value))
+            if error <= target or n_evals[i] >= max_evals:
+                results[i] = QuadratureResult(value, error, n_evals[i], error <= target)
+                due[i] = lo[:0], hi[:0]
+                continue
+            err = cols[3]
+            worst = np.argsort(np.where(np.isnan(err), -np.inf, -err), kind="stable")[:_BATCH]
+            live = ~(err[worst] <= 0.0)  # NaN included
+            split = worst[live] if live.any() else worst[:1]
+            kept[i] = [np.delete(c, split, axis=0) for c in cols]
+            due[i] = halves(*(c[split] for c in cols[:2] + cols[4:]))
     return results
-
-
-def _refine(halves, nodes: int, lo, hi, rel_tol: float, abs_tol: float, max_evals: int):
-    """One integral of _adapt, as a generator: it yields the (lo, hi) of the
-    cells it needs next, is sent back their reduced (values, errors,
-    *extra) and returns its QuadratureResult.  Heap entries are (-error,
-    tiebreak, lo, hi, value, error, *extra)."""
-    heap, n_evals, tiebreak = [], 0, itertools.count()
-    while True:
-        val, err, *extra = yield lo, hi
-        n_evals += nodes * len(val)
-        for entry in zip((-err).tolist(), tiebreak, lo.tolist(), hi.tolist(),
-                         val.tolist(), err.tolist(), *(e.tolist() for e in extra)):
-            heapq.heappush(heap, entry)
-        value, error = math.fsum(h[4] for h in heap), math.fsum(h[5] for h in heap)
-        target = max(abs_tol, rel_tol * abs(value))
-        if error <= target or n_evals >= max_evals:
-            return QuadratureResult(value, error, n_evals, error <= target)
-        popped = [heapq.heappop(heap) for _ in range(min(_BATCH, len(heap)))]
-        split = [h for h in popped if not h[5] <= 0.0]
-        keep = [h for h in popped if h[5] <= 0.0]
-        if not split:
-            split, keep = keep[:1], keep[1:]
-        for h in keep:
-            heapq.heappush(heap, h)
-        lo, hi = halves(split)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +183,7 @@ def _bisect(lo: np.ndarray, hi: np.ndarray):
     return np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
 
 
-def _gk15_halves(entries):
-    """Bisect each panel."""
-    return _bisect(np.array([h[2] for h in entries]), np.array([h[3] for h in entries]))
-
-
-_GK15 = (_gk15_place, _gk15_reduce, _gk15_halves, 15)
+_GK15 = (_gk15_place, _gk15_reduce, _bisect, 15)
 
 
 def integrate_1d(f, a: float, b: float, rel_tol: float = 1e-6,
@@ -273,10 +252,9 @@ def _box_reduce(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return k15, err, split_axis
 
 
-def _box_halves(entries):
-    """Bisect each box on its split axis (entry index 6)."""
-    lo, hi = np.array([h[2] for h in entries]), np.array([h[3] for h in entries])
-    rows, ax = np.arange(len(entries)), np.array([h[6] for h in entries])
+def _box_halves(lo: np.ndarray, hi: np.ndarray, ax: np.ndarray):
+    """Both halves of each box, bisected on its split axis ax."""
+    rows = np.arange(len(lo))
     left_hi, right_lo = hi.copy(), lo.copy()
     left_hi[rows, ax] = right_lo[rows, ax] = 0.5 * (lo[rows, ax] + hi[rows, ax])
     d = lo.shape[1]

@@ -6,13 +6,15 @@ closed forms to those numbers, not the other way around.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from jointeec.common import ArgumentError, RegimeError
-from jointeec.gauss import condition
-from jointeec.model import fixture, joint_cov, transpose
+from jointeec.gauss import condition, mvn_cdf
+from jointeec.model import (BivariateModel, CrossCorrelation, SquaredExponential, fixture,
+                            joint_cov, transpose)
 from jointeec import asymptotics as asy
 from test_acceptance import h_function, sigma_conditional
 
@@ -236,6 +238,47 @@ def test_closed_form_transpose_invariance():
         b = asy.closed_form(tr, asy.classify(tr), 4.0)
         assert b.coefficient == pytest.approx(a.coefficient, rel=1e-10)
         assert b.power == a.power
+
+
+@dataclass(frozen=True)
+class TiltedCorner(CrossCorrelation):
+    """r(t, s) = c exp(-(t^2 - 2 rho t s + s^2) / 2), partials to order 2:
+    maximal at the corner (0, 0) with both partials 0 there and the mixed
+    second partial c rho, so its orthant probabilities have rho != 0."""
+
+    c: float
+    rho: float
+
+    def partials(self, t, s, orders):
+        t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+        r = self.c * np.exp(-0.5 * (t * t - 2.0 * self.rho * t * s + s * s))
+        qt, qs = self.rho * s - t, self.rho * t - s
+        jet = {(0, 0): r, (1, 0): r * qt, (0, 1): r * qs, (2, 0): r * (qt * qt - 1.0),
+               (0, 2): r * (qs * qs - 1.0), (1, 1): r * (qt * qs + self.rho)}
+        return [jet[o] for o in orders]
+
+
+@pytest.mark.parametrize("rho", [0.3, -0.3])
+def test_corner_both_zero_orthants_are_sheppard(rho):
+    # every fixture's both-zero corner has r12 = 0, where both orthant
+    # probabilities are 1/4; here they are not, and the closed form's
+    # arcsin must match the same coefficient built on the numeric kernel
+    sq = SquaredExponential(1.0)
+    mod = BivariateModel(sq, sq, TiltedCorner(0.5, rho))
+    cls = asy.classify(mod)
+    assert cls.tag == "Corner_BothZero"
+    geo, big_r = cls.geometry, cls.R
+    l1, l2, r11, r22, r12 = geo.lambda1, geo.lambda2, geo.r11, geo.r22, geo.r12
+    assert r12 == pytest.approx(0.5 * rho, rel=1e-12)
+    p_deriv = mvn_cdf(np.array([[l1, r12], [r12, l2]]), np.zeros(2)).value
+    p_hess = mvn_cdf(asy.h_hessian_corner(geo, big_r), np.zeros(2)).value
+    assert p_deriv == pytest.approx(0.25 + math.asin(rho / 2.0) / (2.0 * math.pi), rel=1e-12)
+    factor = (p_deriv + math.sqrt(l1 - r11) / (2.0 * math.sqrt(-r11))
+              + math.sqrt(l2 - r22) / (2.0 * math.sqrt(-r22))
+              + p_hess * math.sqrt((l1 - r11) * (l2 - r22)) / math.sqrt(r11 * r22 - r12 ** 2))
+    base = (1.0 + big_r) ** 2 / (2.0 * math.pi * math.sqrt(1.0 - big_r ** 2))
+    term = asy.closed_form(mod, cls, 4.0)
+    assert term.coefficient == pytest.approx(factor * base, rel=1e-12)
 
 
 def test_asymptotic_term_evaluate():

@@ -56,6 +56,28 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def package_imports(source):
+    """The package modules a module's source imports, by relative import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+    return names
+
+
+def test_detector_reads_relative_imports():
+    src = "import numpy\nfrom . import gauss, model as m\nfrom .common import X\n"
+    assert package_imports(src) == {"gauss", "model", "common"}
+
+
+@pytest.mark.parametrize("module", ["asymptotics", "montecarlo"])
+def test_independent_routes_share_no_engine(module):
+    # the closed forms and Monte Carlo check the face-pair sum, so neither
+    # runs its Gaussian kernels, its quadrature or the sum itself
+    source = (Path(jointeec.__file__).parent / f"{module}.py").read_text()
+    assert not package_imports(source) & {"gauss", "quadrature", "kacrice"}
+
+
 def _private_definitions(tree):
     """Module-level _names bound by def, class or assignment (dunders aside)."""
     names = set()

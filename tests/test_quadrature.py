@@ -11,6 +11,8 @@ import pytest
 
 from jointeec.quadrature import (
     _BATCH,
+    _adapt,
+    _bisect,
     integrate_1d,
     integrate_nd,
     lockstep_1d,
@@ -128,7 +130,7 @@ def _beyond_09(fill):
     # rule stops at its budget
     lambda: integrate_1d(lambda x: np.exp(800.0 * x), 0.0, 1.0, max_evals=3000),
     # a cell whose value or error is not finite stays in the totals: it
-    # leaves the heap only by being split, never as a dropped NaN
+    # leaves its integral's cells only by being split, never as a dropped NaN
     lambda: integrate_nd(_beyond_09(math.inf), [0.0, 0.0], [1.0, 1.0], max_evals=5000),
     lambda: integrate_nd(_beyond_09(math.nan), [0.0, 0.0], [1.0, 1.0], max_evals=5000),
 ], ids=["overflow-1d", "inf-2d", "nan-2d"])
@@ -166,13 +168,66 @@ def test_integrate_nd_bits_pinned():
         0.1245710992710986, 9.82914072356067e-09, 50625, True)
 
 
+def _peak_1d(centre):
+    sig = 1e-2
+    return lambda x: np.exp(-0.5 * ((x - centre) / sig) ** 2) / (sig * math.sqrt(2.0 * math.pi))
+
+
+def test_integrate_1d_bits_pinned():
+    # two panel meshes refined over several passes: one peak, then two
+    res = integrate_1d(_peak_1d(0.37), 0.0, 1.0, rel_tol=1e-9)
+    assert bits(res) == (1.0000000000000002, 2.5730674565122987e-12, 1305, True)
+    peaks = lambda x: _peak_1d(0.37)(x) + _peak_1d(0.81)(x)
+    res = integrate_1d(peaks, 0.0, 1.0, rel_tol=1e-12)
+    assert bits(res) == (2.0000000000000004, 8.70277070758065e-16, 1905, True)
+
+
+def _toy_run(error, rel_tol, abs_tol, max_evals):
+    """_adapt on [0, 1] under a rule of one node per panel, at its left
+    end: the value is that node plus 1, the error error(lo, hi).  Returns
+    the result and the nodes of every pass, so the panels split in order.
+    A pass that places no node fails the run: it would repeat forever."""
+    calls = []
+
+    def place(lo, hi):
+        assert len(lo), "a pass split no panel"
+        calls.append(lo.tolist())
+        return lo
+
+    rule = (place, lambda vals, lo, hi: (vals[:, 0] + 1.0, error(lo, hi)), _bisect, 1)
+    (res,) = _adapt(lambda xs: xs, rule, [(np.zeros(1), np.ones(1))], rel_tol, abs_tol, max_evals)
+    return res, calls
+
+
+def test_ties_go_to_the_older_panel():
+    # the error is the width, so after five passes the 32 panels of width
+    # 1/32 tie; the _BATCH older ones, made first, are the left half
+    res, calls = _toy_run(lambda lo, hi: hi - lo, 0.0, 0.0, 64)
+    assert [len(c) for c in calls] == [1, 2, 4, 8, 16, 32, 32]
+    assert calls[-1] == [k / 64 for k in range(32)]
+    assert (res.n_evals, res.converged) == (95, False)
+
+
+def test_nan_error_ranks_first():
+    # a NaN error outranks every number, so the panel at 0.8 splits in the
+    # first batch past the 32 tied panels and leads it
+    at = 0.8
+    res, calls = _toy_run(lambda lo, hi: np.where((lo <= at) & (at < hi), np.nan, hi - lo),
+                          0.0, 0.0, 64)
+    assert calls[-1][:2] == [50 / 64, 51 / 64]
+    assert math.isnan(res.error) and not res.converged
+
+
+def test_zero_errors_split_the_oldest_panel():
+    # with every error 0 and a negative target no panel earns a split, and
+    # a pass splits the oldest one anyway, so the budget still ends the run
+    res, calls = _toy_run(lambda lo, hi: np.zeros_like(lo), -1.0, -1.0, 10)
+    assert calls == [[0.0], [0.0, 0.5], [0.0, 0.25], [0.5, 0.75], [0.0, 0.125], [0.25, 0.375]]
+    assert (res.n_evals, res.converged) == (11, False)
+
+
 # ---------------------------------------------------------------------------
 # lockstep: several integrals refined together, one integrand call per pass
-
-def _narrow_peak(x):
-    sig = 1e-2
-    return np.exp(-0.5 * ((x - 0.37) / sig) ** 2) / (sig * math.sqrt(2.0 * math.pi))
-
 
 def _product_gaussian(x):
     return np.exp(-0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2)) / (2.0 * math.pi)
@@ -182,7 +237,7 @@ def _concentrated(x):
     return np.exp(-2000.0 * ((x[..., 0] - 0.51) ** 2 + (x[..., 1] - 0.49) ** 2))
 
 
-CASES_1D = ((np.cos, 0.0, 1.5), (np.exp, -1.0, 1.0), (_narrow_peak, 0.0, 1.0),
+CASES_1D = ((np.cos, 0.0, 1.5), (np.exp, -1.0, 1.0), (_peak_1d(0.37), 0.0, 1.0),
             (lambda x: x**10, 0.0, 2.0), (np.sin, 0.5, 0.5))
 CASES_2D = ((_peak_2d, [0.0, 0.0], [1.0, 1.0]), (_product_gaussian, [-8.0, -8.0], [8.0, 8.0]),
             (lambda x: x[..., 0] ** 2 * x[..., 1] ** 4, [0.0, -1.0], [2.0, 3.0]),
@@ -213,7 +268,7 @@ def _solo_calls(integrate, f, *args, **kw):
     (lockstep_nd, integrate_nd, CASES_2D, 1e-8),
 ], ids=["1d", "2d"])
 def test_lockstep_matches_solo_runs(lockstep, solo, cases, tol):
-    # each integral keeps its own heap, totals, stopping test and budget, so
+    # each integral keeps its own cells, totals, stopping test and budget, so
     # together they split the same cells in the same order as alone; the
     # integrand is called once per pass, and an integral that has stopped
     # is handed no more nodes
@@ -242,7 +297,7 @@ def test_lockstep_4d_matches_solo_run():
 def test_lockstep_budget_is_per_integral():
     # the narrow peak runs out of its budget and says so; the others converge
     # as they would alone, whatever the peak still asks for
-    cases = ((np.cos, 0.0, 1.5), (_narrow_peak, 0.0, 1.0), (np.exp, -1.0, 1.0))
+    cases = ((np.cos, 0.0, 1.5), (_peak_1d(0.37), 0.0, 1.0), (np.exp, -1.0, 1.0))
     calls = []
     res = lockstep_1d(_recording([c[0] for c in cases], calls), [c[1:] for c in cases],
                       rel_tol=1e-13, max_evals=300)
