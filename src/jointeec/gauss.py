@@ -1,12 +1,14 @@
 """Dense multivariate Gaussian computations in dimensions up to four.
 
 Contents: the standard normal CDF, conditioning (Schur complements with
-named pivots), survival CDFs P{xi >= lower} for dims 1-4, truncated
-moments of degree <= 2 by a direct route (the independent reference the
-face-pair integrands are spot-checked against): the free coordinates and
-the last bounded one in closed form, the other bounded ones by GK15
-cubature, and truncated_moments makes one stacked evaluation per
-coordinate pattern of its regions, their cubatures in lockstep.
+named pivots), survival CDFs P{xi >= lower} for dims 1-4 (mvn_cdfs makes
+one stacked evaluation of many regions, mvn_cdf is its one-region case),
+truncated moments of degree <= 2 by a direct route (the independent
+reference the face-pair integrands are spot-checked against): the free
+coordinates and the last bounded one in closed form, the other bounded
+ones by GK15 cubature, and truncated_moments makes one stacked
+evaluation per coordinate pattern of its regions, their cubatures in
+lockstep.
 
 The normal CDF is written as Phi(-h) = exp(-h^2 / 2) R(h) for h >= 0,
 with R the Mills ratio over sqrt(2 pi) taken from piecewise polynomials
@@ -40,7 +42,10 @@ product, which rounds a row differently by its place in the batch
 of it or when it is evaluated alone); every other step is elementwise.
 The lockstep edge integrals of kacrice rely on it: they put the nodes of
 up to four integrals in one call, and each must get the bits it gets
-alone.
+alone.  So do a face-pair sum's corner orthants, one mvn_cdfs call per
+sum: every region's 2-D orthant, Plackett block pairs and conditional
+pairs go through one kernel call, and its Plackett set-up is elementwise
+on rows stacked by node count, so each region gets mvn_cdf's bits.
 """
 
 from __future__ import annotations
@@ -385,35 +390,61 @@ _SPLITS = {
 }
 
 
-def _block_products(corr: np.ndarray, a: np.ndarray, splits) -> np.ndarray:
-    """P(block 1) P(block 2) for each split: one kernel call for the pair
-    blocks, one ndtr call for the single ones."""
+def _choose_split(corr: np.ndarray, a: np.ndarray):
+    """The split of one region for _plackett: the first with no negative
+    cross entry, so that no part is negative, or None where every split
+    has one (then _smallest_block_splits chooses)."""
+    for b1, b2 in _SPLITS[len(a)]:
+        if all(corr[i, j] >= 0.0 for i in b1 for j in b2):
+            return b1, b2
+    return None
+
+
+def _smallest_block_splits(corr: np.ndarray, a: np.ndarray) -> list:
+    """For each region of a stack of one dimension, the split with the
+    smallest block product P(block 1) P(block 2): one kernel call for the
+    pair blocks of all, one ndtr call for the single ones."""
+    splits = _SPLITS[a.shape[1]]
     blocks = {b for split in splits for b in split}
     pairs = sorted(b for b in blocks if len(b) == 2)
     singles = sorted(b for b in blocks if len(b) == 1)
     i, j = np.array(pairs).T
-    prob = dict(zip(pairs, _bvn_survival_batch(a[i], a[j], corr[i, j])))
-    prob.update(zip(singles, ndtr(-a[[k for k, in singles]])))
-    return np.array([prob[b1] * prob[b2] for b1, b2 in splits])
+    surv = _bvn_survival_batch(a[:, i].ravel(), a[:, j].ravel(), corr[:, i, j].ravel())
+    prob = dict(zip(pairs, surv.reshape(len(a), len(pairs)).T))
+    if singles:
+        prob.update(zip(singles, ndtr(-a[:, [k for k, in singles]]).T))
+    products = np.stack([prob[b1] * prob[b2] for b1, b2 in splits], axis=1)
+    return [splits[k] for k in np.argmin(products, axis=1).tolist()]
 
 
-def _choose_split(corr: np.ndarray, a: np.ndarray):
-    """The split of _orthant_plackett: the first with no negative cross
-    entry, so that no part is negative, or else the one with the smallest
-    block product."""
-    splits = _SPLITS[len(a)]
-    for b1, b2 in splits:
-        if all(corr[i, j] >= 0.0 for i in b1 for j in b2):
-            return b1, b2
-    return splits[int(np.argmin(_block_products(corr, a, splits)))]
+class _Batch:
+    """The arguments of one vectorized call, gathered piece by piece: add
+    returns the slice of the call's output that its piece takes."""
+
+    def __init__(self, width: int):
+        self.parts, self.size = [[] for _ in range(width)], 0
+
+    def add(self, *arrays) -> slice:
+        for part, arr in zip(self.parts, arrays):
+            part.append(np.ravel(arr))
+        start, self.size = self.size, self.size + np.size(arrays[0])
+        return slice(start, self.size)
+
+    def columns(self) -> list:
+        return [np.concatenate(part) for part in self.parts]
 
 
-def _orthant_plackett(corr: np.ndarray, a: np.ndarray) -> tuple[float, float, int]:
-    """P{Z >= a} for dims 3-4 by Plackett's identity: the value, its error
-    and the kernel points spent.
+def _plackett(corr: np.ndarray, a: np.ndarray, pairs: _Batch, tails: _Batch):
+    """P{Z >= a} by Plackett's identity for a stack of regions of one
+    dimension, 3 or 4 (correlations corr, thresholds a): the kernel points
+    (h, k, rho) and normal thresholds it needs go into pairs and tails, and
+    the returned finish(surv, normal) gives each region's (value, error,
+    kernel points) from the survivals and normal tails at those points.
 
-    With C0 the block-diagonal part of corr over the split of
-    _choose_split and C(t) = C0 + t (corr - C0),
+    With C0 the block-diagonal part of a region's correlation over its
+    split (_choose_split, or _smallest_block_splits for all the regions
+    whose every split has a negative cross entry) and
+    C(t) = C0 + t (corr - C0),
         P = P(block 1) P(block 2) + sum over cross pairs (i, j), c_ij != 0,
             c_ij int_0^1 phi2(a_i, a_j; t c_ij) P_t(rest >= a_rest | z_i = a_i, z_j = a_j) dt,
     where P_t is under C(t) and the rest is the other member of the pair
@@ -423,73 +454,99 @@ def _orthant_plackett(corr: np.ndarray, a: np.ndarray) -> tuple[float, float, in
     sin(theta), where phi2 dt has no 1 / sqrt(1 - t^2 c_ij^2) factor, by a
     Gauss-Legendre rule in theta and one of half its nodes for the error.
     Every pair's integrand carries the exponents of the others, whose
-    correlations move with t too, so all take the node count of the
-    largest _path_nodes(a_i, a_j, c_ij).  The conditional probabilities and
-    the pair blocks go through one kernel call, the single block and the
-    one-coordinate rests of dimension 3 through one ndtr call.  The error
-    is the gap between the two rules plus _BVN_REL_ERR times the block
-    product and the magnitudes of the parts, so a split whose parts cancel
-    reports its loss; the value is clipped at 0."""
-    b1, b2 = _choose_split(corr, a)
-    cross = [(i, j) for i in b1 for j in b2 if corr[i, j] != 0.0]
-    if not cross:  # the blocks are independent
-        block = float(_block_products(corr, a, [(b1, b2)])[0])
-        return block, _BVN_REL_ERR * block, 2
-    i, j = (np.array(c)[:, None] for c in zip(*cross))  # one row per cross pair
-    n = int(np.max(_path_nodes(a[i[:, 0]], a[j[:, 0]], corr[i[:, 0], j[:, 0]],
-                               np.zeros(len(cross), dtype=bool))))
-    # one column per node: the n-node rule, then the n/2-node one
-    (x_fine, w_fine), (x_coarse, w_coarse) = _gl(n), _gl(n // 2)
-    span = np.arcsin(corr[i, j])
-    tau = np.sin(span * np.concatenate([x_fine, x_coarse]))
-    t = tau / corr[i, j]
-    det = 1.0 - tau * tau
-    in_b2 = np.array([m in b2 for m in range(len(a))])
+    correlations move with t too, so all of a region's pairs take the node
+    count of its largest _path_nodes(a_i, a_j, c_ij).  The error is the gap
+    between the two rules plus _BVN_REL_ERR times the block product and
+    the magnitudes of the parts, so a split whose parts cancel reports its
+    loss; the value is clipped at 0.
 
-    def entry(p, q):  # C(t)[p, q]
-        return corr[p, q] * np.where(in_b2[p] == in_b2[q], 1.0, t)
+    The cross pairs of all regions are rows, one column per node, set up
+    together for each node count; every step is elementwise, and each
+    row's rule is its own einsum, summed region by region in the order of
+    its pairs, so each region gets the bits it gets alone."""
+    count, d = a.shape
+    splits = [_choose_split(c, x) for c, x in zip(corr, a)]
+    cancelling = [r for r, split in enumerate(splits) if split is None]
+    if cancelling:
+        for r, split in zip(cancelling, _smallest_block_splits(corr[cancelling], a[cancelling])):
+            splits[r] = split
+    reg = np.arange(count)
+    b1, b2 = (np.array(blocks) for blocks in zip(*splits))
+    first = pairs.add(a[reg, b1[:, 0]], a[reg, b1[:, 1]], corr[reg, b1[:, 0], b1[:, 1]])
+    second = (pairs.add(a[reg, b2[:, 0]], a[reg, b2[:, 1]], corr[reg, b2[:, 0], b2[:, 1]])
+              if d == 4 else tails.add(a[reg, b2[:, 0]]))
+    # one row per cross pair (region, i, j, k, l), region by region: k the
+    # other member of the pair block, l that of the second block (j in d = 3)
+    rows = [(r, i, j, p[1] if i == p[0] else p[0], q[-1] if j == q[0] else q[0])
+            for r, (p, q) in enumerate(splits) for i in p for j in q if corr[r, i, j] != 0.0]
+    g, i, j, k, l = np.array(rows, dtype=np.intp).reshape(-1, 5).T
+    rule = np.zeros(count, dtype=np.intp)  # each region's node count
+    np.maximum.at(rule, g, _path_nodes(a[g, i], a[g, j], corr[g, i, j], np.zeros(len(g), bool)))
+    groups = []
+    for n in sorted(set(rule[g].tolist())):
+        sel = np.flatnonzero(rule[g] == n)
+        r, i_, j_, k_, l_ = (v[sel, None] for v in (g, i, j, k, l))
+        (x_fine, _), (x_coarse, _) = _gl(n), _gl(n // 2)
+        c = corr[r, i_, j_]
+        span = np.arcsin(c)
+        # one column per node: the n-node rule, then the n/2-node one
+        tau = np.sin(span * np.concatenate([x_fine, x_coarse]))
+        t = tau / c
+        det = 1.0 - tau * tau
+        ai, aj = a[r, i_], a[r, j_]
 
-    def given_pair(r):
-        """Coordinate r given the pair under C(t): its standardized
-        threshold, its sd and its coefficients on the pair."""
-        r_i, r_j = entry(r, i), entry(r, j)
-        coef = (r_i - tau * r_j) / det, (r_j - tau * r_i) / det
-        sd = np.sqrt(1.0 - (coef[0] * r_i + coef[1] * r_j))
-        return (a[r] - coef[0] * a[i] - coef[1] * a[j]) / sd, sd, coef
+        def given_pair(m, m_i, m_j):
+            """Coordinate m given the pair under C(t), from its entries m_i
+            and m_j of C(t): its standardized threshold, its sd and its
+            coefficients on the pair."""
+            coef = (m_i - tau * m_j) / det, (m_j - tau * m_i) / det
+            sd = np.sqrt(1.0 - (coef[0] * m_i + coef[1] * m_j))
+            return (a[r, m] - coef[0] * ai - coef[1] * aj) / sd, sd, coef
 
-    # the rest: the other member of the pair block, and of the second block in d = 4
-    k = np.where(i == b1[0], b1[1], b1[0])
-    h, sd_k, coef_k = given_pair(k)
-    if len(b2) == 1:
-        tails = ndtr(-np.append(h, a[b2[0]]))
-        rest = tails[:-1]
-        block = float(_bvn_survival_batch(a[b1[0]], a[b1[1]], corr[b1])[0] * tails[-1])
-    else:
-        l = np.where(j == b2[0], b2[1], b2[0])
-        g, sd_l, _ = given_pair(l)
-        rho = (entry(k, l) - coef_k[0] * entry(l, i) - coef_k[1] * entry(l, j)) / (sd_k * sd_l)
-        probs = _bvn_survival_batch(np.append(h, [a[b1[0]], a[b2[0]]]),
-                                    np.append(g, [a[b1[1]], a[b2[1]]]),
-                                    np.append(rho, [corr[b1], corr[b2]]))
-        rest = probs[:-2]
-        block = float(probs[-2] * probs[-1])
-    # c_ij phi2(a_i, a_j; tau) dt = exp(...) / (2 pi) dtheta, with dtheta = span dx
-    f = np.exp((tau * a[i] * a[j] - 0.5 * (a[i] ** 2 + a[j] ** 2)) / det) * span / (2.0 * math.pi)
-    f *= rest.reshape(f.shape)
-    fine = np.einsum("ij,j->i", f[:, :n], w_fine)
-    coarse = np.einsum("ij,j->i", f[:, n:], w_coarse)
-    value = block + float(np.sum(fine))
-    error = (abs(float(np.sum(fine) - np.sum(coarse)))
-             + _BVN_REL_ERR * (block + float(np.sum(np.abs(fine)))))
-    return max(value, 0.0), error, f.size + 2
+        # C(t) keeps the entries within a block and scales those across by t
+        h, sd_k, coef_k = given_pair(k_, corr[r, k_, i_], corr[r, k_, j_] * t)
+        if d == 3:
+            rest = tails.add(h)
+        else:
+            l_i, l_j = corr[r, l_, i_] * t, corr[r, l_, j_]
+            h_l, sd_l, _ = given_pair(l_, l_i, l_j)
+            rho = (corr[r, k_, l_] * t - coef_k[0] * l_i - coef_k[1] * l_j) / (sd_k * sd_l)
+            rest = pairs.add(h, h_l, rho)
+        # c_ij phi2(a_i, a_j; tau) dt = exp(...) / (2 pi) dtheta, with dtheta = span dx
+        f = np.exp((tau * ai * aj - 0.5 * (ai ** 2 + aj ** 2)) / det) * span / (2.0 * math.pi)
+        groups.append((n, sel, f, rest))
+
+    def finish(surv, normal):
+        rests = normal if d == 3 else surv  # the second block's and the rests'
+        fine, coarse = np.empty(len(g)), np.empty(len(g))
+        for n, sel, f, rest in groups:
+            f *= rests[rest].reshape(f.shape)
+            fine[sel] = np.einsum("ij,j->i", f[:, :n], _gl(n)[1])
+            coarse[sel] = np.einsum("ij,j->i", f[:, n:], _gl(n // 2)[1])
+        blocks = (surv[first] * rests[second]).tolist()
+        ends = np.cumsum(np.bincount(g, minlength=count)).tolist()
+        out = []
+        for block, n, lo, hi in zip(blocks, rule.tolist(), [0] + ends, ends):
+            if lo == hi:  # the blocks are independent
+                out.append((block, _BVN_REL_ERR * block, 2))
+                continue
+            part, gap = fine[lo:hi], coarse[lo:hi]
+            value = block + float(np.sum(part))
+            error = (abs(float(np.sum(part) - np.sum(gap)))
+                     + _BVN_REL_ERR * (block + float(np.sum(np.abs(part)))))
+            out.append((max(value, 0.0), error, (hi - lo) * (n + n // 2) + 2))
+        return out
+
+    return finish
 
 
 def _orthant_region(cov, lower):
     """The gates every region passes before any engine runs: shape,
-    dimension and positive diagonal.  Returns the covariance and thresholds
-    of the constrained coordinates, or the finished Estimate of a region
-    that is empty (a +inf bound) or unconstrained.  The PSD gate is the
-    engine's Cholesky factor: mvn_cdf's, or the direct route's."""
+    dimension, no NaN threshold, symmetry within symmetry_tol and positive
+    diagonal.  Returns the covariance and thresholds of the constrained
+    coordinates, or the finished Estimate of a region that is empty (a +inf
+    bound) or unconstrained.  The PSD gate is the engine's Cholesky factor:
+    mvn_cdfs', or the direct route's."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     n = cov.shape[0]
@@ -497,6 +554,11 @@ def _orthant_region(cov, lower):
         raise ArgumentError("cov must be square and lower of matching length")
     if n < 1 or n > 4:
         raise UnsupportedDimensionError(f"Gaussian regions of dims 1..4 only, got {n}")
+    if np.isnan(lower).any():
+        raise ArgumentError(f"threshold at index {int(np.argmax(np.isnan(lower)))} is NaN")
+    asym = float(np.max(np.abs(cov - cov.T)))
+    if asym > DEFAULT_TOL.symmetry_tol:
+        raise ArgumentError(f"covariance asymmetric by {asym:.3e}")
     if np.isposinf(lower).any():
         return Estimate(0.0, 0.0, 0, QUADRATURE)
     keep = ~np.isneginf(lower)
@@ -513,34 +575,83 @@ def _orthant_region(cov, lower):
 
 
 def mvn_cdf(cov, lower) -> Estimate:
-    """P{xi_i >= lower_i for all i} for centered xi ~ N(0, cov), dim <= 4.
+    """P{xi_i >= lower_i for all i} for centered xi ~ N(0, cov), dim <= 4:
+    mvn_cdfs for one region.
 
-    Dimension 2 is _bvn_parts, with error _BVN_REL_ERR times the sum of
-    the magnitudes of its parts and its node count as the evaluations.
-    Dims 3-4 are Plackett's identity over a split into two blocks
-    (_orthant_plackett), for any thresholds: the value is the block
-    product plus one 1-d integral per nonzero cross-block correlation, the
-    error the gap to the rule with half the nodes plus _BVN_REL_ERR times
-    the block product and the magnitudes of the parts (so a split whose
-    parts cancel reports its loss), and the evaluations the kernel points,
-    the block probabilities counted."""
-    region = _orthant_region(cov, lower)
-    if isinstance(region, Estimate):
-        return region
-    cov, lower = region
-    sd = np.sqrt(np.diag(cov))
-    corr, a = cov / np.outer(sd, sd), lower / sd
-    n = len(a)
-    if n > 1:
-        _cholesky_named(corr[None], tuple(range(n)), 1e-12)
-    if n == 1:
-        value = ndtr(-a[0])
-        return Estimate(value, 1e-14 * value, 1, QUADRATURE)
-    if n == 2:
-        start, path, nodes = _bvn_parts(a[0], a[1], corr[0, 1])
-        error = _BVN_REL_ERR * (start[0] + abs(path[0]))
-        return Estimate(float(start[0] + path[0]), float(error), int(nodes[0]), QUADRATURE)
-    return Estimate(*_orthant_plackett(corr, a), QUADRATURE)
+    Dimension 1 is the normal tail, with error 1e-14 of it.  Dimension 2
+    is _bvn_parts, with error _BVN_REL_ERR times the sum of the magnitudes
+    of its parts and its node count as the evaluations.  Dims 3-4 are
+    Plackett's identity over a split into two blocks (_plackett), for any
+    thresholds: the value is the block product plus one 1-d integral per
+    nonzero cross-block correlation, the error the gap to the rule with
+    half the nodes plus _BVN_REL_ERR times the block product and the
+    magnitudes of the parts (so a split whose parts cancel reports its
+    loss), and the evaluations the kernel points, the block probabilities
+    counted."""
+    (est,) = mvn_cdfs([(cov, lower)])
+    return est
+
+
+def _psd_gate(groups) -> None:
+    """One Cholesky factor (_cholesky_named) per dimension of the
+    correlations of groups ({d: [(position, corr, thresholds)]}).  Where a
+    stack fails, the regions are factored one at a time in order, so the
+    error is the one the first failing region raises alone."""
+    stacks = {d: members for d, members in groups.items() if d > 1}
+    try:
+        for d, members in stacks.items():
+            _cholesky_named(np.stack([corr for _, corr, _ in members]), tuple(range(d)), 1e-12)
+    except DegeneracyError:
+        for _, corr, _ in sorted(m for members in stacks.values() for m in members):
+            _cholesky_named(corr[None], tuple(range(len(corr))), 1e-12)
+        raise
+
+
+def mvn_cdfs(regions) -> list[Estimate]:
+    """mvn_cdf of each (cov, lower) of regions, in one evaluation.
+
+    Each region passes _orthant_region's gates, then one Cholesky factor
+    per dimension is the PSD gate (_psd_gate).  One kernel call
+    (_bvn_parts) then takes every region's 2-D orthant, Plackett pair
+    blocks and conditional pair probabilities, and one ndtr call every
+    single-coordinate tail.  Each region keeps its own split and node count
+    (_plackett), and the kernel is batch-invariant, so each Estimate has
+    the bits mvn_cdf gives its region alone."""
+    results, groups = [], {}
+    for cov, lower in regions:
+        region = _orthant_region(cov, lower)
+        if not isinstance(region, Estimate):
+            cov, lower = region
+            sd = np.sqrt(np.diag(cov))
+            groups.setdefault(len(lower), []).append(
+                (len(results), cov / np.outer(sd, sd), lower / sd))
+            region = None
+        results.append(region)
+    _psd_gate(groups)
+    pairs, tails, plans = _Batch(3), _Batch(1), []
+    for d, members in groups.items():
+        corr = np.stack([c for _, c, _ in members])
+        a = np.stack([x for _, _, x in members])
+        if d == 1:
+            plan = tails.add(a[:, 0])
+        elif d == 2:
+            plan = pairs.add(a[:, 0], a[:, 1], corr[:, 0, 1])
+        else:
+            plan = _plackett(corr, a, pairs, tails)
+        plans.append((d, [pos for pos, _, _ in members], plan))
+    start, path, nodes = _bvn_parts(*pairs.columns()) if pairs.size else (np.empty(0),) * 3
+    normal = ndtr(-tails.columns()[0]) if tails.size else np.empty(0)
+    for d, positions, plan in plans:
+        if d == 1:  # the normal tail, with error 1e-14 of it
+            done = [(v, 1e-14 * v, 1) for v in normal[plan].tolist()]
+        elif d == 2:  # the kernel's parts, with error _BVN_REL_ERR of their magnitudes
+            done = [(p + q, _BVN_REL_ERR * (p + abs(q)), n) for p, q, n in zip(
+                start[plan].tolist(), path[plan].tolist(), nodes[plan].tolist())]
+        else:
+            done = plan(start + path, normal)
+        for pos, res in zip(positions, done):
+            results[pos] = Estimate(*res, QUADRATURE)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,10 @@ call costs about as much for 15 nodes as for 60, and an edge integral
 mostly converges on its first panel.  Each integral keeps its own cells
 and stopping test, and the bivariate kernel gives a point the same bits
 whatever else shares its batch, so each term is the one
-face_pair_integral computes for its pair alone, bit for bit.
+face_pair_integral computes for its pair alone, bit for bit.  The
+corner x corner orthants of a sum are likewise one evaluation
+(_corner_terms): one gauss.mvn_cdfs call, which makes one bivariate
+kernel call for the four of them.
 
 Face restriction: with ``restricted=True`` only the faces whose closure
 contains the unique maximizer (t*, s*) and whose free directions have a
@@ -154,14 +157,22 @@ def corner_corner_term(
 ) -> Estimate:
     """P{X(t0)>=u, Y(s0)>=u, e*X'(t0)>=0, e*Y'(s0)>=0} with e* = -1 at 0
     and +1 at 1; either derivative constraint can be dropped.  A dropped
-    constraint is a -inf bound, which gauss.mvn_cdf marginalizes away."""
+    constraint is a -inf bound, which gauss.mvn_cdf marginalizes away.  The
+    orthant of _corner_region; a sum's corners take the same regions
+    through one gauss.mvn_cdfs call (_corner_terms), bit for bit."""
+    return gauss.mvn_cdf(*_corner_region(model, t0, s0, u, constrain_x, constrain_y))
+
+
+def _corner_region(model, t0: float, s0: float, u: float, constrain_x: bool, constrain_y: bool):
+    """(cov, lower) of the corner (t0, s0): the covariance of (X(t0),
+    Y(s0), et*X'(t0), es*Y'(s0)), et = -1 at 0 and +1 at 1 (es likewise),
+    and the bounds (u, u, 0, 0), a dropped constraint's bound -inf."""
     if t0 not in (0.0, 1.0) or s0 not in (0.0, 1.0):
         raise ArgumentError("corner coordinates must be 0 or 1")
     et = -1.0 if t0 == 0.0 else 1.0
     es = -1.0 if s0 == 0.0 else 1.0
     r, r1, r2, r12 = model.cross.partials(t0, s0, ((0, 0), (1, 0), (0, 1), (1, 1)))
-    # (X(t0), Y(s0), et*X'(t0), es*Y'(s0)); a process and its own
-    # derivative at one point are uncorrelated
+    # a process and its own derivative at one point are uncorrelated
     cov = np.array([
         [1.0, r, 0.0, es * r2],
         [r, 1.0, et * r1, 0.0],
@@ -169,7 +180,16 @@ def corner_corner_term(
         [es * r2, 0.0, et * es * r12, model.lambda2],
     ])
     lower = np.array([u, u, 0.0 if constrain_x else -np.inf, 0.0 if constrain_y else -np.inf])
-    return gauss.mvn_cdf(cov, lower)
+    return cov, lower
+
+
+def _corner_terms(model, pairs, u: float, constrain_x: bool, constrain_y: bool) -> list:
+    """The corner x corner terms of pairs: their orthants (_corner_region)
+    in one gauss.mvn_cdfs call, which makes one kernel call for all of
+    them and gives each the bits corner_corner_term gives it alone."""
+    regions = [_corner_region(model, _POINT[fx], _POINT[fy], u, constrain_x, constrain_y)
+               for fx, fy in pairs]
+    return [FacePairTerm(fx, fy, est) for (fx, fy), est in zip(pairs, gauss.mvn_cdfs(regions))]
 
 
 def _dense(c, node: int = 0) -> np.ndarray:
@@ -556,8 +576,9 @@ def face_pair_integral(
 
     Every integrated term must converge and is spot-checked at the centre
     node of the rule's first batch against the direct cubature of its
-    truncated moment (gauss.truncated_moments).  A vertex x edge pair is
-    the one-pair case of _edge_terms.
+    truncated moment (gauss.truncated_moments).  A corner x corner pair
+    is the one-pair case of _corner_terms, a vertex x edge pair that of
+    _edge_terms.
 
     The interior x interior pair of a lag-only cross form is the 1D
     integral int_0^1 (1 - v) (f(v) + f(-v)) dv by Gauss-Kronrod, each
@@ -568,13 +589,9 @@ def face_pair_integral(
     cross form takes the cubature over [0,1]^2, probed at (0.5, 0.5)."""
     k = int(face_x == "Interior") + int(face_y == "Interior")
 
-    if k == 0:
-        est = corner_corner_term(
-            model, _POINT[face_x], _POINT[face_y], u, constrain_x, constrain_y
-        )
-        return FacePairTerm(face_x, face_y, est)
-    if k == 1:
-        (term,) = _edge_terms(model, [(face_x, face_y)], u, constrain_x, constrain_y)
+    if k < 2:
+        (term,) = (_corner_terms if k == 0 else _edge_terms)(
+            model, [(face_x, face_y)], u, constrain_x, constrain_y)
         return term
 
     if _anchored(model):
@@ -665,8 +682,9 @@ def eec(
     classification=None,
 ) -> EecResult:
     """Sum the face-pair terms in a fixed order; exposes the per-term
-    breakdown.  The edge terms are refined in lockstep (_edge_terms), the
-    other pairs one by one through face_pair_integral.
+    breakdown.  The edge terms are refined in lockstep (_edge_terms), then
+    the corners are one orthant evaluation (_corner_terms), then the
+    interior pair goes through face_pair_integral.
 
     The full sum integrates all nine pairs whatever the shape of r; only
     the restricted sum needs the model's maximizer, from classification
@@ -684,11 +702,14 @@ def eec(
     else:
         pairs = _PAIR_ORDER
         constrain_x = constrain_y = True
-    # the vertex x edge pairs in lockstep, every other pair on its own
+    # the vertex x edge pairs in lockstep, then the corners in one orthant
+    # evaluation, then the interior pair on its own
     edges = [p for p in pairs if (p[0] == "Interior") != (p[1] == "Interior")]
-    edge_terms = dict(zip(edges, _edge_terms(model, edges, u, constrain_x, constrain_y)))
+    corners = [p for p in pairs if "Interior" not in p]
+    done = dict(zip(edges, _edge_terms(model, edges, u, constrain_x, constrain_y)))
+    done.update(zip(corners, _corner_terms(model, corners, u, constrain_x, constrain_y)))
     terms = tuple(
-        edge_terms[fx, fy] if (fx, fy) in edge_terms
+        done[fx, fy] if (fx, fy) in done
         else face_pair_integral(model, fx, fy, u, constrain_x=constrain_x,
                                 constrain_y=constrain_y)
         for fx, fy in pairs

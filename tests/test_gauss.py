@@ -20,13 +20,14 @@ from scipy.special import ndtr
 from jointeec import gauss, quadrature
 from jointeec import kacrice as kr
 from jointeec.common import (
+    DEFAULT_TOL,
     AccuracyError,
     ArgumentError,
     DegeneracyError,
     UnsupportedDimensionError,
 )
 from jointeec.gauss import condition, mvn_cdf, truncated_moment
-from jointeec.model import fixture
+from jointeec.model import _FIXTURE_NAMES, fixture, transpose
 from test_acceptance import corner_tail, mills_product
 
 # frozen reference probabilities
@@ -650,6 +651,89 @@ def test_mvn_cdf_rejects_unsupported():
         mvn_cdf(np.eye(5), np.zeros(5))
     with pytest.raises(ArgumentError):
         mvn_cdf(np.eye(2), np.zeros(3))
+
+
+def test_region_gate_names_a_nan_threshold():
+    # a NaN threshold gave a silent NaN (value and error NaN, n = 194);
+    # the gate every engine shares names it, while ndtr stays NaN-quiet
+    cov = corner_shaped(0.5, 0.2, 0.3, -0.1)
+    lower = [math.nan, 1.0, 0.0, 0.0]
+    for call in (lambda: mvn_cdf(cov, lower),
+                 lambda: gauss.mvn_cdfs([(cov, [1.0, 1.0, 0.0, 0.0]), (cov, lower)]),
+                 lambda: truncated_moment(cov, lower, (0, 0, 0, 1))):
+        with pytest.raises(ArgumentError, match="index 0 is NaN"):
+            call()
+    with pytest.raises(ArgumentError, match="index 2 is NaN"):
+        mvn_cdf(cov, [1.0, 1.0, math.nan, -np.inf])
+
+
+def test_region_gate_rejects_an_asymmetric_covariance():
+    # the Cholesky gate read one triangle and Plackett's identity the other,
+    # so C[0, 1] = 0.9 with C[1, 0] = 0.5 gave a number; an asymmetry past
+    # symmetry_tol is an error, one within it is not
+    cov = corner_shaped(0.5, 0.2, 0.3, -0.1)
+    bad = cov.copy()
+    bad[0, 1] = 0.9
+    for call in (lambda: mvn_cdf(bad, [1.0, 1.0, 0.0, 0.0]),
+                 lambda: mvn_cdf(bad[:2, :2], [1.0, 1.0]),
+                 lambda: truncated_moment(bad, [1.0, 1.0, 0.0, 0.0], (0, 0, 0, 1))):
+        with pytest.raises(ArgumentError, match="asymmetric"):
+            call()
+    near = cov.copy()
+    near[0, 1] += 0.5 * DEFAULT_TOL.symmetry_tol
+    assert mvn_cdf(near, [1.0, 1.0, 0.0, 0.0]).value > 0.0
+
+
+def test_mvn_cdfs_are_batch_invariant():
+    # mvn_cdfs takes the kernel points of all its regions in one call and
+    # sets up their Plackett integrals together, stacked by node count; each
+    # region must keep the bits mvn_cdf gives it alone, wherever it sits and
+    # whatever shares its stack.  The regions: every corner of the seven
+    # fixtures and their transposes at u = 3 and 9 under all four constraint
+    # patterns (the full sum's and every restricted sum's: d = 4, 3 and 2),
+    # corners whose every split has a negative cross entry with their 3-D
+    # blocks, -inf bounds, an empty and an unconstrained region, one
+    # coordinate, and a covariance that is not a correlation
+    regions = [kr._corner_region(mod, t0, s0, u, cx, cy)
+               for name in _FIXTURE_NAMES for mod in (fixture(name), transpose(fixture(name)))
+               for t0 in (0.0, 1.0) for s0 in (0.0, 1.0) for u in (3.0, 9.0)
+               for cx in (True, False) for cy in (True, False)]
+    for corr, _ in CANCELLING_CORNERS[:4]:
+        cov = corner_shaped(*corr)
+        for u in (3.0, 9.0):
+            regions += [(cov, [u, u, 0.0, 0.0]), (cov, [u, u, 0.0, -np.inf]),
+                        (cov, [u, u, -np.inf, 0.0])]
+    cov = corner_shaped(0.5, 0.2, 0.3, -0.1)
+    mixed = np.array([[1.0, 0.6, -0.3], [0.6, 2.0, 0.5], [-0.3, 0.5, 1.5]])
+    regions += [(cov, [1.0, -np.inf, 0.5, -np.inf]), (cov, [np.inf, 0.0, 0.0, 0.0]),
+                (cov, [-np.inf] * 4), (np.array([[4.0]]), [1.0]), (mixed, [0.8, 1.0, -0.2])]
+    alone = [mvn_cdf(c, low) for c, low in regions]
+    # Plackett regions of one cross pair on rules of 24 and 32 nodes (n = 38
+    # and 50) and of two pairs on 24 (n = 74): node counts differ in a stack
+    assert {38, 50, 74} <= {est.n for est in alone}
+    stack = regions + regions[::-1] + regions
+    assert gauss.mvn_cdfs(stack) == alone + alone[::-1] + alone
+    for d in (2, 3, 4):
+        own = [r for r in stack if np.isfinite(r[1]).sum() == d]
+        assert gauss.mvn_cdfs(own) == [mvn_cdf(c, low) for c, low in own], d
+
+    # a singular region third in a stack is named as alone, not after a
+    # region of another dimension ahead of it in the order of evaluation
+    # that fails at another pivot
+    singular = [cov.copy(), cov[:3, :3].copy()]
+    for mat, k in zip(singular, (2, 1)):  # coordinate k a copy of coordinate 0
+        mat[k, :] = mat[:, k] = mat[0, :].copy()
+        mat[k, k] = 1.0
+    with pytest.raises(DegeneracyError) as other:
+        mvn_cdf(singular[1], [1.0, 1.0, 0.0])
+    assert other.value.pivot_index == 1
+    stack = [(cov[:3, :3], [1.0, 1.0, 0.0]), (cov, [1.0, 1.0, 0.0, 0.0]),
+             (singular[0], [1.0, 1.0, 0.0, 0.0]), (singular[1], [1.0, 1.0, 0.0])]
+    with pytest.raises(DegeneracyError) as solo:
+        mvn_cdf(*stack[2])
+    with pytest.raises(DegeneracyError) as stacked:
+        gauss.mvn_cdfs(stack)
+    assert stacked.value.pivot_index == solo.value.pivot_index == 2
 
 
 # ---------------------------------------------------------------------------

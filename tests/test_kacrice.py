@@ -369,6 +369,36 @@ def test_eec_calls_the_edge_integrand_once_per_pass(monkeypatch):
     assert routes == [4, 1]  # the edge terms' checks, then the interior pair's
 
 
+@pytest.mark.parametrize("name, calls", [("interior-point", 1), ("corner-nondegenerate", 2)])
+def test_eec_evaluates_its_corners_in_one_kernel_call(monkeypatch, name, calls):
+    # a full sum's four corner orthants go through one mvn_cdfs call, which
+    # makes one bivariate kernel call for all of them (_bvn_parts, which
+    # _bvn_survival_batch wraps, so every kernel call is counted); two of
+    # corner-nondegenerate's corners have no split without a negative cross
+    # entry, and one more call chooses the splits of both
+    stacks, kernel, inside = [], [], []
+    orig_cdfs, orig_parts = gauss.mvn_cdfs, gauss._bvn_parts
+
+    def cdfs(regions):
+        stacks.append(len(regions))
+        inside.append(True)
+        try:
+            return orig_cdfs(regions)
+        finally:
+            inside.pop()
+
+    def parts(*args):
+        if inside:
+            kernel.append(1)
+        return orig_parts(*args)
+
+    monkeypatch.setattr(gauss, "mvn_cdfs", cdfs)
+    monkeypatch.setattr(gauss, "_bvn_parts", parts)
+    kr.eec(fixture(name), 3.0)
+    assert stacks == [4]
+    assert len(kernel) == calls
+
+
 def test_face_pair_integral_pin():
     t = kr.face_pair_integral(fixture("diagonal"), "Interior", "Left", 3.0)
     assert t.sign == -1
