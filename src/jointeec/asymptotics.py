@@ -8,6 +8,11 @@ directional derivatives of r vanish there.  This module locates the
 maximizer set, reads off the local geometry, and assembles the
 closed-form coefficient for each regime via the Laplace method;
 validate_model checks a model's covariances and its maximizers' curvature.
+Every read of r takes a whole batch in one cross-form call: classify's
+lattice scan broadcasts over the two axes, its refinement steps all
+near-maximal cells in lockstep (_refine), and validate_model reads every
+maximizer's partials at once, so a ridge of 101 cells or the 10,201 cells
+of r = 0 cost a few calls, not two per cell.
 The coefficients are algebra (a corner's orthant probabilities by
 Sheppard's formula): no kernel of the face-pair sum runs here.
 
@@ -22,6 +27,7 @@ verbatim; the maximizers keep the model's own coordinates.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -154,74 +160,109 @@ def _endpoints(x: float) -> tuple[float, ...]:
     return (0.0,) * (x <= 1e-9) + (1.0,) * (x >= 1.0 - 1e-9)
 
 
-def _refine(model: model_mod.BivariateModel, t: float, s: float, step_floor: float):
-    """Projected ascent on r from (t,s), Newton steps with backtracking."""
-    x = np.array([t, s], dtype=float)
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b, each one
+    BLAS dot as a @ b makes for two vectors: a sum of elementwise products
+    can round differently."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _ascent(neg_hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Each row's Newton step solve(neg_hess, grad), or grad itself where
+    that matrix is singular or the step is not finite or not an ascent
+    direction.  One stacked solve; where it meets a singular matrix, the
+    rows are solved one at a time."""
+    try:
+        cand = np.linalg.solve(neg_hess, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        cand = np.full_like(grad, np.nan)
+        for i, (h, g) in enumerate(zip(neg_hess, grad)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                cand[i] = np.linalg.solve(h, g)
+    ok = np.isfinite(cand).all(axis=1) & (_rowdot(cand, grad) > 0.0)
+    return np.where(ok[:, None], cand, grad)
+
+
+def _refine(model: model_mod.BivariateModel, starts, step_floor: float):
+    """Projected ascent on r from each start (t, s), Newton steps with
+    backtracking, every start in lockstep: each Newton step is one partials
+    call over the points still moving, each halving of the step one
+    cross_eval call over those still searching.  Returns the points (m, 2)
+    and their values of r.
+
+    Each point keeps its own free set, step and stopping rule, and nothing
+    it computes reads another point, so each ends where it would alone.  A
+    step is Newton's on the free coordinates (_ascent), capped at length
+    0.25, then halved up to 30 times until r does not drop; a point stops
+    when every coordinate is pinned, when no halving helps, when the step
+    taken is shorter than step_floor, or after 50 steps."""
+    x = np.array(starts, dtype=float).reshape(-1, 2)
+    val = np.empty(len(x))
+    live = np.arange(len(x))
     for _ in range(50):
-        r, r1, r2, r11, r22, r12 = model.cross.partials(x[0], x[1], _JET)
-        val = float(r)
-        g, hess = np.array([r1, r2]), np.array([[r11, r12], [r12, r22]])
+        if not live.size:
+            break
+        xl = x[live]
+        jet = np.array(model.cross.partials(xl[:, 0], xl[:, 1], _JET))
+        val[live], g = jet[0], jet[1:3].T
         # Active box constraints: gradient pushing outward pins the coordinate.
-        free = []
-        for j in range(2):
-            lo_pinned = x[j] <= 0.0 and g[j] < 0.0
-            hi_pinned = x[j] >= 1.0 and g[j] > 0.0
-            if not (lo_pinned or hi_pinned):
-                free.append(j)
-        if not free:
-            break
-        gf = g[free]
-        step = np.zeros(2)
-        newton = None
-        try:  # no Newton step passes cand @ gf > 0 where gf is exactly 0
-            cand = np.linalg.solve(-hess[np.ix_(free, free)], gf) if gf.any() else gf
-            if np.all(np.isfinite(cand)) and float(cand @ gf) > 0.0:
-                newton = cand
-        except np.linalg.LinAlgError:
-            newton = None
-        step[free] = newton if newton is not None else gf
-        norm = float(np.linalg.norm(step))
-        if norm > 0.25:
-            step *= 0.25 / norm
+        free = ~(((xl <= 0.0) & (g < 0.0)) | ((xl >= 1.0) & (g > 0.0)))
+        # a point with every coordinate pinned stops where it is
+        search = np.flatnonzero(free.any(axis=1))
+        step = np.zeros_like(xl)
+        # one stacked Newton solve per free set; a zero gradient on the free
+        # coordinates is a zero step
+        newton = (free & (g != 0.0)).any(axis=1)
+        if newton.any():
+            hess = jet[[3, 5, 5, 4]].T.reshape(-1, 2, 2)  # [[r11, r12], [r12, r22]]
+            for pattern in ((True, True), (True, False), (False, True)):
+                rows = np.flatnonzero(newton & (free == pattern).all(axis=1))
+                if rows.size:
+                    cols = np.flatnonzero(pattern)
+                    step[np.ix_(rows, cols)] = _ascent(-hess[np.ix_(rows, cols, cols)],
+                                                       g[np.ix_(rows, cols)])
+            norm = np.sqrt(_rowdot(step, step))
+            long = norm > 0.25
+            step[long] *= (0.25 / norm[long])[:, None]
+        moved = np.zeros(len(live), dtype=bool)
         alpha = 1.0
-        moved = False
         for _ in range(30):
-            trial = np.clip(x + alpha * step, 0.0, 1.0)
-            tval = float(model_mod.cross_eval(model, trial[0], trial[1], 0, 0))
-            if tval >= val:
-                if float(np.linalg.norm(trial - x)) < step_floor:
-                    return trial, tval
-                x, val = trial, tval
-                moved = True
+            if not search.size:
                 break
+            trial = np.clip(xl[search] + alpha * step[search], 0.0, 1.0)
+            tval = model_mod.cross_eval(model, trial[:, 0], trial[:, 1], 0, 0)
+            up = tval >= val[live[search]]
+            done = search[up]
+            x[live[done]], val[live[done]] = trial[up], tval[up]
+            shift = trial[up] - xl[done]
+            # an accepted step shorter than the floor ends the point there
+            moved[done] = ~(np.sqrt(_rowdot(shift, shift)) < step_floor)
+            search = search[~up]
             alpha *= 0.5
-        if not moved:
-            break
+        live = live[moved]
     return x, val
 
 
 def classify(model: model_mod.BivariateModel) -> CaseClassification:
     """Locate the global maximizers of r and match an asymptotic regime.
 
-    Grid scan on a 101x101 lattice, cluster of near-maximal cells, local
-    projected-Newton refinement, then a merge of coincident points.  A
+    Grid scan on a 101x101 lattice (one broadcast call, 2 x 101 kernel
+    evaluations for a point anchor), cluster of near-maximal cells, local
+    projected-Newton refinement of all of them in lockstep (_refine: each
+    cell ends where it would alone), then a merge of coincident points.  A
     one-dimensional maximizer set is accepted only when it is the full
     diagonal {t = s}; any other shape drops to GeneralFallback with a
     note rather than an exception.
     """
     ax = np.linspace(0.0, 1.0, _GRID_N)
-    tt, ss = np.meshgrid(ax, ax, indexing="ij")
-    vals = model_mod.cross_eval(model, tt, ss, 0, 0)
+    vals = model_mod.cross_eval(model, ax[:, None], ax[None, :], 0, 0)
     vmax = float(vals.max())
-    mask = vals >= vmax - DEFAULT_TOL.cluster_tol
-    starts = np.column_stack([tt[mask], ss[mask]])
-
-    refined = []
-    for t0, s0 in starts:
-        pt, val = _refine(model, float(t0), float(s0), DEFAULT_TOL.newton_step_floor)
-        refined.append((float(pt[0]), float(pt[1]), val))
-    big_r = max(v for _, _, v in refined)
-    keep = [(t, s) for t, s, v in refined if v >= big_r - DEFAULT_TOL.cluster_tol]
+    i, j = np.divmod(np.flatnonzero(vals >= vmax - DEFAULT_TOL.cluster_tol), _GRID_N)
+    points, values = _refine(model, np.column_stack([ax[i], ax[j]]),
+                             DEFAULT_TOL.newton_step_floor)
+    big_r = float(values.max())
+    keep = [(t, s) for (t, s), v in zip(points.tolist(), values.tolist())
+            if v >= big_r - DEFAULT_TOL.cluster_tol]
 
     # greedy merge in sorted order, each point against the kept points of
     # its own and the 8 neighbouring cells of a grid 2 merge_tol wide: a
@@ -337,15 +378,13 @@ def validate_model(model: model_mod.BivariateModel) -> ValidationReport:
     unit_err = float(np.max(np.abs(np.diag(joint) - 1.0)))
 
     cls = classify(model)
-    h3_vals: list[float] = []
-    for (t0, s0) in cls.maximizers:
-        geo = local_geometry(model, t0, s0)
-        if abs(geo.r1) < DEFAULT_TOL.gradient_tol:
-            h3_vals.append(geo.r11)
-        if abs(geo.r2) < DEFAULT_TOL.gradient_tol:
-            h3_vals.append(geo.r22)
-    if h3_vals:
-        worst = float(max(h3_vals))
+    # the local geometry of every maximizer from one evaluation of r
+    t, s = np.array(cls.maximizers).T
+    _, r1, r2, r11, r22, _ = model.cross.partials(t, s, _JET)
+    h3_vals = np.concatenate([r11[np.abs(r1) < DEFAULT_TOL.gradient_tol],
+                              r22[np.abs(r2) < DEFAULT_TOL.gradient_tol]])
+    if h3_vals.size:
+        worst = float(h3_vals.max())
         h3_ok = worst <= 1e-8
     else:
         worst = 0.0

@@ -567,8 +567,8 @@ def _orthant_region(cov, lower):
         cov, lower = cov[keep][:, keep], lower[keep]
         if not len(lower):
             return Estimate(1.0, 0.0, 0, QUADRATURE)
-    if (cov.diagonal() <= 1e-12).any():
-        bad = int(np.argmin(cov.diagonal()))
+    if (~(cov.diagonal() > 1e-12)).any():  # a NaN variance fails too
+        bad = int(np.argmin(cov.diagonal()))  # a NaN's index, else the smallest's
         raise DegeneracyError(
             f"covariance diagonal not positive at index {bad}", pivot_index=bad)
     return cov, lower

@@ -49,17 +49,21 @@ the final xi rule's sum_k W_k f_X(xi_k, 0.5) f_Y(xi_k, 0.5).
 The four vertex x edge integrals of a sum (the "edge terms") are refined
 in lockstep (quadrature.lockstep_1d): each pass evaluates the nodes of
 every open edge integral in one call of _edge_integrands, which makes
-one _face_g call per dimension for all of them, and their spot checks
-are one stacked evaluation per coordinate pattern of the direct route
+one _edge_conditional call per cross form (the model's, for the edges
+along which X varies, and its transpose's) and one _face_g call per
+dimension for all of them.  Their spot checks take each probe's
+covariance from the first batch's entries at t = 0.5, and are one
+stacked evaluation per coordinate pattern of the direct route
 (gauss.truncated_moments), which reads no face factor.  An integrand
 call costs about as much for 15 nodes as for 60, and an edge integral
 mostly converges on its first panel.  Each integral keeps its own cells
-and stopping test, and the bivariate kernel gives a point the same bits
-whatever else shares its batch, so each term is the one
-face_pair_integral computes for its pair alone, bit for bit.  The
+and stopping test, and the cross form and the bivariate kernel give a
+point the same bits whatever else shares its batch, so each term is the
+one face_pair_integral computes for its pair alone, bit for bit.  The
 corner x corner orthants of a sum are likewise one evaluation
-(_corner_terms): one gauss.mvn_cdfs call, which makes one bivariate
-kernel call for the four of them.
+(_corner_terms): one cross-form call for the partials at all corners,
+then one gauss.mvn_cdfs call, which makes one bivariate kernel call for
+the four of them.
 
 Face restriction: with ``restricted=True`` only the faces whose closure
 contains the unique maximizer (t*, s*) and whose free directions have a
@@ -158,37 +162,46 @@ def corner_corner_term(
     """P{X(t0)>=u, Y(s0)>=u, e*X'(t0)>=0, e*Y'(s0)>=0} with e* = -1 at 0
     and +1 at 1; either derivative constraint can be dropped.  A dropped
     constraint is a -inf bound, which gauss.mvn_cdf marginalizes away.  The
-    orthant of _corner_region; a sum's corners take the same regions
-    through one gauss.mvn_cdfs call (_corner_terms), bit for bit."""
-    return gauss.mvn_cdf(*_corner_region(model, t0, s0, u, constrain_x, constrain_y))
+    one-corner case of _corner_regions; a sum's corners take the same
+    regions through one gauss.mvn_cdfs call (_corner_terms), bit for bit."""
+    (region,) = _corner_regions(model, [(t0, s0)], u, constrain_x, constrain_y)
+    return gauss.mvn_cdf(*region)
 
 
-def _corner_region(model, t0: float, s0: float, u: float, constrain_x: bool, constrain_y: bool):
-    """(cov, lower) of the corner (t0, s0): the covariance of (X(t0),
-    Y(s0), et*X'(t0), es*Y'(s0)), et = -1 at 0 and +1 at 1 (es likewise),
-    and the bounds (u, u, 0, 0), a dropped constraint's bound -inf."""
-    if t0 not in (0.0, 1.0) or s0 not in (0.0, 1.0):
+def _corner_regions(model, corners, u: float, constrain_x: bool, constrain_y: bool) -> list:
+    """(cov, lower) of each corner (t0, s0) of corners: the covariance of
+    (X(t0), Y(s0), et*X'(t0), es*Y'(s0)), et = -1 at 0 and +1 at 1 (es
+    likewise), and the bounds (u, u, 0, 0), a dropped constraint's bound
+    -inf.  The partials of r at every corner come from one evaluation of
+    the cross form, which gives each corner the bits it gets alone."""
+    if any(t0 not in (0.0, 1.0) or s0 not in (0.0, 1.0) for t0, s0 in corners):
         raise ArgumentError("corner coordinates must be 0 or 1")
-    et = -1.0 if t0 == 0.0 else 1.0
-    es = -1.0 if s0 == 0.0 else 1.0
-    r, r1, r2, r12 = model.cross.partials(t0, s0, ((0, 0), (1, 0), (0, 1), (1, 1)))
-    # a process and its own derivative at one point are uncorrelated
-    cov = np.array([
-        [1.0, r, 0.0, es * r2],
-        [r, 1.0, et * r1, 0.0],
-        [0.0, et * r1, model.lambda1, et * es * r12],
-        [es * r2, 0.0, et * es * r12, model.lambda2],
-    ])
-    lower = np.array([u, u, 0.0 if constrain_x else -np.inf, 0.0 if constrain_y else -np.inf])
-    return cov, lower
+    t, s = np.array(corners, dtype=float).reshape(-1, 2).T
+    jet = model.cross.partials(t, s, ((0, 0), (1, 0), (0, 1), (1, 1)))
+    regions = []
+    for (t0, s0), r, r1, r2, r12 in zip(corners, *jet):
+        et = -1.0 if t0 == 0.0 else 1.0
+        es = -1.0 if s0 == 0.0 else 1.0
+        # a process and its own derivative at one point are uncorrelated
+        cov = np.array([
+            [1.0, r, 0.0, es * r2],
+            [r, 1.0, et * r1, 0.0],
+            [0.0, et * r1, model.lambda1, et * es * r12],
+            [es * r2, 0.0, et * es * r12, model.lambda2],
+        ])
+        lower = np.array([u, u, 0.0 if constrain_x else -np.inf,
+                          0.0 if constrain_y else -np.inf])
+        regions.append((cov, lower))
+    return regions
 
 
 def _corner_terms(model, pairs, u: float, constrain_x: bool, constrain_y: bool) -> list:
-    """The corner x corner terms of pairs: their orthants (_corner_region)
-    in one gauss.mvn_cdfs call, which makes one kernel call for all of
-    them and gives each the bits corner_corner_term gives it alone."""
-    regions = [_corner_region(model, _POINT[fx], _POINT[fy], u, constrain_x, constrain_y)
-               for fx, fy in pairs]
+    """The corner x corner terms of pairs: their orthants (_corner_regions,
+    one cross-form evaluation) in one gauss.mvn_cdfs call, which makes one
+    kernel call for all of them and gives each the bits corner_corner_term
+    gives it alone."""
+    regions = _corner_regions(model, [(_POINT[fx], _POINT[fy]) for fx, fy in pairs], u,
+                              constrain_x, constrain_y)
     return [FacePairTerm(fx, fy, est) for (fx, fy), est in zip(pairs, gauss.mvn_cdfs(regions))]
 
 
@@ -202,15 +215,16 @@ def _dense(c, node: int = 0) -> np.ndarray:
     return out
 
 
-def _edge_conditional(model: model_mod.BivariateModel, t, s0: float):
+def _edge_conditional(model: model_mod.BivariateModel, t, s0):
     """Covariance of (X(t), Y(s0), es*Y'(s0), X''(t)) given X'(t)=0, with
     es = -1 at s0 = 0 and +1 at s0 = 1, entrywise over t ({(i, j): array
-    over t}, i <= j).  Conditional means vanish.  X'(t) is uncorrelated
-    with X(t) and X''(t), so only Y(s0) and es*Y'(s0), with covariances r1
-    and es*r12 to it, lose variance to it.  An edge along which Y varies
-    is the same law for the transposed model."""
+    over t}, i <= j); s0 is one endpoint or one per node.  Conditional
+    means vanish.  X'(t) is uncorrelated with X(t) and X''(t), so only
+    Y(s0) and es*Y'(s0), with covariances r1 and es*r12 to it, lose
+    variance to it.  An edge along which Y varies is the same law for the
+    transposed model."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    es = -1.0 if s0 == 0.0 else 1.0
+    es = np.where(np.asarray(s0) == 0.0, -1.0, 1.0)
     lam1, lam2 = model.lambda1, model.lambda2
     r, r1, r2, r11, r12, r112 = model.cross.partials(
         t, s0, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1)))
@@ -257,6 +271,19 @@ def _face_g(c, lower):
     return [dj * tj for dj, tj in zip(dens, np.split(surv, d))]
 
 
+@dataclass(eq=False)
+class _EdgeSpec:
+    """One vertex x edge integrand: X of model along t against Y at the
+    endpoint s0, the endpoint's derivative sign kept if constrain.  probe
+    is the conditional covariance at the spot check's node t = 0.5, which
+    _edge_integrands keeps from the first batch that holds that node."""
+
+    model: model_mod.BivariateModel
+    s0: float
+    constrain: bool
+    probe: np.ndarray | None = None
+
+
 def edge_point_integrand(
     model: model_mod.BivariateModel,
     t,
@@ -272,33 +299,49 @@ def edge_point_integrand(
     one-spec case of _edge_integrands."""
     if s0 not in (0.0, 1.0):
         raise ArgumentError("s0 must be an endpoint")
-    (out,) = _edge_integrands([(model, s0, constrain_endpoint)],
+    (out,) = _edge_integrands([_EdgeSpec(model, s0, constrain_endpoint)],
                               [np.atleast_1d(np.asarray(t, dtype=float))], u)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def _edge_integrands(specs, ts, u: float) -> list:
-    """edge_point_integrand for each spec (model, s0, constrain_endpoint)
-    at its own 1-d nodes ts[i], in one batch: each spec's _edge_conditional
-    on its nodes, the entries of all specs concatenated, and one _face_g
-    call per dimension (3 with the endpoint constraint, 2 without).  A
-    node's value does not depend on the other nodes of the batch (the
-    bivariate kernel is batch-invariant), so each spec gets the bits it
-    gets alone.  Returns one array per spec, empty for an empty ts[i]."""
+    """edge_point_integrand for each _EdgeSpec of specs at its own 1-d
+    nodes ts[i], in one batch: one _face_g call per dimension (3 with the
+    endpoint constraint, 2 without), each over one _edge_conditional call
+    per cross form on the nodes of all its specs, the endpoint given per
+    node.  A sum's specs hold the model and its transpose, each with one
+    endpoint constraint, so a pass evaluates each cross form once.  A spec
+    without a probe takes its conditional covariance at t = 0.5 from these
+    entries when its nodes hold that node.  A node's value does not depend
+    on the other nodes of the batch (the cross form and the bivariate
+    kernel are batch-invariant), so each spec gets the bits it gets alone.
+    Returns one array per spec, empty for an empty ts[i]."""
+    sizes = [np.size(t) for t in ts]
     out = [np.empty(0)] * len(specs)
     for constrain in (True, False):
-        group = [i for i, spec in enumerate(specs) if spec[2] == constrain and np.size(ts[i])]
+        group = [i for i, spec in enumerate(specs) if spec.constrain == constrain and sizes[i]]
         if not group:
             continue
-        conds = [_edge_conditional(specs[i][0], ts[i], specs[i][1]) for i in group]
-        sizes = [np.size(ts[i]) for i in group]
+        order, conds = [], []
+        for model in {id(specs[i].model): specs[i].model for i in group}.values():
+            own = [i for i in group if specs[i].model is model]
+            c = _edge_conditional(model, np.concatenate([ts[i] for i in own]),
+                                  np.repeat([specs[i].s0 for i in own], [sizes[i] for i in own]))
+            start = 0
+            for i in own:
+                hit = np.flatnonzero(ts[i] == 0.5) if specs[i].probe is None else ()
+                if len(hit):
+                    specs[i].probe = _dense(c, start + hit[0])
+                start += sizes[i]
+            order += own
+            conds.append(c)
         c = {key: np.concatenate([ci[key] for ci in conds]) for key in conds[0]}
         lower = (u, u, 0.0) if constrain else (u, u)
         g = _face_g(c, lower)
         # Tallis: E{X'' 1_A} = sum_j Cov(X'', xi_j) G_j
         expect = sum(c[j, 3] * g[j] for j in range(len(lower)))
-        for i, part in zip(group, np.split(expect, np.cumsum(sizes)[:-1])):
-            out[i] = part / math.sqrt(2.0 * math.pi * specs[i][0].lambda1)
+        for i, part in zip(order, np.split(expect, np.cumsum([sizes[i] for i in order])[:-1])):
+            out[i] = part / math.sqrt(2.0 * math.pi * specs[i].model.lambda1)
     return out
 
 
@@ -627,19 +670,23 @@ def face_pair_integral(
 def _edge_terms(model, pairs, u: float, constrain_x: bool, constrain_y: bool) -> list:
     """The vertex x edge terms of pairs, their integrals refined in lockstep
     (quadrature.lockstep_1d), so each pass makes one _edge_integrands call
-    for all of them, and their spot checks' direct cubatures in lockstep
-    too (gauss.truncated_moments).  Each integral still keeps its own cells
-    and stopping test, so each term equals face_pair_integral's for its
-    pair bit for bit; each must converge and pass its own spot check."""
+    for all of them, which evaluates each of the two cross forms once, and
+    their spot checks' direct cubatures in lockstep too
+    (gauss.truncated_moments).  A check's value and covariance are the
+    first batch's at t = 0.5 (_EdgeSpec.probe), so the checks make no
+    integrand or cross-form call of their own.  Each integral still keeps
+    its own cells and stopping test, so each term equals
+    face_pair_integral's for its pair bit for bit; each must converge and
+    pass its own spot check."""
     transposed = (model_mod.transpose(model) if any(fx != "Interior" for fx, _ in pairs)
                   else None)
     specs = []
     for face_x, face_y in pairs:
         if face_x == "Interior":
-            specs.append((model, _POINT[face_y], constrain_y))
+            specs.append(_EdgeSpec(model, _POINT[face_y], constrain_y))
         else:
             # Y varies: swap the processes and integrate the same form
-            specs.append((transposed, _POINT[face_x], constrain_x))
+            specs.append(_EdgeSpec(transposed, _POINT[face_x], constrain_x))
     first: list = []
     results = quadrature.lockstep_1d(
         _keeping_first_batch(lambda ts: _edge_integrands(specs, ts, u), first),
@@ -648,10 +695,9 @@ def _edge_terms(model, pairs, u: float, constrain_x: bool, constrain_y: bool) ->
                           res.estimate(f"face pair ({face_x},{face_y}) quadrature"))
              for (face_x, face_y), res in zip(pairs, results)]
     _spot_check([("edge integrand at t=0.5", _value_at(first[0][0][i], first[0][1][i], 0.5),
-                  _dense(_edge_conditional(work, 0.5, s0)),
-                  (u, u, 0.0 if constrain else -np.inf, -np.inf),
-                  1.0 / math.sqrt(2.0 * math.pi * work.lambda1))
-                 for i, (work, s0, constrain) in enumerate(specs)], (0, 0, 0, 1))
+                  spec.probe, (u, u, 0.0 if spec.constrain else -np.inf, -np.inf),
+                  1.0 / math.sqrt(2.0 * math.pi * spec.model.lambda1))
+                 for i, spec in enumerate(specs)], (0, 0, 0, 1))
     return terms
 
 

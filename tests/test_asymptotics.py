@@ -11,10 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from jointeec.common import ArgumentError, RegimeError
+from jointeec.common import DEFAULT_TOL, ArgumentError, RegimeError
 from jointeec.gauss import condition, mvn_cdf
-from jointeec.model import (BivariateModel, CrossCorrelation, SquaredExponential, fixture,
-                            joint_cov, transpose)
+from jointeec.model import (_FIXTURE_NAMES, BivariateModel, CrossCorrelation, PointAnchor,
+                            ShiftMixture, SquaredExponential, cross_eval, fixture,
+                            independent_model, joint_cov, transpose)
+from jointeec import model as model_mod
 from jointeec import asymptotics as asy
 from test_acceptance import h_function, sigma_conditional
 
@@ -142,6 +144,134 @@ def test_classification_flat_r_merges_every_lattice_point():
     ax = np.linspace(0.0, 1.0, 101).tolist()
     assert cls.maximizers == tuple(sorted((t, s) for t in ax for s in ax))
     assert cls.tag == "GeneralFallback"
+
+
+def random_models(n=40, seed=20261021):
+    """n squared-exponential models, shift mixtures and point anchors by
+    turns, with scales, coefficients, shifts and anchors drawn at random."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        kx = SquaredExponential(float(rng.uniform(0.1, 1.5)))
+        c = float(rng.uniform(0.05, 0.95))
+        if i % 2 == 0:
+            out.append(BivariateModel(kx, kx, ShiftMixture(c, float(rng.uniform(-1.5, 1.5)), kx),
+                                      label=f"random-{i}"))
+        else:
+            ky = SquaredExponential(float(rng.uniform(0.1, 1.5)))
+            anchor = PointAnchor(c, float(rng.uniform(-0.5, 1.5)), float(rng.uniform(-0.5, 1.5)),
+                                 kx, ky)
+            out.append(BivariateModel(kx, ky, anchor, label=f"random-{i}"))
+    return out
+
+
+def near_maximal_cells(mod):
+    """The lattice cells classify refines: those within cluster_tol of the
+    lattice maximum of r."""
+    ax = np.linspace(0.0, 1.0, asy._GRID_N)
+    vals = cross_eval(mod, ax[:, None], ax[None, :], 0, 0)
+    i, j = np.nonzero(vals >= vals.max() - DEFAULT_TOL.cluster_tol)
+    return np.column_stack([ax[i], ax[j]])
+
+
+# starts off the maximizers: corners and edge midpoints, where the box pins
+# coordinates, and interior points, where a shift mixture's Hessian is
+# singular and Newton steps overshoot and halve
+EXTRA_STARTS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.0), (0.0, 0.5),
+                (1.0, 0.5), (0.5, 1.0), (0.3, 0.7), (0.7, 0.2), (0.5, 0.5), (0.05, 0.93))
+
+
+def test_refine_lockstep_matches_one_cell_at_a_time(monkeypatch):
+    # _refine steps every start in lockstep, one cross-form call per Newton
+    # step and per halving; each start must end where it ends alone, bit
+    # for bit, whatever else shares its batch.  Every start is refined in
+    # one batch per model, the fixtures' also in reverse order; a tenth of
+    # them, a different tenth per model, also alone (a shifted ridge's
+    # cells creep for 50 steps, so refining all 2,856 alone takes ~15 s).
+    # The tallies show the starts reach every branch: a point pinned at a
+    # corner and on an edge, a zero gradient, a halved step and a stacked
+    # solve that meets a singular Hessian
+    solve, singular = np.linalg.solve, []
+
+    def spy_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(np.ndim(a))
+            raise
+
+    evaluate, trials = model_mod.cross_eval, []
+
+    def spy_eval(*args):
+        out = evaluate(*args)
+        trials.append(np.atleast_1d(out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(model_mod, "cross_eval", spy_eval)
+    seen = dict.fromkeys(("corner", "edge", "zero gradient", "halving"), 0)
+    floor = DEFAULT_TOL.newton_step_floor
+    models = [fixture(n) for n in _FIXTURE_NAMES] + random_models()
+    for m, mod in enumerate([m for base in models for m in (base, transpose(base))]):
+        starts = np.vstack([near_maximal_cells(mod), EXTRA_STARTS])
+        x, v = asy._refine(mod, starts, floor)
+        if m < 2 * len(_FIXTURE_NAMES):
+            back_x, back_v = asy._refine(mod, starts[::-1], floor)
+            assert back_x[::-1].tolist() == x.tolist() and back_v[::-1].tolist() == v.tolist()
+        for k, start in list(enumerate(starts))[m % 10::10]:
+            trials.clear()
+            alone_x, alone_v = asy._refine(mod, start[None, :], floor)
+            assert alone_x.tolist() == [x[k].tolist()], (mod.label, start)
+            assert alone_v.tolist() == [v[k]], (mod.label, start)
+            # a trial below the value of the last accepted point was halved
+            last = mod.cross.partials(start[0], start[1], ((0, 0),))[0]
+            for (tval,) in trials:
+                seen["halving"] += tval < last
+                last = max(last, tval)
+            on_box = int(np.isin(x[k], (0.0, 1.0)).sum())
+            if on_box > np.isin(start, (0.0, 1.0)).sum():
+                seen[("edge", "corner")[on_box - 1]] += 1
+        r1, r2 = mod.cross.partials(starts[:, 0], starts[:, 1], ((1, 0), (0, 1)))
+        seen["zero gradient"] += int(((r1 == 0.0) & (r2 == 0.0)).sum())
+    assert all(seen.values()), seen
+    assert 3 in singular  # a stack of 2 x 2 Hessians held a singular one
+
+
+def test_ascent_falls_back_row_by_row():
+    # where a stacked solve meets a singular matrix, each row is solved
+    # alone: only the singular one takes its gradient, the others keep the
+    # bits of their own Newton step; a step that does not ascend, and a
+    # zero gradient, are the gradient too
+    neg_hess = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, -1.0], [-1.0, 1.0]],
+                         [[-1.0, 0.0], [0.0, -2.0]], [[3.0, 1.0], [1.0, 2.0]]])
+    grad = np.array([[0.3, -0.2], [0.1, 0.4], [0.5, 0.5], [0.0, 0.0]])
+    steps = asy._ascent(neg_hess, grad)
+    assert steps[0].tolist() == np.linalg.solve(neg_hess[0], grad[0]).tolist()
+    assert steps[1:].tolist() == grad[1:].tolist()
+    assert asy._ascent(neg_hess[:1], grad[:1]).tolist() == steps[:1].tolist()
+
+
+@pytest.mark.parametrize("mod", [fixture("diagonal"), independent_model()],
+                         ids=["diagonal", "flat-r"])
+def test_classify_evaluates_the_cross_form_a_fixed_number_of_times(monkeypatch, mod):
+    # the lattice scan is one broadcast call, each Newton step and each
+    # halving one call over every cell still refining, and validate reads
+    # every maximizer's geometry in one call: the count does not grow with
+    # the 101 (ridge) or 10,201 (r = 0) near-maximal cells
+    calls = []
+    real = type(mod.cross).partials
+
+    def spy(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(type(mod.cross), "partials", spy)
+    cls = asy.classify(mod)
+    assert len(cls.maximizers) >= 101
+    assert len(calls) <= 6
+    calls.clear()
+    asy.validate_model(mod)
+    assert len(calls) <= 10
 
 
 # ---------------------------------------------------------------------------

@@ -474,7 +474,8 @@ def test_closed_form_without_a_regime_is_exit_3(tmp_path, capsys):
 def test_levels_are_checked_before_the_model_is_classified(tmp_path, monkeypatch, capsys,
                                                            command, u):
     # an r = 0 model has no closed form, and classifying it takes about
-    # 0.7 s: a bad level is an argument problem, found before either
+    # 0.03 s (2-core x86-64 guest): a bad level is an argument problem,
+    # found before either
     from jointeec import asymptotics
 
     def refuse(mod):

@@ -667,6 +667,23 @@ def test_region_gate_names_a_nan_threshold():
         mvn_cdf(cov, [1.0, 1.0, math.nan, -np.inf])
 
 
+def test_region_gate_names_a_nan_variance():
+    # a NaN variance in one coordinate gave a silent NaN (value and error
+    # NaN, n = 1): the diagonal gate let NaN through and a 1-D region has
+    # no Cholesky factor; in 2-4 D the gate now stops it before the factor
+    for call, index in ((lambda: mvn_cdf(np.array([[np.nan]]), [1.0]), 0),
+                        (lambda: gauss.mvn_cdfs([(np.eye(1), [1.0]),
+                                                 (np.array([[np.nan]]), [0.5])]), 0),
+                        (lambda: mvn_cdf(np.array([[1.0, 0.2], [0.2, np.nan]]), [1.0, 1.0]), 1),
+                        (lambda: truncated_moment(np.diag([1.0, 1.0, np.nan]), [1.0, 1.0, 0.0],
+                                                  (0, 0, 1)), 2)):
+        with pytest.raises(DegeneracyError, match=f"not positive at index {index}") as err:
+            call()
+        assert err.value.pivot_index == index
+    # a NaN variance of a coordinate a -inf bound drops is never read
+    assert mvn_cdf(np.diag([1.0, np.nan]), [0.0, -np.inf]).value == 0.5
+
+
 def test_region_gate_rejects_an_asymmetric_covariance():
     # the Cholesky gate read one triangle and Plackett's identity the other,
     # so C[0, 1] = 0.9 with C[1, 0] = 0.5 gave a number; an asymmetry past
@@ -694,7 +711,7 @@ def test_mvn_cdfs_are_batch_invariant():
     # corners whose every split has a negative cross entry with their 3-D
     # blocks, -inf bounds, an empty and an unconstrained region, one
     # coordinate, and a covariance that is not a correlation
-    regions = [kr._corner_region(mod, t0, s0, u, cx, cy)
+    regions = [kr._corner_regions(mod, [(t0, s0)], u, cx, cy)[0]
                for name in _FIXTURE_NAMES for mod in (fixture(name), transpose(fixture(name)))
                for t0 in (0.0, 1.0) for s0 in (0.0, 1.0) for u in (3.0, 9.0)
                for cx in (True, False) for cy in (True, False)]

@@ -369,6 +369,113 @@ def test_eec_calls_the_edge_integrand_once_per_pass(monkeypatch):
     assert routes == [4, 1]  # the edge terms' checks, then the interior pair's
 
 
+def test_eec_evaluates_each_cross_form_once_per_edge_pass(monkeypatch):
+    # each pass of the edge terms makes one _edge_conditional call per cross
+    # form among its integrals (a full sum's: the model and its transpose),
+    # and their spot checks make none: the probe covariances come from the
+    # first batch
+    calls, forms = [], []
+    orig_cond, orig_edge = kr._edge_conditional, kr._edge_integrands
+
+    def counting_cond(model, t, s0):
+        calls.append(np.size(t))
+        return orig_cond(model, t, s0)
+
+    def counting_edge(specs, ts, u):
+        forms.append(len({id(spec.model) for spec, t in zip(specs, ts) if np.size(t)}))
+        return orig_edge(specs, ts, u)
+
+    monkeypatch.setattr(kr, "_edge_conditional", counting_cond)
+    monkeypatch.setattr(kr, "_edge_integrands", counting_edge)
+    kr.eec(fixture("interior-point"), 3.0)
+    assert (forms, calls) == ([2], [30, 30])  # one pass, four 15-node integrals
+    for name in _FIXTURE_NAMES:
+        for u in (3.0, 9.0):
+            calls.clear()
+            forms.clear()
+            kr.eec(fixture(name), u)
+            assert len(calls) == sum(forms) and set(forms) <= {1, 2}, (name, u)
+
+
+def test_corner_terms_evaluate_the_cross_form_once(monkeypatch):
+    # a sum's corners read the partials of r at all four corners from one
+    # cross-form evaluation, and each keeps the bits of corner_corner_term
+    pairs = [p for p in kr._PAIR_ORDER if "Interior" not in p]
+    for name in ("interior-point", "corner-nondegenerate"):
+        mod = fixture(name)
+        alone = [kr.corner_corner_term(mod, kr._POINT[fx], kr._POINT[fy], 3.0) for fx, fy in pairs]
+        calls = []
+        real = type(mod.cross).partials
+
+        def spy(self, *args, _real=real):
+            calls.append(1)
+            return _real(self, *args)
+
+        monkeypatch.setattr(type(mod.cross), "partials", spy)
+        terms = kr._corner_terms(mod, pairs, 3.0, True, True)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert [t.value for t in terms] == alone
+
+
+def test_edge_spot_checks_read_the_first_batch_covariance(monkeypatch):
+    # each edge spot check's covariance is the first batch's conditional
+    # covariance at t = 0.5, the same bits as a fresh _edge_conditional
+    # there.  The check's tolerance is absolute, so a covariance read at
+    # another node could still pass it; this compares the matrices exactly
+    batches, checked = [], []
+    orig_edge, orig_check = kr._edge_integrands, kr._spot_check
+
+    def recording_edge(specs, ts, u):
+        batches.append(specs)
+        return orig_edge(specs, ts, u)
+
+    def comparing_check(checks, monomial):
+        if monomial == (0, 0, 0, 1):  # the edge terms' checks
+            specs = batches[-1] if batches else []
+            assert len(checks) == len(specs)
+            for (_, _, cov, _, _), spec in zip(checks, specs):
+                fresh = kr._dense(kr._edge_conditional(spec.model, 0.5, spec.s0))
+                assert cov.tolist() == fresh.tolist()
+                checked.append(spec.model.label)
+        return orig_check(checks, monomial)
+
+    monkeypatch.setattr(kr, "_edge_integrands", recording_edge)
+    monkeypatch.setattr(kr, "_spot_check", comparing_check)
+    for name in _FIXTURE_NAMES:
+        for mod in (fixture(name), transpose(fixture(name))):
+            batches.clear()
+            kr.eec(mod, 3.0)
+            if name != "diagonal":  # the restricted sum needs a unique maximizer
+                batches.clear()
+                kr.eec(mod, 6.0, restricted=True)
+    assert len(checked) > 4 * 14
+
+
+def test_edge_integrands_batch_mixed_specs_bit_for_bit():
+    # specs of two cross forms, both endpoints, with and without the
+    # endpoint constraint and with no nodes, in one call: each gets the bits
+    # it gets alone, and a spec whose nodes hold t = 0.5 keeps its
+    # conditional covariance there
+    mod = fixture("edge-point")
+    tr = transpose(mod)
+    specs = [kr._EdgeSpec(mod, 0.0, True), kr._EdgeSpec(tr, 1.0, False),
+             kr._EdgeSpec(mod, 1.0, False), kr._EdgeSpec(tr, 0.0, True),
+             kr._EdgeSpec(mod, 0.0, False)]
+    rng = np.random.default_rng(5)
+    ts = [rng.random(7), np.empty(0), np.append(rng.random(14), 0.5), rng.random(3),
+          np.insert(rng.random(10), 4, 0.5)]
+    out = kr._edge_integrands(specs, ts, 4.5)
+    for spec, t, vals in zip(specs, ts, out):
+        alone = kr.edge_point_integrand(spec.model, t, spec.s0, 4.5, spec.constrain)
+        assert vals.tolist() == alone.tolist()
+        if 0.5 in t:
+            fresh = kr._dense(kr._edge_conditional(spec.model, 0.5, spec.s0))
+            assert spec.probe.tolist() == fresh.tolist()
+        else:
+            assert spec.probe is None
+
+
 @pytest.mark.parametrize("name, calls", [("interior-point", 1), ("corner-nondegenerate", 2)])
 def test_eec_evaluates_its_corners_in_one_kernel_call(monkeypatch, name, calls):
     # a full sum's four corner orthants go through one mvn_cdfs call, which
